@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate, OutOfDiagram
+from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
 from .partitions import (
     Partition,
     conjugate,
-    hook_grid,
+    hook_length,
     is_self_conjugate,
     is_t_core,
     size,
@@ -55,9 +55,7 @@ def partition_of(b: Sequence[int]) -> Partition:
 
 def remove_hook(p: Partition, i: int, j: int) -> Partition:
     """Remove the hook of cell (i, j): delete its boxes and migrate the rest."""
-    if i < 1 or i > len(p) or j < 1 or j > p[i - 1]:
-        raise OutOfDiagram(f"({i}, {j}) is not a cell of {p!r}")
-    h = hook_grid(p)[i - 1][j - 1]
+    h = hook_length(p, i, j)
     beads = list(beta_set(p, len(p)))
     moved = beads[i - 1] - h
     assert moved >= 0 and moved not in beads
@@ -70,54 +68,40 @@ def _quotient_length(p: Partition, t: int) -> int:
     return m if m % t == 0 else m + (t - m % t)
 
 
-def t_core(p: Partition, t: int) -> Partition:
-    """Slide every bead to the bottom of its runner and read off the partition."""
+def _runners(p: Partition, t: int) -> list[list[int]]:
+    """Runner r lists the levels b // t of the beads b = r (mod t), top first."""
     if t < 1:
         raise ValueError("t must be positive")
-    beads = beta_set(p, _quotient_length(p, t) or t)
-    counts = [0] * t
-    for b in beads:
-        counts[b % t] += 1
-    flushed = [r + t * j for r in range(t) for j in range(counts[r])]
-    return partition_of(flushed)
+    runners: list[list[int]] = [[] for _ in range(t)]
+    for b in beta_set(p, _quotient_length(p, t) or t):
+        runners[b % t].append(b // t)
+    return runners
+
+
+def t_core(p: Partition, t: int) -> Partition:
+    """Slide every bead to the bottom of its runner and read off the partition."""
+    return partition_of([r + t * j for r, levels in enumerate(_runners(p, t)) for j in range(len(levels))])
 
 
 def t_quotient(p: Partition, t: int) -> Quotient:
     """The t runner partitions recording which hooks are divisible by t."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    beads = beta_set(p, _quotient_length(p, t) or t)
-    runners: list[list[int]] = [[] for _ in range(t)]
-    for b in beads:
-        runners[b % t].append(b // t)
-    return tuple(partition_of(r) for r in runners)
+    return tuple(partition_of(r) for r in _runners(p, t))
 
 
 def assemble(core: Partition, q: Quotient, t: int) -> Partition:
     """Inverse of (t_core, t_quotient) under the frozen runner convention."""
     if len(q) != t:
         raise ValueError(f"quotient must have exactly {t} components")
-    if not is_t_core(core, t):
+    runners = _runners(core, t)
+    # a t-core has every runner flush: its top level is its bead count - 1
+    if any(levels and levels[0] != len(levels) - 1 for levels in runners):
         raise NotACore(f"{core!r} still has a {t}-hook")
-    # pad so every runner has room for its component's parts
-    need = max((len(comp) for comp in q), default=0)
-    m = _quotient_length(core, t) or t
-    base = beta_set(core, m)
-    counts = [0] * t
-    for b in base:
-        counts[b % t] += 1
-    while min(counts) <= need:
-        m += t
-        for r in range(t):
-            counts[r] += 1
+    counts = [len(levels) for levels in runners]
+    # pad every runner equally so each has room for its component's parts
+    pad = max(0, max((len(comp) for comp in q), default=0) + 1 - min(counts))
     beads = []
-    base = beta_set(core, m)
-    counts = [0] * t
-    for b in base:
-        counts[b % t] += 1
     for r in range(t):
-        positions = beta_set(q[r], counts[r])
-        beads.extend(r + t * j for j in positions)
+        beads.extend(r + t * j for j in beta_set(q[r], counts[r] + pad))
     return partition_of(beads)
 
 
@@ -127,12 +111,18 @@ def quotient_is_self_symmetric(q: Quotient) -> bool:
     return all(q[k] == conjugate(q[t - 1 - k]) for k in range(t))
 
 
-def t_hook_cells(p: Partition) -> dict[int, list[tuple[int, int]]]:
-    """Map hook length -> list of cells, row-major order."""
-    cells: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(hook_grid(p), start=1):
-        for j, h in enumerate(row, start=1):
-            cells.setdefault(h, []).append((i, j))
+def t_hook_cells(p: Partition, t: int) -> list[tuple[int, int]]:
+    """Cells of p with hook length t, row-major: row i has one exactly when its
+    bead b_i has b_i - t empty, and its leg counts the beads in between."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    beads = beta_set(p, len(p))
+    occupied = set(beads)
+    cells = []
+    for i, b in enumerate(beads, start=1):
+        if b >= t and b - t not in occupied:
+            leg = sum(1 for c in beads[i:] if c > b - t)
+            cells.append((i, p[i - 1] - (t - 1 - leg)))
     return cells
 
 
@@ -146,9 +136,9 @@ def sc_reduction_step(p: Partition, t: int) -> tuple[Partition, dict]:
     """
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    if is_t_core(p, t):
+    cells = t_hook_cells(p, t)
+    if not cells:
         raise AlreadyCore(f"{p!r} has no {t}-hook")
-    cells = t_hook_cells(p).get(t, [])
     if t % 2 == 1:
         diagonal = [(i, j) for (i, j) in cells if i == j]
         if diagonal:
@@ -163,7 +153,7 @@ def sc_reduction_step(p: Partition, t: int) -> tuple[Partition, dict]:
         first = remove_hook(p, i, j)
         # the mirror hook survives as some t-hook of the intermediate whose
         # removal restores self-conjugacy; try them in deterministic order
-        for i2, j2 in t_hook_cells(first).get(t, []):
+        for i2, j2 in t_hook_cells(first, t):
             second = remove_hook(first, i2, j2)
             if size(second) == n - 2 * t and is_self_conjugate(second):
                 return second, {"case": "pair", "cells": [(i, j), (j, i)]}

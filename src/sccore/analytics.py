@@ -514,9 +514,10 @@ class SimultaneousCores:
 def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     """Certify the simultaneous-core counting formulas by direct enumeration.
 
-    Enumerates every s-core of each n up to the closed-form maximum size and
-    filters by the hook-based t-core test (two independent code paths), so the
-    certificate does not assume the bijection it is checking.
+    Enumerates every s-core up to the closed-form maximum size by the runner
+    DFS and keeps those that pass the bead t-core test, which the tests check
+    against the hook grid, so the certificate does not assume the bijection
+    it is checking.
     """
     if s < 2 or t < 2:
         raise ValueError("s, t must be >= 2")

@@ -85,19 +85,24 @@ def _encode(family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> byte
     return MAGIC + body + hashlib.sha256(body).digest()
 
 
-def _decode(blob: bytes, family: str, t: int | None, n: int) -> tuple[int, ...]:
+def _split(blob: bytes) -> tuple[dict, bytes]:
+    """(header, payload) of a cache file, after its magic and checksum pass."""
     if not blob.startswith(MAGIC):
         raise CacheCorrupt("bad magic")
     body, digest = blob[len(MAGIC):-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CacheCorrupt("checksum mismatch")
-    nl = body.index(b"\n")
-    header = json.loads(body[:nl])
+    head, _, payload = body.partition(b"\n")
+    header = json.loads(head)
     if header.get("version") != VERSION:
         raise CacheCorrupt(f"version {header.get('version')} != {VERSION}")
+    return header, payload
+
+
+def _decode(blob: bytes, family: str, t: int | None, n: int) -> tuple[int, ...]:
+    header, payload = _split(blob)
     if (header.get("family"), header.get("t"), header.get("n")) != (family, t, n):
         raise CacheCorrupt("header does not match requested series")
-    payload = body[nl + 1:]
     width = header["width"]
     coeffs = []
     if width:
@@ -158,11 +163,7 @@ def load_or_compute(cache_dir: Path | None, family: str, t: int | None, n: int) 
 def verify_file(path: Path, sample_fraction: float = 0.01, seed: int = 0) -> dict:
     """Checksum plus a deterministic random-sample recomputation."""
     blob = Path(path).read_bytes()
-    if not blob.startswith(MAGIC):
-        raise CacheCorrupt("bad magic")
-    body = blob[len(MAGIC):-32]
-    nl = body.index(b"\n")
-    header = json.loads(body[:nl])
+    header, _ = _split(blob)
     family, t, n = header["family"], header["t"], header["n"]
     coeffs = _decode(blob, family, t, n)
     fresh = compute_family(family, t, n).coeffs

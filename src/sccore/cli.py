@@ -17,7 +17,7 @@ from . import abacus, analytics, cache, formulas, growth
 from .config import Limits
 from .errors import OutOfRange, ResourceLimit, SCCoreError
 from .partitions import enumerate_self_conjugate, is_t_core, partitions_of
-from .reports import HOLDS, ScanReport
+from .reports import FAILS, HOLDS, ScanReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,18 +29,20 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here is exit 1."""
 
     def error(self, message):  # noqa: A003
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
 def _parse_range(text: str) -> range:
-    """"13" -> range(13, 14); "0..27" -> range(0, 28)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    """"13" -> range(13, 14); "0..27" -> range(0, 28); else a usage error."""
+    lo, dots, hi = text.partition("..")
+    try:
+        r = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n or a..b, got {text!r}") from None
+    if r.start < 0 or not r:
+        raise argparse.ArgumentTypeError(f"need 0 <= a <= b, got {text!r}")
+    return r
 
 
 def _resolve_cache_dir(args) -> Path | None:
@@ -57,13 +59,10 @@ def _resolve_cache_dir(args) -> Path | None:
 _COUNT_FAMILIES = ("sc", "c", "sc_t", "c_t", "phat", "p", "nsc_t")
 
 
-def _count_by_method(family: str, t: int | None, n: int, n_cap: int, method: str, args) -> int:
+def _count_by_method(family: str, t: int | None, n: int, method: str,
+                     tables: formulas.RecursionTables | None, args) -> int:
+    """One value by a method other than the series; tables serve the sc_t formulas."""
     limits = Limits(oracle_cap=args.oracle_cap)
-    if method == "series":
-        coeffs, _ = cache.load_or_compute(
-            _resolve_cache_dir(args), family, t, n_cap
-        )
-        return coeffs[n]
     if method == "oracle":
         if family in ("sc", "sc_t"):
             items = enumerate_self_conjugate(n, limits)
@@ -77,10 +76,6 @@ def _count_by_method(family: str, t: int | None, n: int, n_cap: int, method: str
                 raise ResourceLimit(f"n={n} above oracle cap")
             return len(partitions_of(n))
         raise SCCoreError(f"no oracle for family {family}")
-    # recursion/closed/large apply to sc_t only
-    if family not in ("sc_t",):
-        raise SCCoreError(f"method {method} applies to sc_t only")
-    tables = formulas.RecursionTables(n)
     if method == "recursive":
         return formulas.sc_t_value(t, n, tables)
     if method == "closed":
@@ -102,8 +97,8 @@ def cmd_count(args) -> int:
     if needs_t and args.t is None:
         print("this family requires --t", file=sys.stderr)
         return EXIT_USAGE
-    ns = _parse_range(args.n)
-    n_cap = max(ns)
+    ns = args.n
+    n_cap = ns[-1]
     if args.method == "all":
         methods = (
             ["series", "recursive", "closed", "large", "oracle"]
@@ -112,12 +107,25 @@ def cmd_count(args) -> int:
         )
     else:
         methods = [args.method]
+    series = None
+    if "series" in methods:
+        series, source = cache.load_or_compute(_resolve_cache_dir(args), family, args.t, n_cap)
+        if source == "recomputed":
+            print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
+    tables = None
+    if {"recursive", "closed", "large"} & set(methods):
+        if family != "sc_t":
+            raise SCCoreError(f"method {args.method} applies to sc_t only")
+        tables = formulas.RecursionTables(n_cap)
     rows = []
     for n in ns:
         values: dict[str, int] = {}
         for method in methods:
             try:
-                values[method] = _count_by_method(family, args.t, n, n_cap, method, args)
+                values[method] = (
+                    series[n] if method == "series"
+                    else _count_by_method(family, args.t, n, method, tables, args)
+                )
             except (OutOfRange, ResourceLimit):
                 if args.method != "all":
                     raise
@@ -280,7 +288,7 @@ def _run_scan(args) -> ScanReport:
         return analytics.inequality_check(spec, args.nmax)
     if name == "growth":
         lo, hi = (args.range.start, args.range.stop - 1) if args.range else (19, args.nmax)
-        return growth.verify_growth(lo, hi, workers=args.workers)
+        return growth.verify_growth(lo, hi)
     if name == "distribution":
         ns = args.range if args.range else range(args.nmax, args.nmax + 1)
         witnesses = []
@@ -299,7 +307,7 @@ def _run_scan(args) -> ScanReport:
         rep = ScanReport(
             scan="distribution",
             params={"n_lo": min(ns), "n_hi": max(ns)},
-            verdict=HOLDS if not witnesses else "fails",
+            verdict=HOLDS if not witnesses else FAILS,
             witnesses=witnesses,
             data=rows_out,
         )
@@ -317,7 +325,7 @@ def _merge_reports(name: str, reports: list[ScanReport]) -> ScanReport:
     merged = ScanReport(
         scan=name,
         params={"parts": len(reports)},
-        verdict=HOLDS if not witnesses else "fails",
+        verdict=HOLDS if not witnesses else FAILS,
         witnesses=witnesses,
         data={"verdicts": data},
         elapsed_ms=sum(r.elapsed_ms for r in reports),
@@ -355,7 +363,7 @@ def cmd_cache(args) -> int:
         print(f"removed {removed} cache files")
         return EXIT_OK
     if args.action == "build":
-        ts = list(_parse_range(args.t)) if args.t else [None]
+        ts = list(args.t) if args.t else [None]
         family = {"c": "c_t"}.get(args.family, args.family)
         for t in ts:
             coeffs = cache.compute_family(family, t, args.nmax).coeffs
@@ -393,12 +401,11 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--cache-dir", help="coefficient cache directory (env SCCORE_CACHE_DIR)")
         sp.add_argument("--oracle-cap", type=int, default=200)
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     c = sub.add_parser("count", help="exact values of a counting family")
     c.add_argument("family", choices=_COUNT_FAMILIES)
     c.add_argument("--t", type=int)
-    c.add_argument("--n", required=True, help="single n or range a..b")
+    c.add_argument("--n", required=True, type=_parse_range, help="single n or range a..b")
     c.add_argument("--method", default="series",
                    choices=("series", "recursive", "closed", "large", "oracle", "all"))
     c.add_argument("--format", default="text", choices=("text", "csv", "tsv", "json"))
@@ -435,13 +442,14 @@ def build_parser() -> _Parser:
     s.add_argument("--non-strict", action="store_true")
     s.add_argument("--preset", nargs="?", const="all")
     s.add_argument("--json", help="write the JSON report to this path")
+    s.add_argument("--workers", type=int, help="accepted and ignored: the growth audit runs in-process")
     common(s)
     s.set_defaults(func=cmd_scan)
 
     k = sub.add_parser("cache", help="build / verify / purge the coefficient cache")
     k.add_argument("action", choices=("build", "verify", "purge"))
     k.add_argument("--family", default="sc_t", choices=_COUNT_FAMILIES)
-    k.add_argument("--t", help="single t or range a..b")
+    k.add_argument("--t", type=_parse_range, help="single t or range a..b")
     k.add_argument("--nmax", type=int, default=10000)
     common(k)
     k.set_defaults(func=cmd_cache)

@@ -239,19 +239,12 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int) -> dict:
 
 
 def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
-    """Run the growth audit for every n in [n_lo, n_hi]."""
+    """Run the growth audit for every n in [n_lo, n_hi], in-process; `workers` is ignored."""
     start = monotonic()
     if n_lo < 19:
         raise OutOfDomain("growth audit starts at n = 19")
     sc = sc_coeffs(n_hi).coeffs
-    args = [(n, sc[n - 2], sc[n]) for n in range(n_lo, n_hi + 1)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_growth_check_one_star, args, chunksize=4))
-    else:
-        results = [_growth_check_one(*a) for a in args]
+    results = [_growth_check_one(n, sc[n - 2], sc[n]) for n in range(n_lo, n_hi + 1)]
     witnesses: list[tuple] = []
     mismatched_argmax: list[int] = []
     undefined_ns: list[int] = []
@@ -278,7 +271,3 @@ def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
         elapsed_ms=int((monotonic() - start) * 1000),
     )
     return report.finish()
-
-
-def _growth_check_one_star(arg: tuple[int, int, int]) -> dict:
-    return _growth_check_one(*arg)

@@ -118,16 +118,13 @@ def hook_grid(p: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 def is_t_core(p: Partition, t: int) -> bool:
-    """True iff no cell of p has hook length exactly t."""
+    """True iff no cell of p has hook length exactly t, i.e. no bead b >= t of
+    the beta-set {p_k + m - k} (m = #parts) has b - t empty."""
     if t < 1:
         raise ValueError("t must be positive")
-    conj = conjugate(p)
-    for i in range(len(p)):
-        # hook lengths decrease strictly along a row; test the cells directly
-        for j in range(p[i]):
-            if (p[i] - 1 - j) + (conj[j] - 1 - i) + 1 == t:
-                return False
-    return True
+    m = len(p)
+    beads = {part + m - k for k, part in enumerate(p, start=1)}
+    return all(b < t or b - t in beads for b in beads)
 
 
 def hook_multiset(p: Partition) -> list[int]:
@@ -155,7 +152,8 @@ def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[t
     first = min(max_first, n)
     if first % 2 == 0:
         first -= 1
-    while first >= 1:
+    # distinct odd parts below first = 2k + 1 sum to at most k^2
+    while first >= 1 and n - first <= ((first - 1) // 2) ** 2:
         if first == n:
             yield (first,)
         else:

@@ -9,7 +9,6 @@ from typing import Any
 
 HOLDS = "holds"
 FAILS = "fails"
-MIXED = "mixed"
 
 
 @dataclass
@@ -31,7 +30,7 @@ class ScanReport:
 
     def finish(self) -> "ScanReport":
         self.witnesses = sorted(self.witnesses, key=_witness_key)
-        if self.verdict not in (HOLDS, FAILS, MIXED):
+        if self.verdict not in (HOLDS, FAILS):
             raise ValueError(f"bad verdict {self.verdict!r}")
         return self
 

@@ -60,6 +60,17 @@ class TestRemoveHook:
                         assert sum(out) == n - grid[i - 1][j - 1]
 
 
+class TestHookCells:
+    def test_bead_cells_match_hook_grid(self):
+        for n in range(21):
+            for p in pt.partitions_of(n):
+                grid = pt.hook_grid(p)
+                for t in range(1, 12):
+                    want = [(i, j) for i, row in enumerate(grid, start=1)
+                            for j, h in enumerate(row, start=1) if h == t]
+                    assert ab.t_hook_cells(p, t) == want
+
+
 class TestCoreQuotient:
     def test_figure_anchors(self):
         assert ab.t_core(FIG_PARTITION, 5) == (5, 1, 1, 1, 1)
@@ -90,7 +101,7 @@ class TestCoreQuotient:
                     for _ in range(2):
                         cur = p
                         while True:
-                            cells = ab.t_hook_cells(cur).get(t, [])
+                            cells = ab.t_hook_cells(cur, t)
                             if not cells:
                                 break
                             i, j = rng.choice(cells)

@@ -72,8 +72,8 @@ class TestCountCommand:
 
         real = cli_mod._count_by_method
 
-        def broken(family, t, n, n_cap, method, args):
-            v = real(family, t, n, n_cap, method, args)
+        def broken(family, t, n, method, tables, args):
+            v = real(family, t, n, method, tables, args)
             return v + 1 if method == "oracle" else v
 
         monkeypatch.setattr(cli_mod, "_count_by_method", broken)
@@ -86,6 +86,27 @@ class TestCountCommand:
         with pytest.raises(SystemExit) as exc:
             main(["count", "sc_t", "--t", "oops", "--n", "1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("bad", ["5..3", "-3", "x"])
+    def test_bad_range_is_one_line_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "sc", "--n", bad])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: argument --n" in err
+
+    def test_corrupt_cache_same_output_one_warning(self, tmp_path, capsys):
+        args = ["count", "sc_t", "--t", "6", "--n", "0..40", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        path = tmp_path / "sc_t_t6_n40.bin"
+        blob = bytearray(path.read_bytes())
+        blob[25] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert err.count("\n") == 1 and err.startswith("warning:")
 
     def test_cache_dir_used_and_values_unchanged(self, tmp_path, capsys):
         args = ["count", "sc_t", "--t", "6", "--n", "73", "--cache-dir", str(tmp_path)]
@@ -242,6 +263,12 @@ class TestCacheCommand:
         assert out.count("ok") == 3
         assert main(["cache", "purge", *base]) == 0
         assert capsys.readouterr().out.startswith("removed 3")
+
+    def test_verify_reports_headerless_file_as_corrupt(self, tmp_path, capsys):
+        (tmp_path / "sc_t_t6_n80.bin").write_bytes(cache.MAGIC + b"no header line")
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "corrupt (checksum mismatch); will recompute on next use" in out
 
     def test_env_var_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SCCORE_CACHE_DIR", str(tmp_path))
