@@ -33,9 +33,7 @@ from .abacus import (
 )
 from .series import (
     TruncatedSeries,
-    binomial_factor,
     c_t_coeffs,
-    multiply,
     nsc_t_coeffs,
     p_coeffs,
     phat_coeffs,
@@ -49,7 +47,6 @@ __all__ = [
     "TruncatedSeries",
     "assemble",
     "beta_set",
-    "binomial_factor",
     "c_t_coeffs",
     "character_degree",
     "conjugate",
@@ -62,7 +59,6 @@ __all__ = [
     "hook_length",
     "is_self_conjugate",
     "is_t_core",
-    "multiply",
     "nsc_t_coeffs",
     "p_coeffs",
     "partition_of",

@@ -45,6 +45,25 @@ def _parse_range(text: str) -> range:
     return r
 
 
+def _parse_count(text: str) -> int:
+    """A non-negative integer, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational such as 2 or 19/10, else a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational such as 19/10, got {text!r}") from None
+
+
 def _resolve_cache_dir(args) -> Path | None:
     if getattr(args, "cache_dir", None):
         return Path(args.cache_dir)
@@ -252,6 +271,35 @@ _SCANS = (
     "cross-validate",
 )
 
+# options a scan cannot run without (identity and inequality: unless --preset)
+_SCAN_NEEDS = {
+    "positivity": ("t",),
+    "characterization": ("t",),
+    "identity": ("t", "a", "b", "a2", "b2"),
+    "inequality": ("t", "a", "b", "alpha"),
+    "simultaneous": ("s", "t"),
+}
+# the --family values a scan takes; "pair" is monotonicity with --pair
+_SCAN_FAMILIES = {
+    "monotonicity": ("sc-even", "sc-odd", "c", "nsc-odd"),
+    "pair": ("sc", "c", "nsc"),
+    "unimodality": ("pi", "sigma_even", "sigma_odd"),
+    "inequality": ("sc", "c"),
+}
+
+
+def _scan_usage_error(args) -> str | None:
+    """Why these arguments cannot run the scan, or None."""
+    name = args.name
+    if not (args.preset and name in ("identity", "inequality")):
+        missing = [f"--{opt}" for opt in _SCAN_NEEDS.get(name, ()) if getattr(args, opt) is None]
+        if missing:
+            return f"scan {name} requires {', '.join(missing)}"
+    families = _SCAN_FAMILIES.get("pair" if name == "monotonicity" and args.pair is not None else name)
+    if families and args.family is not None and args.family not in families:
+        return f"unknown family {args.family!r} for scan {name}; choose from {', '.join(families)}"
+    return None
+
 
 def _run_scan(args) -> ScanReport:
     name = args.name
@@ -283,7 +331,7 @@ def _run_scan(args) -> ScanReport:
             )
         spec = analytics.InequalitySpec(
             args.family or "sc", args.t, args.a, args.b,
-            Fraction(args.alpha), args.nlo, strict=not args.non_strict,
+            args.alpha, args.nlo, strict=not args.non_strict,
         )
         return analytics.inequality_check(spec, args.nmax)
     if name == "growth":
@@ -336,6 +384,10 @@ def _merge_reports(name: str, reports: list[ScanReport]) -> ScanReport:
 def cmd_scan(args) -> int:
     if args.name not in _SCANS:
         print(f"unknown scan {args.name!r}; choose from {', '.join(_SCANS)}", file=sys.stderr)
+        return EXIT_USAGE
+    problem = _scan_usage_error(args)
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     try:
         report = _run_scan(args)
@@ -415,7 +467,7 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="regenerate the appendix tables")
     t.add_argument("kind", choices=("sc", "sc-diff-even", "sc-diff-odd"))
-    t.add_argument("--nmax", type=int, required=True)
+    t.add_argument("--nmax", type=_parse_count, required=True)
     t.add_argument("--tmax", type=int)
     t.add_argument("--format", default="csv", choices=("csv", "tsv", "json", "md"))
     t.add_argument("--out")
@@ -429,7 +481,7 @@ def build_parser() -> _Parser:
     s.add_argument("--family")
     s.add_argument("--pair", type=int, help="monotonicity: compare sc_{pair+2} vs sc_pair")
     s.add_argument("--window", default="conjecture", choices=("conjecture", "theorem"))
-    s.add_argument("--nmax", type=int, default=400)
+    s.add_argument("--nmax", type=_parse_count, default=400)
     s.add_argument("--nlo", type=int, default=0)
     s.add_argument("--ncap", type=int)
     s.add_argument("--tmax", type=int)
@@ -438,7 +490,7 @@ def build_parser() -> _Parser:
     s.add_argument("--b", type=int)
     s.add_argument("--a2", type=int)
     s.add_argument("--b2", type=int)
-    s.add_argument("--alpha", help="exact rational threshold, e.g. 19/10")
+    s.add_argument("--alpha", type=_parse_fraction, help="exact rational threshold, e.g. 19/10")
     s.add_argument("--non-strict", action="store_true")
     s.add_argument("--preset", nargs="?", const="all")
     s.add_argument("--json", help="write the JSON report to this path")
@@ -450,7 +502,7 @@ def build_parser() -> _Parser:
     k.add_argument("action", choices=("build", "verify", "purge"))
     k.add_argument("--family", default="sc_t", choices=_COUNT_FAMILIES)
     k.add_argument("--t", type=_parse_range, help="single t or range a..b")
-    k.add_argument("--nmax", type=int, default=10000)
+    k.add_argument("--nmax", type=_parse_count, default=10000)
     common(k)
     k.set_defaults(func=cmd_cache)
     return p

@@ -1,26 +1,41 @@
 """Truncated integer power series and the counting generating functions.
 
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
-The named families are products of E(q^a)^e where E(q) = prod (1 - q^m), so
-each factor is applied as one sparse pass using the pentagonal-number
-expansion of E: multiplication is a handful of shifted slice additions,
-division a short linear recurrence.  That keeps a single family at N = 10000
-well under a second without giving up arbitrary precision.
+Every family is the series 1 or a base row times eta powers E(q^a)^k,
+where E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms).  One power is
+applied to a row in one of two ways, which give the same integers:
 
-Families:
+- k pentagonal passes: a multiplication is a handful of shifted slice
+  additions, a division a short linear recurrence;
+- one fused pass: the short series E(x)^k is built up to x^(N // a), and
+  each of its nonzero terms u*x^i adds u times the row shifted by a*i.
+
+The fused pass is taken when E(x)^k has fewer nonzero terms past the
+constant than the k passes have pentagonal terms in all.  That holds for the
+large t the scans sweep; the choice depends on (a, k, N) only.  When a > N
+the factor is 1 on the truncation and the row comes back unchanged.
+
+The two base rows are
+
+    p(n)   = [q^n] 1/E(q)
+    sc(n)  = [q^n] prod (1 + q^(2m-1)) = [q^n] p(q) * sum_j (-1)^j q^(2j^2)
+
+(Gauss: E(q^2)^2 / E(q^4) = sum over all integers j of (-1)^j q^(2j^2)).
+Each is held once, at the largest N asked for so far, and served to smaller
+N as a prefix.  Families:
+
     p(n)       = [q^n] 1/E(q)                        unrestricted partitions
     phat_t(n)  = [q^n] 1/E(q)^t                      t-tuples of partitions
     sc(n)      = [q^n] prod (1 + q^(2m-1))           self-conjugate partitions
-    c_t(n)     = [q^n] E(q^t)^t / E(q)               t-cores
-    sc_t(n)    = [q^n] of the self-conjugate t-core product, by parity of t
-
-with prod (1 + q^(2m-1)) = E(q^2)^2 / (E(q) E(q^4)).
+    c_t(n)     = [q^n] p(q) E(q^t)^t                 t-cores
+    sc_t(n)    = [q^n] sc(q) times an eta product in q^t, by parity of t
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import UnsupportedT
 
@@ -58,6 +73,13 @@ def pentagonal_terms(a: int, n: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _unit(n: int) -> list[int]:
+    """The series 1 truncated at n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return [1] + [0] * n
+
+
 def _multiply_eta(c: list[int], a: int, n: int) -> list[int]:
     """Return c * E(q^a) truncated at n."""
     out = list(c)
@@ -87,134 +109,162 @@ def _divide_eta(c: list[int], a: int, n: int) -> list[int]:
     return r
 
 
-def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
-    """Coefficients of prod E(q^a)^e truncated at n.
+def _shift_add(c: list[int], shifts: list[tuple[int, int]]) -> list[int]:
+    """Return c * (1 + sum of u q^g over (g, u) in shifts), truncated at len(c)."""
+    out = list(c)
+    for g, u in shifts:
+        out[g:] = [x + u * y for x, y in zip(out[g:], c)]
+    return out
+
+
+def _short_power(k: int, m: int) -> list[int]:
+    """E(x)^k up to x^m by J. C. P. Miller's power recurrence.
+
+    With E = sum e_j x^j, i b_i = sum_{j=1..i} ((k+1) j - i) e_j b_(i-j).
+    The division by i is exact, and the cost does not grow with k.
+    """
+    terms = pentagonal_terms(1, m)
+    b = _unit(m)
+    for i in range(1, m + 1):
+        acc = 0
+        for j, s in terms:
+            if j > i:
+                break
+            acc += s * ((k + 1) * j - i) * b[i - j]
+        b[i] = acc // i
+    return b
+
+
+def _fused_shifts(a: int, k: int, n: int) -> list[tuple[int, int]] | None:
+    """The (shift, coefficient) terms of E(q^a)^k - 1 up to q^n when one fused
+    pass over them is shorter than the k pentagonal passes, else None.
+
+    For a = 1 the short series is as long as the row, and for |k| = 1 it has
+    at least as many terms as the single pass (E(x) has exactly the
+    pentagonal terms, 1/E(x) every term), so only a >= 2, |k| >= 2 is tried.
+    """
+    if a == 1 or abs(k) < 2:
+        return None
+    short = _short_power(k, n // a)
+    shifts = [(a * i, u) for i, u in enumerate(short) if u and i]
+    return shifts if len(shifts) < abs(k) * len(pentagonal_terms(a, n)) else None
+
+
+def _eta_power(c: list[int], a: int, k: int, n: int) -> list[int]:
+    """Return c * E(q^a)^k truncated at n; c itself when the factor is 1 there."""
+    if k == 0 or a > n:
+        return c
+    shifts = _fused_shifts(a, k, n)
+    if shifts is not None:
+        return _shift_add(c, shifts)
+    step = _multiply_eta if k > 0 else _divide_eta
+    for _ in range(abs(k)):
+        c = step(c, a, n)
+    return c
+
+
+def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int) -> list[int]:
+    """c * prod E(q^a)^k truncated at n.
 
     Positive exponents are applied before negative ones so intermediate
     coefficients stay as small as the final answer allows.
     """
-    c = [0] * (n + 1)
-    c[0] = 1
-    for a, e in factors:
-        for _ in range(e):
-            c = _multiply_eta(c, a, n)
-    for a, e in factors:
-        for _ in range(-e):
-            c = _divide_eta(c, a, n)
+    for a, k in sorted(factors, key=lambda f: f[1] < 0):
+        c = _eta_power(c, a, k, n)
     return c
 
 
-def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact convolution truncated at the common order."""
-    if a.order != b.order:
-        raise ValueError("orders differ")
-    n = a.order
-    out = [0] * (n + 1)
-    ac, bc = a.coeffs, b.coeffs
-    for i, ai in enumerate(ac):
-        if ai:
-            for j in range(n + 1 - i):
-                out[i + j] += ai * bc[j]
-    return TruncatedSeries(tuple(out))
+def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
+    """Coefficients of prod E(q^a)^e truncated at n."""
+    return _eta_factors(_unit(n), factors, n)
 
 
-def binomial_factor(sign: int, step: int, offset: int, exponent: int, n: int) -> TruncatedSeries:
-    """prod_{m >= 1} (1 + sign * q^(step*m + offset))^exponent truncated at n.
+class _BaseRow:
+    """One family row, built at the largest N asked for so far.
 
-    The direct factor-by-factor route; slower than eta_product but fully
-    general, and the reference the eta formulas are tested against.
+    A smaller N gets the prefix; the prefix last served is kept, so every
+    row built at one N on an unchanged base shares one tuple.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if step < 1 or step + offset < 1:
-        raise ValueError("factor exponents must be positive")
-    c = [0] * (n + 1)
-    c[0] = 1
-    k = step + offset
-    while k <= n:
-        if exponent >= 0:
-            for _ in range(exponent):
-                for m in range(n, k - 1, -1):
-                    c[m] += sign * c[m - k]
-        else:
-            for _ in range(-exponent):
-                for m in range(k, n + 1):
-                    c[m] -= sign * c[m - k]
-        k += step
-    return TruncatedSeries(tuple(c))
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self.clear()
+
+    def clear(self) -> None:
+        self._row: tuple[int, ...] = ()
+        self._prefix: tuple[int, ...] = ()
+
+    def __call__(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        if n >= len(self._row):
+            self._row = self._prefix = tuple(self._build(n))
+        elif len(self._prefix) != n + 1:
+            self._prefix = self._row[: n + 1]
+        return self._prefix
 
 
-@lru_cache(maxsize=None)
-def _odd_parts_factor(n: int) -> tuple[int, ...]:
-    """prod (1 + q^(2m-1)) = E(q^2)^2 / (E(q) E(q^4)); cached, shared by sc_t."""
-    c = [0] * (n + 1)
-    c[0] = 1
-    c = _multiply_eta(c, 2, n)
-    c = _multiply_eta(c, 2, n)
-    c = _divide_eta(c, 1, n)
-    c = _divide_eta(c, 4, n)
-    return tuple(c)
+def _build_p(n: int) -> list[int]:
+    return _divide_eta(_unit(n), 1, n)
+
+
+def _build_sc(n: int) -> list[int]:
+    """sc = p * sum_j (-1)^j q^(2j^2), one pass over the sqrt(n/2) theta terms."""
+    return _shift_add(_p_row(n), [(2 * j * j, 2 if j % 2 == 0 else -2)
+                                  for j in range(1, isqrt(n // 2) + 1)])
+
+
+_p_row = _BaseRow(_build_p)
+_sc_row = _BaseRow(_build_sc)
 
 
 @lru_cache(maxsize=None)
 def p_coeffs(n: int) -> TruncatedSeries:
     """Unrestricted partition numbers p(0..n)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return TruncatedSeries(tuple(eta_product(n, [(1, -1)])))
+    return TruncatedSeries(_p_row(n))
 
 
 @lru_cache(maxsize=None)
 def phat_coeffs(t: int, n: int) -> TruncatedSeries:
     """Number of t-tuples of partitions with total size 0..n."""
     if t < 1:
-        raise ValueError("t must be positive")
+        raise UnsupportedT(f"phat_t series defined for t >= 1, got {t}")
     return TruncatedSeries(tuple(eta_product(n, [(1, -t)])))
 
 
 @lru_cache(maxsize=None)
 def sc_coeffs(n: int) -> TruncatedSeries:
     """Self-conjugate partition counts sc(0..n)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return TruncatedSeries(_odd_parts_factor(n))
+    return TruncatedSeries(_sc_row(n))
 
 
 @lru_cache(maxsize=None)
 def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
-    """t-core partition counts c_t(0..n)."""
+    """t-core partition counts c_t(0..n): p(q) E(q^t)^t, so c_t(n) = p(n) for n < t."""
     if t < 1:
-        raise ValueError("t must be positive")
-    c = [0] * (n + 1)
-    c[0] = 1
-    for _ in range(t):
-        c = _multiply_eta(c, t, n)
-    c = _divide_eta(c, 1, n)
-    return TruncatedSeries(tuple(c))
+        raise UnsupportedT(f"c_t series defined for t >= 1, got {t}")
+    return TruncatedSeries(tuple(_eta_power(_p_row(n), t, t, n)))
 
 
 @lru_cache(maxsize=None)
 def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
-    """Self-conjugate t-core counts sc_t(0..n), t >= 2.
+    """Self-conjugate t-core counts sc_t(0..n), t >= 2, on the sc base row.
 
-    Even t:  E(q^2t)^(t/2) * prod(1 + q^(2m-1))
-    Odd t:   E(q^2t)^((t-1)/2) * prod(1 + q^(2m-1)) / prod(1 + q^(t(2m-1)))
-    where the odd divisor expands to E(q^2t)^2 / (E(q^t) E(q^4t)).
+    Even t:  sc(q) E(q^2t)^(t/2)
+    Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
+             = sc(q) E(q^2t)^((t-1)/2 - 2) E(q^t) E(q^4t)
+    Each eta power is one fused pass or k pentagonal passes (see the module
+    docstring), and a factor in q^a with a > n is 1.  So sc_t(n) = sc(n)
+    for n < 2t when t is even and for n < t when t is odd, and those rows
+    are the sc prefix itself.
     """
     if t < 2:
         raise UnsupportedT(f"sc_t series defined for t >= 2, got {t}")
-    c = list(_odd_parts_factor(n))
+    c = _sc_row(n)
     if t % 2 == 0:
-        for _ in range(t // 2):
-            c = _multiply_eta(c, 2 * t, n)
+        c = _eta_power(c, 2 * t, t // 2, n)
     else:
-        e = (t - 1) // 2 - 2
-        for _ in range(max(e, 0)):
-            c = _multiply_eta(c, 2 * t, n)
-        c = _multiply_eta(c, t, n)
-        c = _multiply_eta(c, 4 * t, n)
-        for _ in range(-min(e, 0)):
-            c = _divide_eta(c, 2 * t, n)
+        c = _eta_factors(c, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
     return TruncatedSeries(tuple(c))
 
 
@@ -226,6 +276,8 @@ def nsc_t_coeffs(t: int, n: int) -> TruncatedSeries:
 
 
 def clear_series_caches() -> None:
-    """Drop every memoized series (used by cold-start timing checks)."""
-    for fn in (p_coeffs, phat_coeffs, sc_coeffs, c_t_coeffs, sc_t_coeffs, _odd_parts_factor):
+    """Drop every memoized series and both base rows (used by cold-start timing checks)."""
+    for fn in (p_coeffs, phat_coeffs, sc_coeffs, c_t_coeffs, sc_t_coeffs):
         fn.cache_clear()
+    for row in (_p_row, _sc_row):
+        row.clear()

@@ -11,6 +11,20 @@ from sccore.errors import CacheCorrupt
 from sccore.series import sc_t_coeffs
 
 
+def _exit_code(argv: list[str]) -> int:
+    """main's return code, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _assert_one_line_usage_error(argv: list[str], capsys) -> None:
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
         coeffs = sc_t_coeffs(6, 100).coeffs
@@ -251,6 +265,27 @@ class TestScanCommand:
         assert main(["count", "sc_t", "--t", "6", "--n", "12..13",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == [[6, 12, 0], [6, 13, 0]]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("argv", [
+        ["count", "phat", "--t", "0", "--n", "5"],
+        ["count", "c_t", "--t", "0", "--n", "5"],
+        ["scan", "positivity", "--t", "6", "--nmax", "-5"],
+        ["table", "sc", "--nmax", "-5"],
+    ])
+    def test_series_boundary(self, argv, capsys):
+        _assert_one_line_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "positivity"],
+        ["scan", "identity", "--t", "5"],
+        ["scan", "inequality", "--t", "9", "--a", "4", "--b", "0", "--alpha", "x"],
+        ["scan", "unimodality", "--family", "bogus"],
+        ["scan", "monotonicity", "--family", "bogus"],
+    ])
+    def test_scan_arguments(self, argv, capsys):
+        _assert_one_line_usage_error(argv, capsys)
 
 
 class TestCacheCommand:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from series_reference import binomial_factor, c_t_reference, multiply, sc_t_reference
+
 from sccore import partitions as pt
 from sccore import series as se
 from sccore.errors import UnsupportedT
@@ -17,15 +19,15 @@ class TestBuildingBlocks:
     def test_multiply_trivial(self):
         a = se.TruncatedSeries((1, 1, 0, 0))
         b = se.TruncatedSeries((1, -1, 0, 0))
-        assert se.multiply(a, b).coeffs == (1, 0, -1, 0)
+        assert multiply(a, b).coeffs == (1, 0, -1, 0)
 
     def test_multiply_requires_same_order(self):
         with pytest.raises(ValueError):
-            se.multiply(se.TruncatedSeries((1,)), se.TruncatedSeries((1, 0)))
+            multiply(se.TruncatedSeries((1,)), se.TruncatedSeries((1, 0)))
 
     def test_binomial_factor_examples(self):
-        assert se.binomial_factor(-1, 1, 0, -1, 5).coeffs == (1, 1, 2, 3, 5, 7)
-        assert se.binomial_factor(1, 2, -1, 1, 5).coeffs == (1, 1, 0, 1, 1, 1)
+        assert binomial_factor(-1, 1, 0, -1, 5).coeffs == (1, 1, 2, 3, 5, 7)
+        assert binomial_factor(1, 2, -1, 1, 5).coeffs == (1, 1, 0, 1, 1, 1)
 
     def test_eta_inverse_is_inverse(self):
         for a in (1, 2, 3, 5):
@@ -34,11 +36,12 @@ class TestBuildingBlocks:
             assert back == [1] + [0] * 40
 
     def test_eta_matches_binomial_route(self):
-        # E(q^a) = prod (1 - q^(a m))
-        for a in (1, 2, 4):
-            via_eta = se.eta_product(30, [(a, 1)])
-            via_factors = se.binomial_factor(-1, a, 0, 1, 30).coeffs
-            assert tuple(via_eta) == via_factors
+        # E(q^a)^k = prod (1 - q^(a m))^k, through both routes of the pass choice
+        for a in (1, 2, 4, 10):
+            for k in range(-5, 6):
+                via_eta = se.eta_product(60, [(a, k)])
+                via_factors = binomial_factor(-1, a, 0, k, 60).coeffs
+                assert tuple(via_eta) == via_factors, (a, k)
 
 
 class TestNamedFamilies:
@@ -51,7 +54,7 @@ class TestNamedFamilies:
         assert se.sc_coeffs(0)[0] == 1
 
     def test_sc_matches_binomial_route(self):
-        assert se.sc_coeffs(60).coeffs == se.binomial_factor(1, 2, -1, 1, 60).coeffs
+        assert se.sc_coeffs(60).coeffs == binomial_factor(1, 2, -1, 1, 60).coeffs
 
     def test_sc_counts_match_oracle(self):
         sc = se.sc_coeffs(60)
@@ -78,7 +81,7 @@ class TestNamedFamilies:
         p = se.p_coeffs(25)
         acc = se.TruncatedSeries((1,) + (0,) * 25)
         for t in range(1, 5):
-            acc = se.multiply(acc, p)
+            acc = multiply(acc, p)
             assert acc.coeffs == se.phat_coeffs(t, 25).coeffs
 
     def test_sc_t_spot_values(self):
@@ -134,17 +137,17 @@ class TestStructuralIdentities:
         # prod(1+q^(2m-1)) times the 2t-power factor, checked via binomial route
         for t in (2, 4, 6):
             direct = se.sc_t_coeffs(t, 25).coeffs
-            odd_parts = se.binomial_factor(1, 2, -1, 1, 25)
-            power = se.binomial_factor(-1, 2 * t, 0, t // 2, 25)
-            assert se.multiply(odd_parts, power).coeffs == direct
+            odd_parts = binomial_factor(1, 2, -1, 1, 25)
+            power = binomial_factor(-1, 2 * t, 0, t // 2, 25)
+            assert multiply(odd_parts, power).coeffs == direct
 
     def test_odd_parity_factor_structure(self):
         for t in (3, 5, 7, 9):
             direct = se.sc_t_coeffs(t, 25).coeffs
-            odd_parts = se.binomial_factor(1, 2, -1, 1, 25)
-            power = se.binomial_factor(-1, 2 * t, 0, (t - 1) // 2, 25)
-            divisor = se.binomial_factor(1, 2 * t, -t, -1, 25)
-            combined = se.multiply(se.multiply(odd_parts, power), divisor)
+            odd_parts = binomial_factor(1, 2, -1, 1, 25)
+            power = binomial_factor(-1, 2 * t, 0, (t - 1) // 2, 25)
+            divisor = binomial_factor(1, 2 * t, -t, -1, 25)
+            combined = multiply(multiply(odd_parts, power), divisor)
             assert combined.coeffs == direct
 
 
@@ -166,3 +169,61 @@ class TestGrowthBounds:
             assert sc[n + 2] - sc[n] > 1
         assert sc[26] - sc[24] == 1
         assert sc[18] == sc[16]
+
+
+class TestRowKernel:
+    """The fused pass, the a > N shortcut and the prefix-served base rows
+    against the factor-by-factor product of series_reference."""
+
+    NS = (0, 1, 7, 150, 300)
+
+    def test_rows_match_factor_by_factor_product(self):
+        for n in self.NS:
+            for t in range(2, 81):
+                assert se.sc_t_coeffs(t, n) == sc_t_reference(t, n), ("sc_t", t, n)
+                assert se.c_t_coeffs(t, n) == c_t_reference(t, n), ("c_t", t, n)
+
+    def test_grid_takes_both_routes_of_the_pass_choice(self):
+        # the even sc_t power E(q^2t)^(t/2) and the c_t power E(q^t)^t
+        fused = {se._fused_shifts(a, k, n) is not None
+                 for n in self.NS for t in range(2, 81)
+                 for a, k in ((2 * t, t // 2), (t, t)) if a <= n}
+        assert fused == {True, False}
+
+    def test_rows_beyond_the_factor_are_the_base_row(self):
+        for t in range(2, 40):
+            assert se.c_t_coeffs(t, t - 1).coeffs == se.p_coeffs(t - 1).coeffs
+            assert se.sc_t_coeffs(t, t - 1).coeffs == se.sc_coeffs(t - 1).coeffs
+            if t % 2 == 0:
+                assert se.sc_t_coeffs(t, 2 * t - 1).coeffs == se.sc_coeffs(2 * t - 1).coeffs
+
+    @pytest.mark.parametrize("order", [(10, 60, 200), (200, 60, 10), (60, 200, 10, 120, 0)])
+    def test_rows_in_any_order_are_prefixes(self, order):
+        se.clear_series_caches()
+        rows = {n: [se.p_coeffs(n), se.sc_coeffs(n), se.c_t_coeffs(3, n), se.c_t_coeffs(8, n),
+                    *(se.sc_t_coeffs(t, n) for t in (2, 3, 7, 10, 31))] for n in order}
+        longest = rows[max(order)]
+        for n, row in rows.items():
+            for got, full in zip(row, longest):
+                assert got.coeffs == full.coeffs[: n + 1]
+
+    def test_nsc_is_p_minus_sc_below_t(self):
+        p, sc = se.p_coeffs(60), se.sc_coeffs(60)
+        for t in range(2, 70):
+            row = se.nsc_t_coeffs(t, 60)
+            for n in range(min(t, 61)):
+                assert row[n] == p[n] - sc[n], (t, n)
+
+    def test_clear_leaves_no_row(self):
+        se.sc_t_coeffs(6, 90)
+        se.c_t_coeffs(5, 90)
+        se.clear_series_caches()
+        for fn in (se.p_coeffs, se.phat_coeffs, se.sc_coeffs, se.c_t_coeffs, se.sc_t_coeffs):
+            assert fn.cache_info().currsize == 0
+        assert se._p_row._row == se._p_row._prefix == ()
+        assert se._sc_row._row == se._sc_row._prefix == ()
+
+    @pytest.mark.parametrize("build", [se.c_t_coeffs, se.phat_coeffs])
+    def test_t_below_one_is_unsupported(self, build):
+        with pytest.raises(UnsupportedT):
+            build(0, 10)
