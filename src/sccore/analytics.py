@@ -14,7 +14,9 @@ from math import comb, gcd, isqrt
 from time import monotonic
 
 from .abacus import t_cores_up_to
-from .errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
+from .errors import (
+    MissingTable, NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN, UnsupportedT,
+)
 from .partitions import Partition, is_self_conjugate, is_t_core, size
 from .reports import FAILS, HOLDS, ScanReport
 from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
@@ -28,9 +30,17 @@ def _sc_family(t: int, n_cap: int) -> tuple[int, ...]:
 
 
 def _c_family(t: int, n_cap: int) -> tuple[int, ...]:
-    if t < 1:
-        raise ValueError("t must be >= 1")
     return c_t_coeffs(t, n_cap).coeffs
+
+
+def _index_cap(n_lo: int, n_hi: int, *maps: tuple[int, int]) -> int:
+    """Largest index a*n + b that a scan of n_lo <= n <= n_hi reads, over the
+    (a, b) in maps; OutOfDomain if one of those indices is negative."""
+    ns = (min(n_lo, n_hi), n_hi)
+    for a, b in maps:
+        if min(a * n + b for n in ns) < 0:
+            raise OutOfDomain(f"index {a}n{b:+d} is negative for some {n_lo} <= n <= {n_hi}")
+    return max(a * n + b for a, b in maps for n in ns)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +379,8 @@ def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None
     """
     start = monotonic()
     cap = n_cap if n_cap is not None else n_hi
+    if cap < n_hi:
+        raise MissingTable(f"rows to n_cap = {cap} do not reach n_hi = {n_hi}")
     witnesses: list[tuple] = []
     checked = 0
     for n in range(n_lo, n_hi + 1):
@@ -421,7 +433,7 @@ def identity_check(spec: tuple[int, int, int, int, int], n_max: int) -> ScanRepo
     """Verify sc_t(a n + b) = sc_t(a' n + b') for all 0 <= n <= n_max."""
     start = monotonic()
     t, a, b, a2, b2 = spec
-    cap = max(a * n_max + b, a2 * n_max + b2)
+    cap = _index_cap(0, n_max, (a, b), (a2, b2))
     row = sc_t_coeffs(t, cap).coeffs
     witnesses = [
         (t, n, row[a * n + b], row[a2 * n + b2])
@@ -467,7 +479,7 @@ def inequality_check(spec: InequalitySpec, n_max: int) -> ScanReport:
     Cross-multiplied: den*lhs > num*rhs, so the verdict never touches floats.
     """
     start = monotonic()
-    cap = spec.a * n_max + spec.b
+    cap = _index_cap(spec.n_lo, n_max, (spec.a, spec.b), (1, 0))
     row = _sc_family(spec.t, cap) if spec.family == "sc" else _c_family(spec.t, cap)
     num, den = spec.alpha.numerator, spec.alpha.denominator
     witnesses = []
@@ -520,7 +532,7 @@ def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     it is checking.
     """
     if s < 2 or t < 2:
-        raise ValueError("s, t must be >= 2")
+        raise UnsupportedT(f"simultaneous cores need s, t >= 2, got s={s}, t={t}")
     if gcd(s, t) != 1:
         raise NotCoprime(f"gcd({s}, {t}) != 1")
     count = comb(s + t, t) // (s + t)

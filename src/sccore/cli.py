@@ -18,6 +18,7 @@ from .config import Limits
 from .errors import OutOfRange, ResourceLimit, SCCoreError
 from .partitions import enumerate_self_conjugate, is_t_core, partitions_of
 from .reports import FAILS, HOLDS, ScanReport
+from .series import sc_t_coeffs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,19 +186,20 @@ def _emit_rows(rows, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _table_cells(kind: str, n_max: int, t_max: int) -> list[tuple[str, int, int]]:
-    """(row_label, n, value) for populated cells, regenerated from recursions."""
-    table = formulas.cached_sc_table(t_max + (2 if kind != "sc" else 0), n_max)
+    """(row_label, n, value) for the printed cells, read off the sc_t series.
+
+    Printed convention: row t starts at n = t - 2, difference row a-b at n = b - 2.
+    """
     cells: list[tuple[str, int, int]] = []
     if kind == "sc":
         for t in range(2, t_max + 1):
-            for n in range(max(0, t - 2), n_max + 1):
-                cells.append((str(t), n, table.value(t, n)))
+            row = sc_t_coeffs(t, n_max)
+            cells.extend((str(t), n, row[n]) for n in range(max(0, t - 2), n_max + 1))
     elif kind in ("sc-diff-even", "sc-diff-odd"):
         lo = 2 if kind == "sc-diff-even" else 3
         for b in range(lo, t_max - 1, 2):
-            a = b + 2
-            for n in range(max(0, b - 2), n_max + 1):
-                cells.append((f"{a}-{b}", n, table.value(a, n) - table.value(b, n)))
+            high, low = sc_t_coeffs(b + 2, n_max), sc_t_coeffs(b, n_max)
+            cells.extend((f"{b + 2}-{b}", n, high[n] - low[n]) for n in range(max(0, b - 2), n_max + 1))
     else:
         raise SCCoreError(f"unknown table kind {kind}")
     return cells

@@ -1,8 +1,9 @@
 """Counting formulas for self-conjugate t-cores: the two recursions, the
 signed-composition closed forms, and the large-t shortcuts, all expressed in
-terms of sc(m) for m <= n and cross-validated against the series.
+terms of sc(m) for m <= n.  The series rows are the production path; these
+formulas validate them (`cross_validate`, `count --method`).
 
-Recursions (production path; one DP row per core size):
+Recursions (one DP row per core size):
 
     sc_2t(n)   = sc(n) - sum_{1 <= i <= n/4t} sc_2t(n - 4it) phat_t(i)
     sc_2t+1(n) = sc(n) - sum_{i,j >= 0, 1 <= 2i+j <= n/(2t+1)}
@@ -15,7 +16,6 @@ budget-gated because their term count grows exponentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from time import monotonic
 from typing import Iterator
 
@@ -214,40 +214,6 @@ def sc_t_value(t_full: int, n: int, tables: RecursionTables) -> int:
     if t_full % 2 == 0:
         return sc_even_recursive(t_full // 2, n, tables)
     return sc_odd_recursive((t_full - 1) // 2, n, tables)
-
-
-@dataclass
-class CountTable:
-    """Grid of counts indexed by (t, n); rows built once then read-only."""
-
-    family: str
-    t_max: int
-    n_max: int
-    rows: dict[int, tuple[int, ...]]
-
-    def value(self, t: int, n: int) -> int:
-        return self.rows[t][n]
-
-    def populated(self, t: int, n: int) -> bool:
-        """Printed-table convention: row t carries n >= t - 2."""
-        return n >= t - 2
-
-
-def build_sc_table(t_max: int, n_max: int, tables: RecursionTables | None = None) -> CountTable:
-    """sc_t(n) for 2 <= t <= t_max, 0 <= n <= n_max, by the recursions."""
-    tables = tables or RecursionTables(n_max)
-    rows = {}
-    for t_full in range(2, t_max + 1):
-        if t_full % 2 == 0:
-            rows[t_full] = tuple(tables.even_row(t_full // 2)[: n_max + 1])
-        else:
-            rows[t_full] = tuple(tables.odd_row((t_full - 1) // 2)[: n_max + 1])
-    return CountTable("sc_t", t_max, n_max, rows)
-
-
-@lru_cache(maxsize=None)
-def cached_sc_table(t_max: int, n_max: int) -> CountTable:
-    return build_sc_table(t_max, n_max)
 
 
 def cross_validate(

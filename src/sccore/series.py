@@ -21,20 +21,24 @@ The two base rows are
     sc(n)  = [q^n] prod (1 + q^(2m-1)) = [q^n] p(q) * sum_j (-1)^j q^(2j^2)
 
 (Gauss: E(q^2)^2 / E(q^4) = sum over all integers j of (-1)^j q^(2j^2)).
-Each is held once, at the largest N asked for so far, and served to smaller
-N as a prefix.  Families:
+Families:
 
     p(n)       = [q^n] 1/E(q)                        unrestricted partitions
     phat_t(n)  = [q^n] 1/E(q)^t                      t-tuples of partitions
     sc(n)      = [q^n] prod (1 + q^(2m-1))           self-conjugate partitions
     c_t(n)     = [q^n] p(q) E(q^t)^t                 t-cores
     sc_t(n)    = [q^n] sc(q) times an eta product in q^t, by parity of t
+
+Every family row is served from one store keyed by (family, t).  A row is
+built once, at the largest N asked for so far, and smaller N are served its
+prefix; the series last served for a key is kept, so the same request twice
+returns the same object.  The c_t and sc_t rows are built on the stored p and
+sc rows.  `clear_series_caches()` empties the store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .errors import UnsupportedT
@@ -179,76 +183,74 @@ def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
     return _eta_factors(_unit(n), factors, n)
 
 
-class _BaseRow:
-    """One family row, built at the largest N asked for so far.
+def _build(family: str, t: int, n: int) -> list[int]:
+    """The (family, t) row to n: c_t and sc on the stored p row, sc_t on sc."""
+    if family == "p":
+        return _divide_eta(_unit(n), 1, n)
+    if family == "phat":
+        return eta_product(n, [(1, -t)])
+    if family == "c_t":
+        return _eta_power(_served("p", 0, n).coeffs, t, t, n)
+    if family == "sc":  # p * sum_j (-1)^j q^(2j^2), one pass over the sqrt(n/2) theta terms
+        return _shift_add(_served("p", 0, n).coeffs, [(2 * j * j, 2 if j % 2 == 0 else -2)
+                                                      for j in range(1, isqrt(n // 2) + 1)])
+    c = _served("sc", 0, n).coeffs
+    if t % 2 == 0:
+        return _eta_power(c, 2 * t, t // 2, n)
+    return _eta_factors(c, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
 
-    A smaller N gets the prefix; the prefix last served is kept, so every
-    row built at one N on an unchanged base shares one tuple.
+
+# (family, t) -> (the row at the largest n built so far, the series last served)
+_store: dict[tuple[str, int], tuple[TruncatedSeries, TruncatedSeries]] = {}
+
+
+def _served(family: str, t: int, n: int) -> TruncatedSeries:
+    """Coefficients 0..n of the (family, t) row, from the store.
+
+    A row is built once, at the largest n asked for so far, and a smaller n
+    is served its prefix.  The series last served is kept, so asking for the
+    same n again returns the same object without slicing.
     """
-
-    def __init__(self, build) -> None:
-        self._build = build
-        self.clear()
-
-    def clear(self) -> None:
-        self._row: tuple[int, ...] = ()
-        self._prefix: tuple[int, ...] = ()
-
-    def __call__(self, n: int) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n >= len(self._row):
-            self._row = self._prefix = tuple(self._build(n))
-        elif len(self._prefix) != n + 1:
-            self._prefix = self._row[: n + 1]
-        return self._prefix
+    key = (family, t)
+    full, last = _store.get(key, (None, None))
+    if last is not None and len(last.coeffs) == n + 1:
+        return last
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if full is None or n > full.order:
+        full = last = TruncatedSeries(tuple(_build(family, t, n)))
+    else:
+        last = full if n == full.order else TruncatedSeries(full.coeffs[: n + 1])
+    _store[key] = (full, last)
+    return last
 
 
-def _build_p(n: int) -> list[int]:
-    return _divide_eta(_unit(n), 1, n)
-
-
-def _build_sc(n: int) -> list[int]:
-    """sc = p * sum_j (-1)^j q^(2j^2), one pass over the sqrt(n/2) theta terms."""
-    return _shift_add(_p_row(n), [(2 * j * j, 2 if j % 2 == 0 else -2)
-                                  for j in range(1, isqrt(n // 2) + 1)])
-
-
-_p_row = _BaseRow(_build_p)
-_sc_row = _BaseRow(_build_sc)
-
-
-@lru_cache(maxsize=None)
 def p_coeffs(n: int) -> TruncatedSeries:
     """Unrestricted partition numbers p(0..n)."""
-    return TruncatedSeries(_p_row(n))
+    return _served("p", 0, n)
 
 
-@lru_cache(maxsize=None)
 def phat_coeffs(t: int, n: int) -> TruncatedSeries:
     """Number of t-tuples of partitions with total size 0..n."""
     if t < 1:
         raise UnsupportedT(f"phat_t series defined for t >= 1, got {t}")
-    return TruncatedSeries(tuple(eta_product(n, [(1, -t)])))
+    return _served("phat", t, n)
 
 
-@lru_cache(maxsize=None)
 def sc_coeffs(n: int) -> TruncatedSeries:
     """Self-conjugate partition counts sc(0..n)."""
-    return TruncatedSeries(_sc_row(n))
+    return _served("sc", 0, n)
 
 
-@lru_cache(maxsize=None)
 def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
     """t-core partition counts c_t(0..n): p(q) E(q^t)^t, so c_t(n) = p(n) for n < t."""
     if t < 1:
         raise UnsupportedT(f"c_t series defined for t >= 1, got {t}")
-    return TruncatedSeries(tuple(_eta_power(_p_row(n), t, t, n)))
+    return _served("c_t", t, n)
 
 
-@lru_cache(maxsize=None)
 def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
-    """Self-conjugate t-core counts sc_t(0..n), t >= 2, on the sc base row.
+    """Self-conjugate t-core counts sc_t(0..n), t >= 2, on the stored sc row.
 
     Even t:  sc(q) E(q^2t)^(t/2)
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
@@ -256,16 +258,12 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
     Each eta power is one fused pass or k pentagonal passes (see the module
     docstring), and a factor in q^a with a > n is 1.  So sc_t(n) = sc(n)
     for n < 2t when t is even and for n < t when t is odd, and those rows
-    are the sc prefix itself.
+    share the stored sc prefix.  Like every family, the row is built once
+    per t at the largest n asked for and served to smaller n as a prefix.
     """
     if t < 2:
         raise UnsupportedT(f"sc_t series defined for t >= 2, got {t}")
-    c = _sc_row(n)
-    if t % 2 == 0:
-        c = _eta_power(c, 2 * t, t // 2, n)
-    else:
-        c = _eta_factors(c, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
-    return TruncatedSeries(tuple(c))
+    return _served("sc_t", t, n)
 
 
 def nsc_t_coeffs(t: int, n: int) -> TruncatedSeries:
@@ -276,8 +274,5 @@ def nsc_t_coeffs(t: int, n: int) -> TruncatedSeries:
 
 
 def clear_series_caches() -> None:
-    """Drop every memoized series and both base rows (used by cold-start timing checks)."""
-    for fn in (p_coeffs, phat_coeffs, sc_coeffs, c_t_coeffs, sc_t_coeffs):
-        fn.cache_clear()
-    for row in (_p_row, _sc_row):
-        row.clear()
+    """Empty the row store (used by cold-start timing checks)."""
+    _store.clear()

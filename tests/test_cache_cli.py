@@ -283,6 +283,12 @@ class TestBadInputs:
         ["scan", "inequality", "--t", "9", "--a", "4", "--b", "0", "--alpha", "x"],
         ["scan", "unimodality", "--family", "bogus"],
         ["scan", "monotonicity", "--family", "bogus"],
+        ["scan", "simultaneous", "--s", "1", "--t", "2"],
+        ["scan", "monotonicity", "--pair", "0", "--family", "c", "--nmax", "10"],
+        # each would read an index below 0 or past the end of its row
+        ["scan", "identity", "--t", "5", "--a", "2", "--b", "-3", "--a2", "1", "--b2", "0", "--nmax", "10"],
+        ["scan", "inequality", "--t", "9", "--a", "1", "--b", "-5", "--alpha", "1", "--nmax", "20"],
+        ["scan", "unimodality", "--family", "pi", "--nmax", "100", "--ncap", "50"],
     ])
     def test_scan_arguments(self, argv, capsys):
         _assert_one_line_usage_error(argv, capsys)

@@ -141,17 +141,3 @@ class TestCrossValidate:
     def test_trivial_range(self):
         rep = fm.cross_validate(2, 3)
         assert rep.verdict == "holds"
-
-
-class TestCountTable:
-    def test_matches_series(self):
-        table = fm.build_sc_table(14, 40)
-        for t in range(2, 15):
-            row = sc_t_coeffs(t, 40)
-            for n in range(41):
-                assert table.value(t, n) == row[n]
-
-    def test_populated_convention(self):
-        table = fm.build_sc_table(6, 10)
-        assert table.populated(4, 2)
-        assert not table.populated(4, 1)

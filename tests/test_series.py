@@ -200,8 +200,9 @@ class TestRowKernel:
     @pytest.mark.parametrize("order", [(10, 60, 200), (200, 60, 10), (60, 200, 10, 120, 0)])
     def test_rows_in_any_order_are_prefixes(self, order):
         se.clear_series_caches()
-        rows = {n: [se.p_coeffs(n), se.sc_coeffs(n), se.c_t_coeffs(3, n), se.c_t_coeffs(8, n),
-                    *(se.sc_t_coeffs(t, n) for t in (2, 3, 7, 10, 31))] for n in order}
+        rows = {n: [se.p_coeffs(n), se.sc_coeffs(n), se.phat_coeffs(3, n), se.c_t_coeffs(3, n),
+                    se.c_t_coeffs(8, n), *(se.sc_t_coeffs(t, n) for t in (2, 3, 7, 10, 31))]
+                for n in order}
         longest = rows[max(order)]
         for n, row in rows.items():
             for got, full in zip(row, longest):
@@ -217,11 +218,20 @@ class TestRowKernel:
     def test_clear_leaves_no_row(self):
         se.sc_t_coeffs(6, 90)
         se.c_t_coeffs(5, 90)
+        se.phat_coeffs(2, 90)
+        assert se._store
         se.clear_series_caches()
-        for fn in (se.p_coeffs, se.phat_coeffs, se.sc_coeffs, se.c_t_coeffs, se.sc_t_coeffs):
-            assert fn.cache_info().currsize == 0
-        assert se._p_row._row == se._p_row._prefix == ()
-        assert se._sc_row._row == se._sc_row._prefix == ()
+        assert se._store == {}
+
+    @pytest.mark.parametrize("build, t", [(se.p_coeffs, None), (se.sc_coeffs, None),
+                                          (se.phat_coeffs, 3), (se.c_t_coeffs, 5),
+                                          (se.sc_t_coeffs, 7)])
+    def test_same_request_returns_the_same_series(self, build, t):
+        args = () if t is None else (t,)
+        se.clear_series_caches()
+        for n in (120, 40):
+            first = build(*args, n)
+            assert build(*args, n) is first, n
 
     @pytest.mark.parametrize("build", [se.c_t_coeffs, se.phat_coeffs])
     def test_t_below_one_is_unsupported(self, build):

@@ -48,3 +48,12 @@ class TestDifferenceTables:
         for (label, n), v in ours.items():
             a, b = (int(x) for x in label.split("-"))
             assert v == sc_t_coeffs(a, 30)[n] - sc_t_coeffs(b, 30)[n]
+
+
+class TestPrintedConvention:
+    def test_rows_start_at_t_minus_2(self, tmp_path):
+        """Row t of the sc table starts at n = t - 2, difference row a-b at n = b - 2."""
+        cells = _regenerate("sc", tmp_path, nmax=20, tmax=24)
+        assert set(cells) == {(str(t), n) for t in range(2, 25) for n in range(max(0, t - 2), 21)}
+        diff = _regenerate("sc-diff-odd", tmp_path, nmax=20, tmax=24)
+        assert set(diff) == {(f"{b + 2}-{b}", n) for b in range(3, 23, 2) for n in range(b - 2, 21)}
