@@ -12,6 +12,7 @@ diagonal hooks (29, 15) in runner order, and is frozen by tests.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterator, Sequence
 
 from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
@@ -211,6 +212,38 @@ def t_cores_up_to(limit: int, t: int) -> Iterator[tuple[int, Partition]]:
         K = max(1, 1 - min(ds))
         beads = [r + t * j for r in range(t) for j in range(K + ds[r])]
         yield size_, partition_of(beads)
+
+
+def simultaneous_cores(s: int, t: int) -> Iterator[Partition]:
+    """Every partition that is both an s-core and a t-core, for coprime s, t.
+
+    Anderson's characterization.  The beta-set of length #parts of such a
+    core, its first-column hooks, holds h - s for every hook h >= s (the bead
+    test), likewise h - t, and never 0; so a hook stepped down by s and t never
+    reaches 0, and no hook lies in the semigroup <s, t>.  The hooks are a set
+    of gaps of <s, t> closed under -s and -t, and each such set, whose least
+    element is >= 1, is the beta-set of one (s, t)-core.  The depth-first
+    search adds gaps in increasing order, a gap g only when g - s and g - t
+    are each < 0 or already chosen, so it reaches every such down-set exactly
+    once, with no bound on the size.
+    """
+    if s < 1 or t < 1 or gcd(s, t) != 1:
+        raise ValueError(f"s and t must be coprime positive integers, got s={s}, t={t}")
+    # every integer >= (s - 1)(t - 1) lies in <s, t>
+    in_semigroup = [False] * max(1, (s - 1) * (t - 1))
+    in_semigroup[0] = True
+    for g in range(1, len(in_semigroup)):
+        in_semigroup[g] = (g >= s and in_semigroup[g - s]) or (g >= t and in_semigroup[g - t])
+    gaps = [g for g, inside in enumerate(in_semigroup) if not inside]
+    # (next gap index, chosen gaps as a bit mask, chosen gaps in increasing order)
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    while stack:
+        start, mask, beads = stack.pop()
+        yield partition_of(beads)
+        for k in range(start, len(gaps)):
+            g = gaps[k]
+            if (g < s or mask >> (g - s) & 1) and (g < t or mask >> (g - t) & 1):
+                stack.append((k + 1, mask | 1 << g, beads + (g,)))
 
 
 def enumerate_t_cores(n: int, t: int) -> Iterator[Partition]:

@@ -13,11 +13,11 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from time import monotonic
 
-from .abacus import t_cores_up_to
+from .abacus import simultaneous_cores
 from .errors import (
     MissingTable, NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN, UnsupportedT,
 )
-from .partitions import Partition, is_self_conjugate, is_t_core, size
+from .partitions import is_self_conjugate, is_t_core, size
 from .reports import FAILS, HOLDS, ScanReport
 from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -334,15 +334,18 @@ def distribution_table(n: int, n_cap: int | None = None) -> dict[str, Distributi
     scn = sc_coeffs(cap)[n]
     if scn == 0:
         raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    c_at = {t: _c_family(t, cap)[n] for t in range(1, n + 2)}
     pi = DistributionRow(n, "pi")
     for t in range(1, n + 1):
-        pi.values[t] = Fraction(_c_family(t + 1, cap)[n] - _c_family(t, cap)[n], pn)
+        pi.values[t] = Fraction(c_at[t + 1] - c_at[t], pn)
+    # the sigma families read sc_t for t <= n + 3 (n even) or t <= n + 2 (n odd)
+    sc_at = {t: _sc_family(t, cap)[n] for t in range(n + 4 - n % 2)}
     sigma_even = DistributionRow(n, "sigma_even")
     for t in range(0, n + 1, 2):
-        sigma_even.values[t] = Fraction(_sc_family(t + 2, cap)[n] - _sc_family(t, cap)[n], scn)
+        sigma_even.values[t] = Fraction(sc_at[t + 2] - sc_at[t], scn)
     sigma_odd = DistributionRow(n, "sigma_odd")
     for t in range(1, n + 2, 2):
-        sigma_odd.values[t] = Fraction(_sc_family(t + 2, cap)[n] - _sc_family(t, cap)[n], scn)
+        sigma_odd.values[t] = Fraction(sc_at[t + 2] - sc_at[t], scn)
     return {"pi": pi, "sigma_even": sigma_even, "sigma_odd": sigma_odd}
 
 
@@ -381,36 +384,30 @@ def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None
     cap = n_cap if n_cap is not None else n_hi
     if cap < n_hi:
         raise MissingTable(f"rows to n_cap = {cap} do not reach n_hi = {n_hi}")
+    # family: (first n, first t, t step, its rows, last t of the window at n)
+    windows = {
+        "pi": (63, 4, 1, _c_family, lambda n: n - 7),
+        "sigma_even": (139, 8, 2, _sc_family, lambda n: 2 * (n // 4) - 8),
+        "sigma_odd": (213, 9, 2, _sc_family, lambda n: n // 2),
+    }
+    if family not in windows:
+        raise ValueError(f"unknown family {family!r}")
+    n_first, t_first, step, rows_of, t_last = windows[family]
+    ns = range(max(n_lo, n_first), n_hi + 1)
+    # windows grow with n: the one at n_hi, one step further, names every row read
+    rows = {t: rows_of(t, cap) for t in range(t_first, t_last(n_hi) + step + 1, step)} if ns else {}
     witnesses: list[tuple] = []
-    checked = 0
-    for n in range(n_lo, n_hi + 1):
-        if family == "pi":
-            if n < 63:
-                continue
-            ts = range(4, n - 7 + 1)
-            seq = [_c_family(t + 1, cap)[n] - _c_family(t, cap)[n] for t in ts]
-        elif family == "sigma_even":
-            if n < 139:
-                continue
-            ts = range(8, 2 * (n // 4) - 8 + 1, 2)
-            seq = [_sc_family(t + 2, cap)[n] - _sc_family(t, cap)[n] for t in ts]
-        elif family == "sigma_odd":
-            if n < 213:
-                continue
-            ts = range(9, n // 2 + 1, 2)
-            seq = [_sc_family(t + 2, cap)[n] - _sc_family(t, cap)[n] for t in ts]
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        checked += 1
+    for n in ns:
+        ts = range(t_first, t_last(n) + 1, step)
+        seq = [rows[t + step][n] - rows[t][n] for t in ts]
         ok, bad = _is_unimodal(seq)
         if not ok:
-            t_bad = list(ts)[bad]
-            witnesses.append((t_bad, n, seq[bad - 1], seq[bad]))
+            witnesses.append((ts[bad], n, seq[bad - 1], seq[bad]))
     return ScanReport(
         scan="unimodality",
         params={"family": family, "n_lo": n_lo, "n_hi": n_hi},
         verdict=HOLDS if not witnesses else FAILS,
-        data={"windows_checked": checked},
+        data={"windows_checked": len(ns)},
         witnesses=witnesses,
         elapsed_ms=int((monotonic() - start) * 1000),
     ).finish()
@@ -526,10 +523,13 @@ class SimultaneousCores:
 def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     """Certify the simultaneous-core counting formulas by direct enumeration.
 
-    Enumerates every s-core up to the closed-form maximum size by the runner
-    DFS and keeps those that pass the bead t-core test, which the tests check
-    against the hook grid, so the certificate does not assume the bijection
-    it is checking.
+    `abacus.simultaneous_cores` lists the down-sets of the gaps of <s, t>,
+    which holds every (s, t)-core: a core's first-column hooks never reach 0
+    when stepped down by s or t, so every hook is a gap.  The search has no
+    size cap, so `enumerated_max` checks the (s^2-1)(t^2-1)/24 formula rather
+    than assuming it.  Every partition it yields must pass the bead s-core
+    and t-core tests, which the tests check against the hook grid, so the
+    certificate does not assume the characterization it rests on.
     """
     if s < 2 or t < 2:
         raise UnsupportedT(f"simultaneous cores need s, t >= 2, got s={s}, t={t}")
@@ -538,10 +538,7 @@ def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     count = comb(s + t, t) // (s + t)
     sc_count = comb(s // 2 + t // 2, t // 2)
     max_size = (s * s - 1) * (t * t - 1) // 24
-    found: list[Partition] = []
-    for _, p in t_cores_up_to(max_size, s):
-        if is_t_core(p, t):
-            found.append(p)
+    found = [p for p in simultaneous_cores(s, t) if is_t_core(p, s) and is_t_core(p, t)]
     enumerated_sc = sum(1 for p in found if is_self_conjugate(p))
     enumerated_max = max((size(p) for p in found), default=0)
     return SimultaneousCores(

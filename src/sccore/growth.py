@@ -173,12 +173,15 @@ def beta_star_hooks(n: int) -> HookSeq:
     }[n % 4]
 
 
-def _growth_check_one(n: int, sc_nm2: int, sc_n: int) -> dict:
-    """Exhaustive audit at a single n; returns violation list plus statistics."""
+def _growth_check_one(
+    n: int, sc_nm2: int, sc_n: int, here: list[HookSeq], below: list[HookSeq] | None
+) -> dict:
+    """Exhaustive audit at a single n over the hook sequences of n (here) and,
+    from n = 27 on, of n - 2 (below); returns violation list plus statistics."""
     violations: list[tuple] = []
     count_a = count_b = count_c = 0
     b_set: set[HookSeq] = set()
-    for delta in descending_odd_sequences(n):
+    for delta in here:
         cls = classify_hooks(delta, n)
         if cls == CLASS_A:
             count_a += 1
@@ -201,7 +204,7 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int) -> dict:
         fibers: dict[HookSeq, int] = {}
         undefined = 0
         branches: dict[str, int] = {}
-        for delta in descending_odd_sequences(n - 2):
+        for delta in below:
             try:
                 image, branch = map_g_hooks(delta, n)
             except MapGUndefined:
@@ -244,7 +247,15 @@ def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
     if n_lo < 19:
         raise OutOfDomain("growth audit starts at n = 19")
     sc = sc_coeffs(n_hi).coeffs
-    results = [_growth_check_one(n, sc[n - 2], sc[n]) for n in range(n_lo, n_hi + 1)]
+    # each n's sequences are walked once and kept as the n - 2 side of step n + 2
+    walked: dict[int, list[HookSeq]] = {}
+    results = []
+    for n in range(n_lo, n_hi + 1):
+        walked[n] = list(descending_odd_sequences(n))
+        below = walked.pop(n - 2, None)
+        if below is None and n >= 27:
+            below = list(descending_odd_sequences(n - 2))
+        results.append(_growth_check_one(n, sc[n - 2], sc[n], walked[n], below))
     witnesses: list[tuple] = []
     mismatched_argmax: list[int] = []
     undefined_ns: list[int] = []

@@ -63,8 +63,3 @@ def _jsonable(x: Any) -> Any:
     if isinstance(x, (set, frozenset)):
         return sorted(_jsonable(v) for v in x)
     return x
-
-
-def report_from_json(text: str) -> dict[str, Any]:
-    """Parse an emitted report back to the plain-object form (round-trip aid)."""
-    return json.loads(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,3 +205,39 @@ class TestTCoreEnumeration:
     def test_t1(self):
         assert list(ab.enumerate_t_cores(0, 1)) == [()]
         assert list(ab.enumerate_t_cores(3, 1)) == []
+
+
+def coprime_pairs(t_max):
+    return [(s, t) for s in range(2, t_max) for t in range(s + 1, t_max + 1) if gcd(s, t) == 1]
+
+
+class TestSimultaneousCores:
+    def test_matches_the_s_core_filter(self):
+        # the reference: every s-core up to the largest (s, t)-core size, kept
+        # when it is also a t-core
+        for s, t in coprime_pairs(7):
+            max_size = (s * s - 1) * (t * t - 1) // 24
+            reference = {p for _, p in ab.t_cores_up_to(max_size, s) if pt.is_t_core(p, t)}
+            found = list(ab.simultaneous_cores(s, t))
+            assert len(found) == len(set(found)), (s, t)
+            assert set(found) == reference, (s, t)
+
+    def test_no_hook_of_length_s_or_t(self):
+        for s, t in coprime_pairs(7):
+            if (s * s - 1) * (t * t - 1) // 24 > 40:
+                continue
+            for p in ab.simultaneous_cores(s, t):
+                hooks = {h for row in pt.hook_grid(p) for h in row}
+                assert s not in hooks and t not in hooks, (s, t, p)
+
+    def test_symmetric_in_s_and_t(self):
+        for s, t in coprime_pairs(8):
+            assert set(ab.simultaneous_cores(s, t)) == set(ab.simultaneous_cores(t, s)), (s, t)
+
+    def test_one_core_is_empty(self):
+        assert list(ab.simultaneous_cores(1, 5)) == [()]
+
+    def test_rejects_non_coprime_or_non_positive(self):
+        for s, t in ((4, 6), (3, 3), (0, 5), (-1, 2)):
+            with pytest.raises(ValueError):
+                list(ab.simultaneous_cores(s, t))

@@ -253,6 +253,21 @@ class TestSimultaneous:
         assert (rec.count, rec.sc_count) == (5, 3)
         assert rec.enumerated == 5 and rec.enumerated_sc == 3
 
+    def test_closed_forms_beyond_the_acceptance_range(self):
+        for s, t in ((9, 10), (11, 12)):
+            rec = an.simultaneous_counts(s, t)
+            assert (rec.enumerated, rec.enumerated_sc, rec.enumerated_max) == (
+                rec.count, rec.sc_count, rec.max_size), rec
+        assert (rec.count, rec.sc_count, rec.max_size) == (58786, 462, 715)
+
+    def test_counts_only_what_passes_both_hook_tests(self, monkeypatch):
+        # a partition the enumerator yields by mistake is not counted:
+        # (2,) has a 2-hook, (1, 1, 1) a 3-hook
+        real = an.simultaneous_cores
+        monkeypatch.setattr(an, "simultaneous_cores", lambda s, t: [*real(s, t), (2,), (1, 1, 1)])
+        rec = an.simultaneous_counts(2, 3)
+        assert (rec.enumerated, rec.enumerated_sc, rec.enumerated_max) == (2, 2, 1)
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             an.simultaneous_counts(4, 6)

@@ -164,3 +164,28 @@ class TestVerifyGrowth:
             hooks = gr.beta_star_hooks(n)
             assert sum(hooks) == n
             assert gr._in_b_hooks(hooks, n)
+
+
+class TestFiberBoundOnTheSeries:
+    """The proof's fiber bound is reachable by some g: a g with g(h(beta)) = beta
+    is forced only on h(B), so the smallest possible largest fiber over the
+    sc(n-2) inputs is ceil(sc(n-2)/|B|).  That is below n/2 wherever c10 is
+    checked, so c10's failure lies in map_g_hooks, not in the inequality."""
+
+    @staticmethod
+    def b_size(sc, n):
+        from math import isqrt
+
+        return sc[n] - sc[n - 2] - (1 if isqrt(n) ** 2 == n else 0)
+
+    def test_smallest_largest_fiber_is_below_n_over_2(self):
+        sc = sc_coeffs(2000).coeffs
+        for n in range(27, 2001):
+            b = self.b_size(sc, n)
+            assert 2 * -(-sc[n - 2] // b) < n, n
+
+    def test_b_size_matches_the_class_split(self):
+        sc = sc_coeffs(60).coeffs
+        for n in (27, 36, 49, 60):
+            audited = sum(1 for d in pt.descending_odd_sequences(n) if gr.classify_hooks(d, n) == "B")
+            assert audited == self.b_size(sc, n), n
