@@ -84,6 +84,8 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
     """One value by a method other than the series; tables serve the sc_t formulas."""
     limits = Limits(oracle_cap=args.oracle_cap)
     if method == "oracle":
+        if family in ("sc_t", "c_t") and t < 1:
+            raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
         if family in ("sc", "sc_t"):
             items = enumerate_self_conjugate(n, limits)
             if family == "sc_t":
@@ -99,9 +101,7 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
     if method == "recursive":
         return formulas.sc_t_value(t, n, tables)
     if method == "closed":
-        if t % 2 == 0:
-            return formulas.sc_even_closed(t // 2, n, tables, limits)
-        return formulas.sc_odd_closed((t - 1) // 2, n, tables, limits)
+        return formulas.sc_t_closed(t, n, tables, limits)
     if method == "large":
         return formulas.sc_large(t, n, tables).value
     raise SCCoreError(f"unknown method {method}")
@@ -297,6 +297,8 @@ def _scan_usage_error(args) -> str | None:
         missing = [f"--{opt}" for opt in _SCAN_NEEDS.get(name, ()) if getattr(args, opt) is None]
         if missing:
             return f"scan {name} requires {', '.join(missing)}"
+    if name == "cross-validate" and args.tmax is not None and args.tmax < 2:
+        return f"scan cross-validate needs --tmax >= 2, got {args.tmax}"
     families = _SCAN_FAMILIES.get("pair" if name == "monotonicity" and args.pair is not None else name)
     if families and args.family is not None and args.family not in families:
         return f"unknown family {args.family!r} for scan {name}; choose from {', '.join(families)}"
@@ -365,7 +367,7 @@ def _run_scan(args) -> ScanReport:
     if name == "simultaneous":
         return analytics.simultaneous_scan(args.s, args.t)
     if name == "cross-validate":
-        return formulas.cross_validate(args.tmax or 12, args.nmax)
+        return formulas.cross_validate(12 if args.tmax is None else args.tmax, args.nmax)
     raise SCCoreError(f"unknown scan {name}")
 
 

@@ -38,7 +38,7 @@ class MissingTable(SCCoreError):
 
 
 class OutOfRange(SCCoreError):
-    """No large-t closed formula applies to this (t, n)."""
+    """The formula or method is not defined at this (t, n)."""
 
 
 class UnsupportedT(SCCoreError):

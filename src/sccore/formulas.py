@@ -10,7 +10,12 @@ Recursions (one DP row per core size):
                            sc_2t+1(n - (2i+j)(2t+1)) phat_t(i) sc(j)
 
 Closed forms are literal signed sums over (pairs of) integer sequences and are
-budget-gated because their term count grows exponentially.
+budget-gated because their term count grows exponentially.  A term is
+(-1)^len sc(n - w step) times a product that does not depend on n, where w is
+the sequence's total weight and step is 4t for sc_2t, 2t+1 for sc_2t+1.  So
+each closed form is expanded once per core size: every sequence is still
+enumerated and multiplied out, and the products are summed by weight into
+c[w] (`RecursionTables.closed_weights`).  A value is then sum_w c[w] sc(n - w step).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ class RecursionTables:
         self._phat: dict[int, tuple[int, ...]] = {}
         self._even_rows: dict[int, list[int]] = {}
         self._odd_rows: dict[int, list[int]] = {}
+        self._closed: dict[int, list[int]] = {}
 
     def sc(self, n: int) -> int:
         if n < 0:
@@ -93,9 +99,51 @@ class RecursionTables:
             self._odd_rows[t] = row
         return row
 
+    def closed_weights(self, t_full: int, budget: int) -> list[int]:
+        """c[0..cap] for core size t_full, cap = min(budget, n_max // step).
+
+        c[w] sums (-1)^len times the sc-free product over the closed form's
+        sequences of total weight w.  Expanded again only for a larger cap.
+        """
+        cap = min(budget, self.n_max // _closed_step(t_full))
+        c = self._closed.get(t_full)
+        if c is not None and len(c) > cap:
+            return c
+        t = t_full // 2
+        c = [0] * (cap + 1)
+        if t_full % 2 == 0:
+            phat = [self.phat(t, i) for i in range(cap + 1)]
+            for seq in _compositions(cap):
+                term = (-1) ** len(seq)
+                for i in seq:
+                    term *= phat[i]
+                c[sum(seq)] += term
+        else:
+            phat = [self.phat(t, i) for i in range(cap // 2 + 1)]
+            sc = self._sc
+            for seq in _weighted_pair_sequences(cap):
+                term, weight = (-1) ** len(seq), 0
+                for i, j in seq:
+                    term *= phat[i] * sc[j]
+                    weight += 2 * i + j
+                c[weight] += term
+        self._closed[t_full] = c
+        return c
+
+
+def _closed_step(t_full: int) -> int:
+    """The closed form's weight unit: 4t for core size 2t, 2t+1 for 2t+1."""
+    return 2 * t_full if t_full % 2 == 0 else t_full
+
+
+def _check_core_size(t_full: int) -> None:
+    if t_full < 2:
+        raise OutOfRange(f"sc_t formulas defined for t >= 2, got {t_full}")
+
 
 def sc_even_recursive(t: int, n: int, tables: RecursionTables) -> int:
     """sc_{2t}(n) by the even recursion."""
+    _check_core_size(2 * t)
     if n > tables.n_max:
         raise MissingTable(f"tables cover n <= {tables.n_max}")
     return tables.even_row(t)[n]
@@ -103,6 +151,7 @@ def sc_even_recursive(t: int, n: int, tables: RecursionTables) -> int:
 
 def sc_odd_recursive(t: int, n: int, tables: RecursionTables) -> int:
     """sc_{2t+1}(n) by the odd recursion."""
+    _check_core_size(2 * t + 1)
     if n > tables.n_max:
         raise MissingTable(f"tables cover n <= {tables.n_max}")
     return tables.odd_row(t)[n]
@@ -118,16 +167,18 @@ def _compositions(total_max: int) -> Iterator[tuple[int, ...]]:
 
 def sc_even_closed(t: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
     """sc_{2t}(n) as the literal signed sum over positive-integer sequences."""
+    _check_core_size(2 * t)
     cap = n // (4 * t)
     if cap > limits.composition_budget:
         raise ResourceLimit(f"floor(n/4t)={cap} exceeds budget {limits.composition_budget}")
-    total = 0
-    for seq in _compositions(cap):
-        term = (-1) ** len(seq) * tables.sc(n - 4 * t * sum(seq))
-        for i in seq:
-            term *= tables.phat(t, i)
-        total += term
-    return total
+    return _closed_sum(2 * t, n, cap, tables, limits)
+
+
+def _closed_sum(t_full: int, n: int, cap: int, tables: RecursionTables, limits: Limits) -> int:
+    """sum_{w <= cap} c[w] sc(n - w step); the w = 0 term raises MissingTable beyond n_max."""
+    c = tables.closed_weights(t_full, limits.composition_budget)
+    step = _closed_step(t_full)
+    return sum(tables.sc(n - step * w) * c[w] for w in range(cap + 1))
 
 
 def _weighted_pair_sequences(total_max: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -142,18 +193,12 @@ def _weighted_pair_sequences(total_max: int) -> Iterator[tuple[tuple[int, int], 
 
 def sc_odd_closed(t: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
     """sc_{2t+1}(n) as the literal signed sum over pairs of sequences."""
+    _check_core_size(2 * t + 1)
     size = 2 * t + 1
     cap = n // size
     if cap > limits.composition_budget:
         raise ResourceLimit(f"floor(n/(2t+1))={cap} exceeds budget {limits.composition_budget}")
-    total = 0
-    for seq in _weighted_pair_sequences(cap):
-        weight = sum(2 * i + j for i, j in seq)
-        term = (-1) ** len(seq) * tables.sc(n - weight * size)
-        for i, j in seq:
-            term *= tables.phat(t, i) * tables.sc(j)
-        total += term
-    return total
+    return _closed_sum(size, n, cap, tables, limits)
 
 
 @dataclass(frozen=True)
@@ -176,8 +221,7 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
       odd-first-hook       n/2 < 2t+1 <= n:   sc(n) - sc(n-2t-1)
       odd-two-term         n/3 < 2t+1 <= n/2: sc(n) - sc(n-2t-1) - (t-1) sc(n-4t-2)
     """
-    if t_full < 2:
-        raise OutOfRange("defined for core sizes >= 2")
+    _check_core_size(t_full)
     sc = tables.sc
     candidates: list[tuple[str, int]] = []
     if t_full % 2 == 0:
@@ -216,6 +260,13 @@ def sc_t_value(t_full: int, n: int, tables: RecursionTables) -> int:
     return sc_odd_recursive((t_full - 1) // 2, n, tables)
 
 
+def sc_t_closed(t_full: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
+    """sc_t(n) via the parity-appropriate closed form."""
+    if t_full % 2 == 0:
+        return sc_even_closed(t_full // 2, n, tables, limits)
+    return sc_odd_closed((t_full - 1) // 2, n, tables, limits)
+
+
 def cross_validate(
     t_max: int,
     n_max: int,
@@ -244,14 +295,8 @@ def cross_validate(
             if series_row[n] != reference:
                 witnesses.append((t, n, series_row[n], reference, "series-vs-recursion"))
                 continue
-            half = t // 2 if t % 2 == 0 else (t - 1) // 2
-            cap = n // (4 * half) if t % 2 == 0 and half else n // t
-            if half >= 1 and cap <= limits.composition_budget:
-                closed = (
-                    sc_even_closed(half, n, tables, limits)
-                    if t % 2 == 0
-                    else sc_odd_closed(half, n, tables, limits)
-                )
+            if n // _closed_step(t) <= limits.composition_budget:
+                closed = sc_t_closed(t, n, tables, limits)
                 if closed != reference:
                     witnesses.append((t, n, closed, reference, "closed-vs-recursion"))
             try:

@@ -19,10 +19,11 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
-def _assert_one_line_usage_error(argv: list[str], capsys) -> None:
+def _assert_one_line_usage_error(argv: list[str], capsys) -> str:
     assert _exit_code(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestCacheFile:
@@ -234,6 +235,10 @@ class TestScanCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdict"] == "holds"
 
+    def test_cross_validate_default_tmax(self, capsys):
+        assert main(["scan", "cross-validate", "--nmax", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["t_max"] == 12
+
     def test_explicit_identity(self, capsys):
         code = main(["scan", "identity", "--t", "5", "--a", "2", "--b", "1",
                      "--a2", "1", "--b2", "0", "--nmax", "200"])
@@ -292,6 +297,25 @@ class TestBadInputs:
     ])
     def test_scan_arguments(self, argv, capsys):
         _assert_one_line_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("method", ["recursive", "closed"])
+    @pytest.mark.parametrize("t", [-2, 0, 1])
+    def test_formula_methods_below_core_size_2(self, t, method, capsys):
+        argv = ["count", "sc_t", "--t", str(t), "--n", "0..8", "--method", method]
+        err = _assert_one_line_usage_error(argv, capsys)
+        assert err == f"error: sc_t formulas defined for t >= 2, got {t}\n"
+
+    @pytest.mark.parametrize("family", ["sc_t", "c_t"])
+    def test_oracle_at_t_0(self, family, capsys):
+        _assert_one_line_usage_error(["count", family, "--t", "0", "--n", "5", "--method", "oracle"], capsys)
+
+    def test_oracle_at_t_1_counts(self, capsys):
+        assert main(["count", "sc_t", "--t", "1", "--n", "5", "--method", "oracle"]) == 0
+        assert capsys.readouterr().out == "1 5 0\n"
+
+    @pytest.mark.parametrize("tmax", ["0", "1", "-3"])
+    def test_cross_validate_tmax_below_2(self, tmax, capsys):
+        _assert_one_line_usage_error(["scan", "cross-validate", "--tmax", tmax, "--nmax", "5"], capsys)
 
 
 class TestCacheCommand:

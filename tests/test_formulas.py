@@ -1,16 +1,46 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from sccore import formulas as fm
 from sccore.config import Limits
 from sccore.errors import MissingTable, OutOfRange, ResourceLimit
-from sccore.series import sc_coeffs, sc_t_coeffs
+from sccore.series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
 
 @pytest.fixture(scope="module")
 def tables():
     return fm.RecursionTables(600)
+
+
+@functools.cache
+def _sequences(odd: bool, cap: int) -> tuple:
+    return tuple(fm._weighted_pair_sequences(cap) if odd else fm._compositions(cap))
+
+
+def _closed_term_by_term(t_full: int, n: int) -> int:
+    """Reference: the closed form with every term multiplied out again for each n."""
+    t = t_full // 2
+    sc = sc_coeffs(199).coeffs
+    phat = phat_coeffs(t, 199).coeffs
+    total = 0
+    if t_full % 2 == 0:
+        for seq in _sequences(False, n // (4 * t)):
+            m = n - 4 * t * sum(seq)
+            term = (-1) ** len(seq) * (sc[m] if m >= 0 else 0)
+            for i in seq:
+                term *= phat[i]
+            total += term
+    else:
+        for seq in _sequences(True, n // t_full):
+            term, m = (-1) ** len(seq), n
+            for i, j in seq:
+                term *= phat[i] * sc[j]
+                m -= (2 * i + j) * t_full
+            total += term * (sc[m] if m >= 0 else 0)
+    return total
 
 
 class TestRecursions:
@@ -72,6 +102,75 @@ class TestClosedForms:
                     else fm.sc_odd_closed(half, n, tables, limits)
                 )
                 assert closed == fm.sc_t_value(t_full, n, tables), (t_full, n)
+
+
+class TestClosedFormsByWeight:
+    """The closed forms are expanded once per core size and summed by weight."""
+
+    def test_equal_to_term_by_term_in_budget(self):
+        tables, limits = fm.RecursionTables(199), Limits()
+        for t_full in range(2, 16):
+            for n in range(200):
+                if n // fm._closed_step(t_full) <= limits.composition_budget:
+                    assert fm.sc_t_closed(t_full, n, tables, limits) == \
+                        _closed_term_by_term(t_full, n), (t_full, n)
+
+    def test_larger_budget_expands_again(self):
+        tables, small, large = fm.RecursionTables(199), Limits(), Limits(composition_budget=14)
+        for t_full in range(2, 16):
+            fm.sc_t_closed(t_full, 0, tables, small)
+            for n in range(200):
+                if n // fm._closed_step(t_full) <= large.composition_budget:
+                    assert fm.sc_t_closed(t_full, n, tables, large) == \
+                        fm.sc_t_value(t_full, n, tables), (t_full, n)
+        # term by term where only the larger budget admits the cell: every even
+        # cell, and the first odd cell at each new cap (an odd cap-14 cell has
+        # 264 080 terms, so the whole odd band would take about half a minute)
+        cells = [(t_full, n) for t_full in range(2, 16, 2) for n in range(200)
+                 if 12 < n // fm._closed_step(t_full) <= 14]
+        cells += [(15, 195), (13, 182)]
+        for t_full, n in cells:
+            assert fm.sc_t_closed(t_full, n, tables, large) == \
+                _closed_term_by_term(t_full, n), (t_full, n)
+
+    def test_out_of_table_and_small_core_sizes(self):
+        tables = fm.RecursionTables(40)
+        with pytest.raises(MissingTable):
+            fm.sc_even_closed(2, 41, tables)
+        with pytest.raises(MissingTable):
+            fm.sc_odd_closed(3, 41, tables)
+        for t in (0, -1):
+            with pytest.raises(OutOfRange):
+                fm.sc_even_closed(t, 10, tables)
+            with pytest.raises(OutOfRange):
+                fm.sc_odd_closed(t, 10, tables)
+        for t_full in (1, 0, -2, -3):
+            with pytest.raises(OutOfRange):
+                fm.sc_t_value(t_full, 10, tables)
+
+    def test_cross_validate_expands_once_per_core_size(self, monkeypatch):
+        entries = {"_compositions": 0, "_weighted_pair_sequences": 0}
+
+        def counted(name):
+            real, depth = getattr(fm, name), [0]
+
+            def outermost_entries(total_max):
+                # the generators recurse through the module name, so count
+                # only the entries that no other entry encloses
+                entries[name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    yield from real(total_max)
+                finally:
+                    depth[0] -= 1
+            return outermost_entries
+
+        for name in entries:
+            monkeypatch.setattr(fm, name, counted(name))
+        assert fm.cross_validate(12, 48).verdict == "holds"
+        # core sizes 2, 4, ..., 12 and 3, 5, ..., 11
+        assert 1 <= entries["_compositions"] <= 6
+        assert 1 <= entries["_weighted_pair_sequences"] <= 5
 
 
 class TestLargeT:
