@@ -138,6 +138,8 @@ def characterization_check(t: int, n_max: int) -> ScanReport:
             data[f"symmetric_difference_{name}"] = diff[:50]
         if not matches:
             witnesses.append((t, -1, "no-reading-matches", sorted(actual)[:20]))
+        elif len(matches) > 1:
+            witnesses.append((t, -1, "readings-tie", sorted(matches)))
     else:
         predicted = candidates["predicate"]
         for n in sorted(actual - predicted):

@@ -30,9 +30,6 @@ from .series import (
 MAGIC = b"SCCOREC1"
 VERSION = 1
 
-FAMILIES_WITH_T = ("sc_t", "c_t", "phat", "nsc_t")
-FAMILIES_NO_T = ("sc", "p")
-
 
 def compute_family(family: str, t: int | None, n: int) -> TruncatedSeries:
     """Dispatch to the series builders; the single source of coefficient truth."""

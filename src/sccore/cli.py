@@ -16,7 +16,7 @@ from pathlib import Path
 from . import abacus, analytics, cache, formulas, growth
 from .config import Limits
 from .errors import OutOfRange, ResourceLimit, SCCoreError
-from .partitions import enumerate_self_conjugate, is_t_core, partitions_of
+from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
 from .reports import FAILS, HOLDS, ScanReport
 from .series import sc_t_coeffs
 
@@ -86,11 +86,10 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
     if method == "oracle":
         if family in ("sc_t", "c_t") and t < 1:
             raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
-        if family in ("sc", "sc_t"):
-            items = enumerate_self_conjugate(n, limits)
-            if family == "sc_t":
-                items = [p for p in items if is_t_core(p, t)]
-            return len(items)
+        if family == "sc":
+            return len(enumerate_self_conjugate(n, limits))
+        if family == "sc_t":
+            return len(enumerate_self_conjugate_t_core(n, t, limits))
         if family in ("c", "c_t"):
             return sum(1 for _ in abacus.enumerate_t_cores(n, t))
         if family == "p":
@@ -156,13 +155,27 @@ def cmd_count(args) -> int:
             print(f"no applicable method at n={n}", file=sys.stderr)
             return EXIT_USAGE
         rows.append((args.t if needs_t else "", n, next(iter(values.values()))))
-    _emit_rows(rows, args.format, args.out)
+    if not _write_out(_format_rows(rows, args.format), args.out):
+        return EXIT_USAGE
     if args.method == "all":
         print(f"# methods agree: {', '.join(methods)}", file=sys.stderr)
     return EXIT_OK
 
 
-def _emit_rows(rows, fmt: str, out: str | None) -> None:
+def _write_out(text: str, path: str | None) -> bool:
+    """Write text to path, else to stdout; for an unwritable path print one line and return False."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _format_rows(rows, fmt: str) -> str:
     lines = []
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
@@ -174,11 +187,7 @@ def _emit_rows(rows, fmt: str, out: str | None) -> None:
         lines.append(json.dumps([[*row] for row in rows]))
     else:
         lines.extend(f"{row[1]} {row[2]}" if row[0] == "" else f"{row[0]} {row[1]} {row[2]}" for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +253,7 @@ def cmd_table(args) -> int:
     else:
         print(f"unknown format {fmt}", file=sys.stderr)
         return EXIT_USAGE
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK if _write_out("\n".join(lines) + "\n", args.out) else EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +288,22 @@ _SCAN_FAMILIES = {
     "unimodality": ("pi", "sigma_even", "sigma_odd"),
     "inequality": ("sc", "c"),
 }
+# the --preset values a scan takes; True is the bare flag
+_SCAN_PRESETS = {
+    "identity": (True,),
+    "inequality": (True, "all", "conjectured", "proved"),
+}
 
 
 def _scan_usage_error(args) -> str | None:
     """Why these arguments cannot run the scan, or None."""
     name = args.name
-    if not (args.preset and name in ("identity", "inequality")):
+    presets = _SCAN_PRESETS.get(name, ())
+    if presets and args.preset not in (None, *presets):
+        values = ", ".join(p for p in presets if p is not True)
+        hint = f"choose from {values}" if values else "it takes no value"
+        return f"unknown preset {args.preset!r} for scan {name}; {hint}"
+    if not (args.preset and presets):
         missing = [f"--{opt}" for opt in _SCAN_NEEDS.get(name, ()) if getattr(args, opt) is None]
         if missing:
             return f"scan {name} requires {', '.join(missing)}"
@@ -398,11 +408,8 @@ def cmd_scan(args) -> int:
     except SCCoreError as exc:
         print(f"scan error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = report.to_json()
-    if args.json:
-        Path(args.json).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not _write_out(report.to_json(), args.json):
+        return EXIT_USAGE
     summary = f"# {report.scan}: {report.verdict} ({len(report.witnesses)} witnesses, {report.elapsed_ms} ms)"
     print(summary, file=sys.stderr)
     return EXIT_OK if report.verdict == HOLDS else EXIT_VIOLATIONS
@@ -496,7 +503,7 @@ def build_parser() -> _Parser:
     s.add_argument("--b2", type=int)
     s.add_argument("--alpha", type=_parse_fraction, help="exact rational threshold, e.g. 19/10")
     s.add_argument("--non-strict", action="store_true")
-    s.add_argument("--preset", nargs="?", const="all")
+    s.add_argument("--preset", nargs="?", const=True)
     s.add_argument("--json", help="write the JSON report to this path")
     s.add_argument("--workers", type=int, help="accepted and ignored: the growth audit runs in-process")
     common(s)

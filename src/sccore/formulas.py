@@ -1,21 +1,22 @@
-"""Counting formulas for self-conjugate t-cores: the two recursions, the
+"""Counting formulas for self-conjugate t-cores: the recursions, the
 signed-composition closed forms, and the large-t shortcuts, all expressed in
 terms of sc(m) for m <= n.  The series rows are the production path; these
 formulas validate them (`cross_validate`, `count --method`).
 
-Recursions (one DP row per core size):
+Recursion (one DP row per core size T, `RecursionTables.row`):
 
-    sc_2t(n)   = sc(n) - sum_{1 <= i <= n/4t} sc_2t(n - 4it) phat_t(i)
-    sc_2t+1(n) = sc(n) - sum_{i,j >= 0, 1 <= 2i+j <= n/(2t+1)}
-                           sc_2t+1(n - (2i+j)(2t+1)) phat_t(i) sc(j)
+    sc_T(n) = sc(n) - sum_{1 <= w <= n/step} K[w] sc_T(n - w step)
+
+    T = 2t:    step = 4t,    K[w] = phat_t(w)
+    T = 2t+1:  step = 2t+1,  K[w] = sum_{i,j >= 0, 2i+j = w} phat_t(i) sc(j)
 
 Closed forms are literal signed sums over (pairs of) integer sequences and are
 budget-gated because their term count grows exponentially.  A term is
 (-1)^len sc(n - w step) times a product that does not depend on n, where w is
-the sequence's total weight and step is 4t for sc_2t, 2t+1 for sc_2t+1.  So
-each closed form is expanded once per core size: every sequence is still
-enumerated and multiplied out, and the products are summed by weight into
-c[w] (`RecursionTables.closed_weights`).  A value is then sum_w c[w] sc(n - w step).
+the sequence's total weight and step is the recursion's.  So each closed form
+is expanded once per core size: every sequence is still enumerated and
+multiplied out, and the products are summed by weight into c[w]
+(`RecursionTables.closed_weights`).  A value is then sum_w c[w] sc(n - w step).
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from .series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
 
 class RecursionTables:
-    """Shared lookup state: sc values, phat rows, and memoized DP rows."""
+    """Shared lookup state: the sc row, and memoized rows per core size."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         self._sc = sc_coeffs(n_max).coeffs
-        self._phat: dict[int, tuple[int, ...]] = {}
-        self._even_rows: dict[int, list[int]] = {}
-        self._odd_rows: dict[int, list[int]] = {}
+        self._rows: dict[int, list[int]] = {}
         self._closed: dict[int, list[int]] = {}
 
     def sc(self, n: int) -> int:
@@ -49,54 +48,26 @@ class RecursionTables:
             raise MissingTable(f"sc table covers n <= {self.n_max}, asked {n}")
         return self._sc[n]
 
-    def phat(self, t: int, i: int) -> int:
-        if i < 0:
-            return 0
-        row = self._phat.get(t)
-        if row is None or i >= len(row):
-            hi = max(i, self.n_max // (4 * t) if t else i, 1)
-            row = phat_coeffs(t, hi).coeffs
-            self._phat[t] = row
-        if i >= len(row):
-            raise MissingTable(f"phat_{t} row too short for i={i}")
-        return row[i]
+    def _phat(self, t_full: int) -> tuple[int, ...]:
+        """phat_t(0..n_max // step), t = t_full // 2."""
+        return phat_coeffs(t_full // 2, self.n_max // _step(t_full)).coeffs
 
-    # -- DP rows ----------------------------------------------------------
-
-    def even_row(self, t: int) -> list[int]:
-        """sc_{2t}(0..n_max)."""
-        row = self._even_rows.get(t)
+    def row(self, t_full: int) -> list[int]:
+        """sc_{t_full}(0..n_max) by the recursion with the kernel of its parity."""
+        _check_core_size(t_full)
+        row = self._rows.get(t_full)
         if row is None:
-            row = []
-            step = 4 * t
-            for n in range(self.n_max + 1):
-                acc = self._sc[n]
-                for i in range(1, n // step + 1):
-                    acc -= row[n - step * i] * self.phat(t, i)
-                row.append(acc)
-            self._even_rows[t] = row
-        return row
-
-    def odd_row(self, t: int) -> list[int]:
-        """sc_{2t+1}(0..n_max)."""
-        row = self._odd_rows.get(t)
-        if row is None:
-            size = 2 * t + 1
-            wmax = self.n_max // size
-            kernel = [0] * (wmax + 1)
-            for w in range(1, wmax + 1):
-                acc = 0
-                for i in range(w // 2 + 1):
-                    j = w - 2 * i
-                    acc += self.phat(t, i) * self._sc[j] if j <= self.n_max else 0
-                kernel[w] = acc
+            step, phat, sc = _step(t_full), self._phat(t_full), self._sc
+            kernel = phat if t_full % 2 == 0 else [
+                sum(phat[i] * sc[w - 2 * i] for i in range(w // 2 + 1)) for w in range(len(phat))
+            ]
             row = []
             for n in range(self.n_max + 1):
-                acc = self._sc[n]
-                for w in range(1, n // size + 1):
-                    acc -= row[n - size * w] * kernel[w]
+                acc = sc[n]
+                for w in range(1, n // step + 1):
+                    acc -= kernel[w] * row[n - step * w]
                 row.append(acc)
-            self._odd_rows[t] = row
+            self._rows[t_full] = row
         return row
 
     def closed_weights(self, t_full: int, budget: int) -> list[int]:
@@ -105,21 +76,20 @@ class RecursionTables:
         c[w] sums (-1)^len times the sc-free product over the closed form's
         sequences of total weight w.  Expanded again only for a larger cap.
         """
-        cap = min(budget, self.n_max // _closed_step(t_full))
+        _check_core_size(t_full)
+        cap = min(budget, self.n_max // _step(t_full))
         c = self._closed.get(t_full)
         if c is not None and len(c) > cap:
             return c
-        t = t_full // 2
+        phat = self._phat(t_full)
         c = [0] * (cap + 1)
         if t_full % 2 == 0:
-            phat = [self.phat(t, i) for i in range(cap + 1)]
             for seq in _compositions(cap):
                 term = (-1) ** len(seq)
                 for i in seq:
                     term *= phat[i]
                 c[sum(seq)] += term
         else:
-            phat = [self.phat(t, i) for i in range(cap // 2 + 1)]
             sc = self._sc
             for seq in _weighted_pair_sequences(cap):
                 term, weight = (-1) ** len(seq), 0
@@ -131,8 +101,8 @@ class RecursionTables:
         return c
 
 
-def _closed_step(t_full: int) -> int:
-    """The closed form's weight unit: 4t for core size 2t, 2t+1 for 2t+1."""
+def _step(t_full: int) -> int:
+    """The recursion's and closed form's weight unit: 4t for core size 2t, 2t+1 for 2t+1."""
     return 2 * t_full if t_full % 2 == 0 else t_full
 
 
@@ -141,44 +111,12 @@ def _check_core_size(t_full: int) -> None:
         raise OutOfRange(f"sc_t formulas defined for t >= 2, got {t_full}")
 
 
-def sc_even_recursive(t: int, n: int, tables: RecursionTables) -> int:
-    """sc_{2t}(n) by the even recursion."""
-    _check_core_size(2 * t)
-    if n > tables.n_max:
-        raise MissingTable(f"tables cover n <= {tables.n_max}")
-    return tables.even_row(t)[n]
-
-
-def sc_odd_recursive(t: int, n: int, tables: RecursionTables) -> int:
-    """sc_{2t+1}(n) by the odd recursion."""
-    _check_core_size(2 * t + 1)
-    if n > tables.n_max:
-        raise MissingTable(f"tables cover n <= {tables.n_max}")
-    return tables.odd_row(t)[n]
-
-
 def _compositions(total_max: int) -> Iterator[tuple[int, ...]]:
     """Every sequence of positive integers with sum <= total_max (incl. empty)."""
     yield ()
     for first in range(1, total_max + 1):
         for rest in _compositions(total_max - first):
             yield (first,) + rest
-
-
-def sc_even_closed(t: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
-    """sc_{2t}(n) as the literal signed sum over positive-integer sequences."""
-    _check_core_size(2 * t)
-    cap = n // (4 * t)
-    if cap > limits.composition_budget:
-        raise ResourceLimit(f"floor(n/4t)={cap} exceeds budget {limits.composition_budget}")
-    return _closed_sum(2 * t, n, cap, tables, limits)
-
-
-def _closed_sum(t_full: int, n: int, cap: int, tables: RecursionTables, limits: Limits) -> int:
-    """sum_{w <= cap} c[w] sc(n - w step); the w = 0 term raises MissingTable beyond n_max."""
-    c = tables.closed_weights(t_full, limits.composition_budget)
-    step = _closed_step(t_full)
-    return sum(tables.sc(n - step * w) * c[w] for w in range(cap + 1))
 
 
 def _weighted_pair_sequences(total_max: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -191,14 +129,28 @@ def _weighted_pair_sequences(total_max: int) -> Iterator[tuple[tuple[int, int], 
                 yield ((i, j),) + rest
 
 
-def sc_odd_closed(t: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
-    """sc_{2t+1}(n) as the literal signed sum over pairs of sequences."""
-    _check_core_size(2 * t + 1)
-    size = 2 * t + 1
-    cap = n // size
+def sc_t_value(t_full: int, n: int, tables: RecursionTables) -> int:
+    """sc_t(n) by the recursion row for core size t_full; 0 for n < 0, as sc(n) is."""
+    _check_core_size(t_full)
+    if n < 0:
+        return 0
+    if n > tables.n_max:
+        raise MissingTable(f"tables cover n <= {tables.n_max}")
+    return tables.row(t_full)[n]
+
+
+def sc_t_closed(t_full: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
+    """sc_t(n) as the literal closed form: sum_{w <= n // step} c[w] sc(n - w step)."""
+    _check_core_size(t_full)
+    step = _step(t_full)
+    cap = n // step
     if cap > limits.composition_budget:
-        raise ResourceLimit(f"floor(n/(2t+1))={cap} exceeds budget {limits.composition_budget}")
-    return _closed_sum(size, n, cap, tables, limits)
+        unit = "4t" if t_full % 2 == 0 else "(2t+1)"
+        raise ResourceLimit(f"floor(n/{unit})={cap} exceeds budget {limits.composition_budget}")
+    if n > tables.n_max:
+        raise MissingTable(f"sc table covers n <= {tables.n_max}, asked {n}")
+    c = tables.closed_weights(t_full, limits.composition_budget)
+    return sum(tables.sc(n - step * w) * c[w] for w in range(cap + 1))
 
 
 @dataclass(frozen=True)
@@ -253,20 +205,6 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
     return LargeValue(values.pop(), tuple(tag for tag, _ in candidates))
 
 
-def sc_t_value(t_full: int, n: int, tables: RecursionTables) -> int:
-    """sc_t(n) via the parity-appropriate recursion row."""
-    if t_full % 2 == 0:
-        return sc_even_recursive(t_full // 2, n, tables)
-    return sc_odd_recursive((t_full - 1) // 2, n, tables)
-
-
-def sc_t_closed(t_full: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
-    """sc_t(n) via the parity-appropriate closed form."""
-    if t_full % 2 == 0:
-        return sc_even_closed(t_full // 2, n, tables, limits)
-    return sc_odd_closed((t_full - 1) // 2, n, tables, limits)
-
-
 def cross_validate(
     t_max: int,
     n_max: int,
@@ -295,7 +233,7 @@ def cross_validate(
             if series_row[n] != reference:
                 witnesses.append((t, n, series_row[n], reference, "series-vs-recursion"))
                 continue
-            if n // _closed_step(t) <= limits.composition_budget:
+            if n // _step(t) <= limits.composition_budget:
                 closed = sc_t_closed(t, n, tables, limits)
                 if closed != reference:
                     witnesses.append((t, n, closed, reference, "closed-vs-recursion"))

@@ -32,6 +32,8 @@ class ScanReport:
         self.witnesses = sorted(self.witnesses, key=_witness_key)
         if self.verdict not in (HOLDS, FAILS):
             raise ValueError(f"bad verdict {self.verdict!r}")
+        if (self.verdict == HOLDS) != (not self.witnesses):
+            raise ValueError(f"verdict {self.verdict!r} disagrees with {len(self.witnesses)} witnesses")
         return self
 
     def to_json_obj(self) -> dict[str, Any]:

@@ -309,7 +309,7 @@ def test_c12_identities_and_inequalities():
     # brute-force oracle recounts sc_9 and the failures themselves; at n = 1
     # they follow from the prefix alone, since sc_9(m) = sc(m) for m < 9 and
     # sc(5) = sc(1) = 1, sc(8) = 2 < 2.6 sc(1).
-    rec_ok = fm.RecursionTables(8004).odd_row(4) == list(sc_t_coeffs(9, 8004).coeffs)
+    rec_ok = fm.RecursionTables(8004).row(9) == list(sc_t_coeffs(9, 8004).coeffs)
     oracle_sc9 = {m: sum(pt.is_t_core(p, 9) for p in pt.enumerate_self_conjugate(m))
                   for m in range(85)}
     by_oracle = {}
@@ -356,8 +356,7 @@ def test_c13_telescoping_and_unimodality():
     # as on the series.
     rec = fm.RecursionTables(400)
     rec_ok = all(
-        (rec.odd_row(t // 2) if t % 2 else rec.even_row(t // 2))
-        == list(sc_t_coeffs(t, 400).coeffs)
+        rec.row(t) == list(sc_t_coeffs(t, 400).coeffs)
         for t in range(8, 203)
     )
     se_ok = sorted(se.witnesses) == sorted(se_expected)

@@ -6,6 +6,7 @@ import pytest
 
 from sccore import analytics as an
 from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
+from sccore.reports import FAILS, HOLDS, ScanReport
 from sccore.series import sc_t_coeffs
 
 # anomalies named in the published remark on the odd window
@@ -48,9 +49,23 @@ class TestZeroSets:
         assert rep.verdict == "holds"
         assert rep.data["zero_set"] == [2, 12, 13, 73]
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_t5_tie_is_a_witness(self, n_max):
+        # no zero below 2, so both readings match and neither wins
+        rep = an.characterization_check(5, n_max)
+        assert rep.verdict == "fails"
+        assert rep.witnesses == [(5, -1, "readings-tie", ["printed", "shifted"])]
+
     def test_no_characterization_below_two(self):
         with pytest.raises(NoKnownCharacterization):
             an.characterization_sets(1, 100)
+
+
+class TestScanReport:
+    @pytest.mark.parametrize("verdict, witnesses", [(HOLDS, [(2, 0, 1, 0)]), (FAILS, [])])
+    def test_verdict_must_match_witnesses(self, verdict, witnesses):
+        with pytest.raises(ValueError):
+            ScanReport(scan="x", params={}, verdict=verdict, witnesses=witnesses).finish()
 
 
 class TestPairComparisons:

@@ -317,6 +317,34 @@ class TestBadInputs:
     def test_cross_validate_tmax_below_2(self, tmax, capsys):
         _assert_one_line_usage_error(["scan", "cross-validate", "--tmax", tmax, "--nmax", "5"], capsys)
 
+    @pytest.mark.parametrize("t, n, message", [
+        ("4", "104", "floor(n/4t)=13 exceeds budget 12"),
+        ("5", "65", "floor(n/(2t+1))=13 exceeds budget 12"),
+    ])
+    def test_closed_form_over_budget(self, t, n, message, capsys):
+        argv = ["count", "sc_t", "--t", t, "--n", n, "--method", "closed"]
+        assert _assert_one_line_usage_error(argv, capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "sc", "--n", "5", "--out"],
+        ["scan", "positivity", "--t", "6", "--nmax", "20", "--json"],
+        ["table", "sc", "--nmax", "4", "--out"],
+    ])
+    def test_unwritable_output_path(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out.txt")
+        assert _exit_code([*argv, path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"cannot write {path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "inequality", "--preset", "bogus", "--nmax", "20"],
+        ["scan", "identity", "--preset", "bogus", "--nmax", "20"],
+        ["scan", "identity", "--preset", "all", "--nmax", "20"],
+    ])
+    def test_unknown_preset(self, argv, capsys):
+        err = _assert_one_line_usage_error(argv, capsys)
+        assert err.startswith(f"unknown preset {argv[3]!r} for scan {argv[1]}")
+
 
 class TestCacheCommand:
     def test_build_verify_purge_cycle(self, tmp_path, capsys):

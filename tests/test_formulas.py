@@ -45,21 +45,26 @@ def _closed_term_by_term(t_full: int, n: int) -> int:
 
 class TestRecursions:
     def test_even_examples(self, tables):
-        assert fm.sc_even_recursive(2, 10, tables) == 2
-        assert fm.sc_even_recursive(2, 12, tables) == 1
-        # below 4t the sum is empty, so the value is sc(n)
+        assert fm.sc_t_value(4, 10, tables) == 2
+        assert fm.sc_t_value(4, 12, tables) == 1
+        # below 2 t_full the sum is empty, so the value is sc(n)
         sc = sc_coeffs(20)
-        for t, n in ((3, 11), (5, 19), (4, 7)):
-            assert fm.sc_even_recursive(t, n, tables) == sc[n]
+        for t_full, n in ((6, 11), (10, 19), (8, 7)):
+            assert fm.sc_t_value(t_full, n, tables) == sc[n]
 
     def test_odd_examples(self, tables):
-        assert fm.sc_odd_recursive(1, 8, tables) == 1
-        assert fm.sc_odd_recursive(4, 8, tables) == 2
-        assert fm.sc_odd_recursive(2, 4, tables) == sc_coeffs(4)[4]
+        assert fm.sc_t_value(3, 8, tables) == 1
+        assert fm.sc_t_value(9, 8, tables) == 2
+        assert fm.sc_t_value(5, 4, tables) == sc_coeffs(4)[4]
 
     def test_missing_table(self, tables):
         with pytest.raises(MissingTable):
-            fm.sc_even_recursive(2, 601, tables)
+            fm.sc_t_value(4, 601, tables)
+
+    def test_negative_n_is_zero(self, tables):
+        # a row index below 0 must not wrap round to the end of the row
+        for t_full in (4, 5, 6):
+            assert fm.sc_t_value(t_full, -1, tables) == fm.sc_t_closed(t_full, -1, tables) == 0
 
     def test_recursion_matches_series(self, tables):
         for t_full in range(2, 31):
@@ -70,37 +75,31 @@ class TestRecursions:
 
 class TestClosedForms:
     def test_even_examples(self, tables):
-        assert fm.sc_even_closed(2, 12, tables) == 1
-        assert fm.sc_even_closed(3, 20, tables) == 1
+        assert fm.sc_t_closed(4, 12, tables) == 1
+        assert fm.sc_t_closed(6, 20, tables) == 1
         sc = sc_coeffs(20)
-        assert fm.sc_even_closed(6, 20, tables) == sc[20]
+        assert fm.sc_t_closed(12, 20, tables) == sc[20]
 
     def test_odd_examples(self, tables):
-        assert fm.sc_odd_closed(1, 8, tables) == 1
-        assert fm.sc_odd_closed(5, 20, tables) == 5
+        assert fm.sc_t_closed(3, 8, tables) == 1
+        assert fm.sc_t_closed(11, 20, tables) == 5
         sc = sc_coeffs(10)
-        assert fm.sc_odd_closed(2, 4, tables) == sc[4]
+        assert fm.sc_t_closed(5, 4, tables) == sc[4]
 
     def test_budget(self, tables):
         with pytest.raises(ResourceLimit):
-            fm.sc_even_closed(1, 100, tables, Limits(composition_budget=12))
+            fm.sc_t_closed(2, 100, tables, Limits(composition_budget=12))
         # raising the budget makes it feasible again
-        assert fm.sc_even_closed(1, 56, tables, Limits(composition_budget=14)) == \
-            fm.sc_even_recursive(1, 56, tables)
+        assert fm.sc_t_closed(2, 56, tables, Limits(composition_budget=14)) == \
+            fm.sc_t_value(2, 56, tables)
 
     def test_closed_equals_recursion_in_budget(self, tables):
         limits = Limits()
         for t_full in range(2, 13):
-            half = t_full // 2 if t_full % 2 == 0 else (t_full - 1) // 2
             for n in range(90):
-                cap = n // (4 * half) if t_full % 2 == 0 else n // t_full
-                if cap > limits.composition_budget:
+                if n // fm._step(t_full) > limits.composition_budget:
                     continue
-                closed = (
-                    fm.sc_even_closed(half, n, tables, limits)
-                    if t_full % 2 == 0
-                    else fm.sc_odd_closed(half, n, tables, limits)
-                )
+                closed = fm.sc_t_closed(t_full, n, tables, limits)
                 assert closed == fm.sc_t_value(t_full, n, tables), (t_full, n)
 
 
@@ -111,7 +110,7 @@ class TestClosedFormsByWeight:
         tables, limits = fm.RecursionTables(199), Limits()
         for t_full in range(2, 16):
             for n in range(200):
-                if n // fm._closed_step(t_full) <= limits.composition_budget:
+                if n // fm._step(t_full) <= limits.composition_budget:
                     assert fm.sc_t_closed(t_full, n, tables, limits) == \
                         _closed_term_by_term(t_full, n), (t_full, n)
 
@@ -120,14 +119,14 @@ class TestClosedFormsByWeight:
         for t_full in range(2, 16):
             fm.sc_t_closed(t_full, 0, tables, small)
             for n in range(200):
-                if n // fm._closed_step(t_full) <= large.composition_budget:
+                if n // fm._step(t_full) <= large.composition_budget:
                     assert fm.sc_t_closed(t_full, n, tables, large) == \
                         fm.sc_t_value(t_full, n, tables), (t_full, n)
         # term by term where only the larger budget admits the cell: every even
         # cell, and the first odd cell at each new cap (an odd cap-14 cell has
         # 264 080 terms, so the whole odd band would take about half a minute)
         cells = [(t_full, n) for t_full in range(2, 16, 2) for n in range(200)
-                 if 12 < n // fm._closed_step(t_full) <= 14]
+                 if 12 < n // fm._step(t_full) <= 14]
         cells += [(15, 195), (13, 182)]
         for t_full, n in cells:
             assert fm.sc_t_closed(t_full, n, tables, large) == \
@@ -136,14 +135,12 @@ class TestClosedFormsByWeight:
     def test_out_of_table_and_small_core_sizes(self):
         tables = fm.RecursionTables(40)
         with pytest.raises(MissingTable):
-            fm.sc_even_closed(2, 41, tables)
+            fm.sc_t_closed(4, 41, tables)
         with pytest.raises(MissingTable):
-            fm.sc_odd_closed(3, 41, tables)
-        for t in (0, -1):
+            fm.sc_t_closed(7, 41, tables)
+        for t_full in (0, -2, 1, -1):
             with pytest.raises(OutOfRange):
-                fm.sc_even_closed(t, 10, tables)
-            with pytest.raises(OutOfRange):
-                fm.sc_odd_closed(t, 10, tables)
+                fm.sc_t_closed(t_full, 10, tables)
         for t_full in (1, 0, -2, -3):
             with pytest.raises(OutOfRange):
                 fm.sc_t_value(t_full, 10, tables)
