@@ -77,6 +77,17 @@ def _resolve_cache_dir(args) -> Path | None:
 # ---------------------------------------------------------------------------
 
 _COUNT_FAMILIES = ("sc", "c", "sc_t", "c_t", "phat", "p", "nsc_t")
+# the families (after "c" -> "c_t") that take --t; the others refuse it
+_T_FAMILIES = ("sc_t", "c_t", "phat", "nsc_t")
+
+
+def _t_usage_error(family: str, t) -> str | None:
+    """Why --t does not fit this family, or None."""
+    if family in _T_FAMILIES and t is None:
+        return "this family requires --t"
+    if family not in _T_FAMILIES and t is not None:
+        return f"family {family} takes no --t"
+    return None
 
 
 def _count_by_method(family: str, t: int | None, n: int, method: str,
@@ -112,9 +123,9 @@ def cmd_count(args) -> int:
         print(f"unknown family {family}", file=sys.stderr)
         return EXIT_USAGE
     family = {"c": "c_t"}.get(family, family)
-    needs_t = family in ("sc_t", "c_t", "phat", "nsc_t")
-    if needs_t and args.t is None:
-        print("this family requires --t", file=sys.stderr)
+    problem = _t_usage_error(family, args.t)
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     ns = args.n
     n_cap = ns[-1]
@@ -154,7 +165,7 @@ def cmd_count(args) -> int:
         if not values:
             print(f"no applicable method at n={n}", file=sys.stderr)
             return EXIT_USAGE
-        rows.append((args.t if needs_t else "", n, next(iter(values.values()))))
+        rows.append(("" if args.t is None else args.t, n, next(iter(values.values()))))
     if not _write_out(_format_rows(rows, args.format), args.out):
         return EXIT_USAGE
     if args.method == "all":
@@ -299,7 +310,9 @@ def _scan_usage_error(args) -> str | None:
     """Why these arguments cannot run the scan, or None."""
     name = args.name
     presets = _SCAN_PRESETS.get(name, ())
-    if presets and args.preset not in (None, *presets):
+    if args.preset is not None and not presets:
+        return f"scan {name} takes no --preset"
+    if args.preset not in (None, *presets):
         values = ", ".join(p for p in presets if p is not True)
         hint = f"choose from {values}" if values else "it takes no value"
         return f"unknown preset {args.preset!r} for scan {name}; {hint}"
@@ -309,8 +322,12 @@ def _scan_usage_error(args) -> str | None:
             return f"scan {name} requires {', '.join(missing)}"
     if name == "cross-validate" and args.tmax is not None and args.tmax < 2:
         return f"scan cross-validate needs --tmax >= 2, got {args.tmax}"
-    families = _SCAN_FAMILIES.get("pair" if name == "monotonicity" and args.pair is not None else name)
-    if families and args.family is not None and args.family not in families:
+    if args.pair is not None and args.pair < 1:
+        return f"scan {name} needs --pair >= 1, got {args.pair}"
+    families = _SCAN_FAMILIES.get("pair" if name == "monotonicity" and args.pair is not None else name, ())
+    if args.family is not None and not families:
+        return f"scan {name} takes no --family"
+    if args.family not in (None, *families):
         return f"unknown family {args.family!r} for scan {name}; choose from {', '.join(families)}"
     return None
 
@@ -426,8 +443,12 @@ def cmd_cache(args) -> int:
         print(f"removed {removed} cache files")
         return EXIT_OK
     if args.action == "build":
-        ts = list(args.t) if args.t else [None]
         family = {"c": "c_t"}.get(args.family, args.family)
+        problem = _t_usage_error(family, args.t)
+        if problem:
+            print(problem, file=sys.stderr)
+            return EXIT_USAGE
+        ts = list(args.t) if args.t else [None]
         for t in ts:
             coeffs = cache.compute_family(family, t, args.nmax).coeffs
             path = cache.write_cache(cache_dir, family, t, args.nmax, coeffs)

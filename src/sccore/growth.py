@@ -39,9 +39,13 @@ class ClassifiedSC:
 
 
 def _is_square_hooks(delta: HookSeq) -> bool:
-    """The square partition (k, ..., k) has hooks (2k-1, 2k-3, ..., 1)."""
-    d = len(delta)
-    return d > 0 and all(delta[i] == 2 * (d - i) - 1 for i in range(d))
+    """The square partition (k, ..., k) has hooks (2k-1, 2k-3, ..., 1).
+
+    Precondition: delta is strictly decreasing positive odds, as every caller
+    passes (an enumerated sequence, or an image of `map_g_hooks`).  Then the
+    first of d hooks is at least 2d - 1, with equality only for the square.
+    """
+    return len(delta) > 0 and delta[0] == 2 * len(delta) - 1
 
 
 def classify_hooks(delta: HookSeq, n: int) -> str:

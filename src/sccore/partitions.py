@@ -7,6 +7,7 @@ tuple is the partition of 0.  Row/column indices in the public functions are
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -142,24 +143,53 @@ def character_degree(p: Partition) -> int:
     return deg
 
 
+# remainders up to this size are read off `_tail_table` instead of walked
+_TAIL_BOUND = 50
+
+
+@cache
+def _tail_table() -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:
+    """For each m <= _TAIL_BOUND, every sequence of distinct odd parts summing to
+    m, in the order `descending_odd_sequences(m)` yields them, and the negated
+    first part of each, ascending, for `bisect`."""
+    tails: list[tuple[tuple[int, ...], ...]] = [((),)]
+    for m in range(1, _TAIL_BOUND + 1):
+        first = m if m % 2 else m - 1
+        tails.append(tuple(
+            (f,) + t for f in range(first, 0, -2) for t in tails[m - f] if not t or t[0] < f
+        ))
+    return tuple(tails), tuple(tuple(-t[0] for t in row if t) for row in tails)
+
+
 def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing sequences of distinct odd positive integers summing to n."""
-    if max_first is None:
-        max_first = n
-    if n == 0:
-        yield ()
+    """Strictly decreasing sequences of distinct odd positive integers summing
+    to n, with first part at most max_first (default n).
+
+    Sequences come in descending lexicographic order.  The walk is an explicit
+    depth-first stack over first parts, pruned by the bound that distinct odd
+    parts below first = 2k + 1 sum to at most k^2.  Once the remainder is at
+    most `_TAIL_BOUND`, the tails are read off `_tail_table`, starting at the
+    first one whose first part fits under the last part placed.
+    """
+    if n < 0:
         return
-    first = min(max_first, n)
-    if first % 2 == 0:
-        first -= 1
-    # distinct odd parts below first = 2k + 1 sum to at most k^2
-    while first >= 1 and n - first <= ((first - 1) // 2) ** 2:
-        if first == n:
-            yield (first,)
-        else:
-            for rest in descending_odd_sequences(n - first, first - 2):
-                yield (first,) + rest
-        first -= 2
+    tails, keys = _tail_table()
+    stack = [((), n, n if max_first is None else max_first)]  # (head, remainder, largest part allowed)
+    while stack:
+        head, rest, cap = stack.pop()
+        if rest <= _TAIL_BOUND:
+            row = tails[rest]
+            for k in range(bisect_left(keys[rest], -cap) if rest else 0, len(row)):
+                yield head + row[k]
+            continue
+        top = min(cap, rest)
+        if top % 2 == 0:
+            top -= 1
+        low = top
+        while low >= 1 and rest - low <= ((low - 1) // 2) ** 2:
+            low -= 2
+        # pushed smallest first, so the largest first part is walked first
+        stack.extend((head + (f,), rest - f, f - 2) for f in range(low + 2, top + 1, 2))
 
 
 def enumerate_self_conjugate(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Partition]:

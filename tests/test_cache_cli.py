@@ -346,6 +346,44 @@ class TestBadInputs:
         assert err.startswith(f"unknown preset {argv[3]!r} for scan {argv[1]}")
 
 
+    @pytest.mark.parametrize("family", ["sc_t", "c", "c_t", "phat", "nsc_t"])
+    def test_cache_build_without_t(self, family, tmp_path, capsys):
+        argv = ["cache", "build", "--family", family, "--nmax", "10", "--cache-dir", str(tmp_path)]
+        assert _assert_one_line_usage_error(argv, capsys) == "this family requires --t\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "sc", "--t", "3", "--n", "5"],
+        ["count", "p", "--t", "3", "--n", "5"],
+        ["cache", "build", "--family", "sc", "--t", "3", "--nmax", "10"],
+        ["cache", "build", "--family", "p", "--t", "2..4", "--nmax", "10"],
+    ])
+    def test_t_refused_where_unused(self, argv, tmp_path, capsys):
+        err = _assert_one_line_usage_error([*argv, "--cache-dir", str(tmp_path)], capsys)
+        family = argv[1] if argv[0] == "count" else argv[3]
+        assert err == f"family {family} takes no --t\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, option", [
+        (["scan", "positivity", "--t", "6", "--nmax", "20", "--preset", "bogus", "--family", "nope"], "--preset"),
+        (["scan", "positivity", "--t", "6", "--nmax", "20", "--family", "nope"], "--family"),
+        (["scan", "growth", "--range", "19..20", "--preset"], "--preset"),
+        (["scan", "identity", "--preset", "--family", "sc", "--nmax", "20"], "--family"),
+    ])
+    def test_scan_option_it_does_not_read(self, argv, option, capsys):
+        assert _assert_one_line_usage_error(argv, capsys) == f"scan {argv[1]} takes no {option}\n"
+
+    def test_growth_still_accepts_workers(self, capsys):
+        assert main(["scan", "growth", "--range", "19..20", "--workers", "2"]) == 0
+
+    @pytest.mark.parametrize("family", [None, "sc", "c", "nsc"])
+    @pytest.mark.parametrize("pair", ["0", "-2"])
+    def test_pair_below_1(self, family, pair, capsys):
+        argv = ["scan", "monotonicity", "--pair", pair, "--nmax", "10", *(["--family", family] if family else [])]
+        err = _assert_one_line_usage_error(argv, capsys)
+        assert err == f"scan monotonicity needs --pair >= 1, got {pair}\n"
+
+
 class TestCacheCommand:
     def test_build_verify_purge_cycle(self, tmp_path, capsys):
         base = ["--cache-dir", str(tmp_path)]

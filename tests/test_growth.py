@@ -35,6 +35,26 @@ class TestClassify:
             assert counts["C"] == (1 if n != 1 and isqrt(n) ** 2 == n else 0)
 
 
+class TestSquareTest:
+    """The O(1) square test equals the term-by-term comparison with
+    (2d-1, ..., 3, 1) on strictly decreasing odd sequences."""
+
+    @staticmethod
+    def by_terms(delta):
+        d = len(delta)
+        return d > 0 and all(delta[i] == 2 * (d - i) - 1 for i in range(d))
+
+    def test_every_sequence_up_to_100(self):
+        for n in range(101):
+            for delta in pt.descending_odd_sequences(n):
+                assert gr._is_square_hooks(delta) == self.by_terms(delta), delta
+
+    def test_squares(self):
+        for d in range(13):
+            square = tuple(range(2 * d - 1, 0, -2))
+            assert gr._is_square_hooks(square) == self.by_terms(square) == (d > 0)
+
+
 class TestMapF:
     def test_examples(self):
         assert gr.map_f((3, 2, 1)) == (4, 2, 1, 1)

@@ -173,6 +173,47 @@ class TestEnumeration:
                     assert pt.is_t_core(p, t)
 
 
+def _reference_sequences(n, max_first=None):
+    """The plain recursive walk: first part from the largest allowed down,
+    pruned by the k^2 bound on distinct odd parts below 2k + 1."""
+    if max_first is None:
+        max_first = n
+    if n == 0:
+        yield ()
+        return
+    first = min(max_first, n)
+    if first % 2 == 0:
+        first -= 1
+    while first >= 1 and n - first <= ((first - 1) // 2) ** 2:
+        if first == n:
+            yield (first,)
+        else:
+            for rest in _reference_sequences(n - first, first - 2):
+                yield (first,) + rest
+        first -= 2
+
+
+class TestDescendingOddSequences:
+    """The iterative walk with its tail table yields what the recursion
+    yields, in the same order, on both sides of the table bound."""
+
+    def test_matches_recursion_small(self):
+        for n in range(81):
+            for m in (None, *range(n + 3)):
+                assert list(pt.descending_odd_sequences(n, m)) == list(_reference_sequences(n, m)), (n, m)
+
+    @pytest.mark.parametrize("n", [100, 118, 130])
+    def test_matches_recursion_across_the_table_bound(self, n):
+        for m in (None, n, 51, 50, 49, 1):
+            assert list(pt.descending_odd_sequences(n, m)) == list(_reference_sequences(n, m)), (n, m)
+
+    def test_empty_and_negative(self):
+        assert list(pt.descending_odd_sequences(0)) == [()]
+        assert list(pt.descending_odd_sequences(0, -3)) == [()]
+        assert list(pt.descending_odd_sequences(-4)) == []
+        assert list(pt.descending_odd_sequences(60, 0)) == []
+
+
 def _syt_count(p):
     """Independent oracle for the character degree: count standard Young
     tableaux by peeling corners down Young's lattice."""
