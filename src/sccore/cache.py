@@ -17,22 +17,18 @@ import tempfile
 from pathlib import Path
 
 from .errors import CacheCorrupt
-from .series import (
-    TruncatedSeries,
-    c_t_coeffs,
-    nsc_t_coeffs,
-    p_coeffs,
-    phat_coeffs,
-    sc_coeffs,
-    sc_t_coeffs,
-)
 
 MAGIC = b"SCCOREC1"
 VERSION = 1
 
 
 def compute_family(family: str, t: int | None, n: int) -> TruncatedSeries:
-    """Dispatch to the series builders; the single source of coefficient truth."""
+    """Dispatch to the series builders; the single source of coefficient truth.
+
+    The builders are imported here, so a cache hit never loads the series.
+    """
+    from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, phat_coeffs, sc_coeffs, sc_t_coeffs
+
     if family == "sc":
         return sc_coeffs(n)
     if family == "p":

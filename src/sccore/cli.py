@@ -3,6 +3,10 @@ conjecture scans, and the on-disk coefficient cache.
 
 Exit codes: 0 success / scan holds; 1 usage error; 2 internal method
 disagreement; 3 scan found violations (data, not a crash).
+
+Each command imports the layers it runs inside its handler, so a `count`
+served from the cache, a `table` or a `cache purge` loads no scan,
+formula or enumeration code.
 """
 
 from __future__ import annotations
@@ -10,15 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import abacus, analytics, cache, formulas, growth
-from .config import Limits
 from .errors import OutOfRange, ResourceLimit, SCCoreError
-from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
-from .reports import FAILS, HOLDS, ScanReport
-from .series import sc_t_coeffs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +57,8 @@ def _parse_count(text: str) -> int:
 
 def _parse_fraction(text: str) -> Fraction:
     """An exact rational such as 2 or 19/10, else a usage error."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -93,6 +93,10 @@ def _t_usage_error(family: str, t) -> str | None:
 def _count_by_method(family: str, t: int | None, n: int, method: str,
                      tables: formulas.RecursionTables | None, args) -> int:
     """One value by a method other than the series; tables serve the sc_t formulas."""
+    from . import abacus, formulas
+    from .config import Limits
+    from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
+
     limits = Limits(oracle_cap=args.oracle_cap)
     if method == "oracle":
         if family in ("sc_t", "c_t") and t < 1:
@@ -139,6 +143,8 @@ def cmd_count(args) -> int:
         methods = [args.method]
     series = None
     if "series" in methods:
+        from . import cache
+
         series, source = cache.load_or_compute(_resolve_cache_dir(args), family, args.t, n_cap)
         if source == "recomputed":
             print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
@@ -146,7 +152,9 @@ def cmd_count(args) -> int:
     if {"recursive", "closed", "large"} & set(methods):
         if family != "sc_t":
             raise SCCoreError(f"method {args.method} applies to sc_t only")
-        tables = formulas.RecursionTables(n_cap)
+        from .formulas import RecursionTables
+
+        tables = RecursionTables(n_cap)
     rows = []
     for n in ns:
         values: dict[str, int] = {}
@@ -210,6 +218,8 @@ def _table_cells(kind: str, n_max: int, t_max: int) -> list[tuple[str, int, int]
 
     Printed convention: row t starts at n = t - 2, difference row a-b at n = b - 2.
     """
+    from .series import sc_t_coeffs
+
     cells: list[tuple[str, int, int]] = []
     if kind == "sc":
         for t in range(2, t_max + 1):
@@ -271,69 +281,74 @@ def cmd_table(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-_SCANS = (
-    "positivity",
-    "characterization",
-    "monotonicity",
-    "unimodality",
-    "identity",
-    "inequality",
-    "growth",
-    "distribution",
-    "simultaneous",
-    "cross-validate",
-)
-
-# options a scan cannot run without (identity and inequality: unless --preset)
-_SCAN_NEEDS = {
-    "positivity": ("t",),
-    "characterization": ("t",),
-    "identity": ("t", "a", "b", "a2", "b2"),
-    "inequality": ("t", "a", "b", "alpha"),
-    "simultaneous": ("s", "t"),
+_REQUIRED = "required"
+# The options each scan reads, besides --json, --cache-dir and --oracle-cap:
+# option -> None (any value), _REQUIRED, or the values it takes (True is the
+# bare --preset flag).  Under --preset, identity and inequality need nothing
+# else.  "pair" is monotonicity with --pair.  A scan refuses an option it
+# does not read; an option left at its default counts as not given.
+_SCAN_OPTIONS = {
+    "positivity": {"t": _REQUIRED, "nmax": None},
+    "characterization": {"t": _REQUIRED, "nmax": None},
+    "monotonicity": {"family": ("sc-even", "sc-odd", "c", "nsc-odd"), "window": None, "nmax": None},
+    "unimodality": {"family": ("pi", "sigma_even", "sigma_odd"), "nlo": None, "nmax": None, "ncap": None},
+    "identity": {"preset": (True,), "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED,
+                 "a2": _REQUIRED, "b2": _REQUIRED, "nmax": None},
+    "inequality": {"preset": (True, "all", "conjectured", "proved"), "family": ("sc", "c"),
+                   "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED, "alpha": _REQUIRED,
+                   "nlo": None, "non_strict": None, "nmax": None},
+    "growth": {"range": None, "nmax": None, "workers": None},
+    "distribution": {"range": None, "nmax": None},
+    "simultaneous": {"s": _REQUIRED, "t": _REQUIRED},
+    "cross-validate": {"tmax": None, "nmax": None},
+    "pair": {"pair": None, "family": ("sc", "c", "nsc"), "nmax": None},
 }
-# the --family values a scan takes; "pair" is monotonicity with --pair
-_SCAN_FAMILIES = {
-    "monotonicity": ("sc-even", "sc-odd", "c", "nsc-odd"),
-    "pair": ("sc", "c", "nsc"),
-    "unimodality": ("pi", "sigma_even", "sigma_odd"),
-    "inequality": ("sc", "c"),
-}
-# the --preset values a scan takes; True is the bare flag
-_SCAN_PRESETS = {
-    "identity": (True,),
-    "inequality": (True, "all", "conjectured", "proved"),
+_SCANS = tuple(name for name in _SCAN_OPTIONS if name != "pair")
+# every option a scan may read, in the order they are checked, with its default
+_SCAN_DEFAULTS = {
+    "preset": None, "family": None, "t": None, "s": None, "pair": None, "window": "conjecture",
+    "nmax": 400, "nlo": 0, "ncap": None, "tmax": None, "range": None, "a": None, "b": None,
+    "a2": None, "b2": None, "alpha": None, "non_strict": False, "workers": None,
 }
 
 
 def _scan_usage_error(args) -> str | None:
     """Why these arguments cannot run the scan, or None."""
     name = args.name
-    presets = _SCAN_PRESETS.get(name, ())
-    if args.preset is not None and not presets:
-        return f"scan {name} takes no --preset"
-    if args.preset not in (None, *presets):
-        values = ", ".join(p for p in presets if p is not True)
+    reads = _SCAN_OPTIONS["pair" if name == "monotonicity" and args.pair is not None else name]
+    for opt, default in _SCAN_DEFAULTS.items():
+        if opt not in reads and getattr(args, opt) != default:
+            return f"scan {name} takes no --{opt.replace('_', '-')}"
+    if args.preset not in (None, *reads.get("preset", ())):
+        values = ", ".join(p for p in reads["preset"] if p is not True)
         hint = f"choose from {values}" if values else "it takes no value"
         return f"unknown preset {args.preset!r} for scan {name}; {hint}"
-    if not (args.preset and presets):
-        missing = [f"--{opt}" for opt in _SCAN_NEEDS.get(name, ()) if getattr(args, opt) is None]
+    if not args.preset:
+        missing = [f"--{opt}" for opt, spec in reads.items() if spec is _REQUIRED and getattr(args, opt) is None]
         if missing:
             return f"scan {name} requires {', '.join(missing)}"
     if name == "cross-validate" and args.tmax is not None and args.tmax < 2:
         return f"scan cross-validate needs --tmax >= 2, got {args.tmax}"
     if args.pair is not None and args.pair < 1:
         return f"scan {name} needs --pair >= 1, got {args.pair}"
-    families = _SCAN_FAMILIES.get("pair" if name == "monotonicity" and args.pair is not None else name, ())
-    if args.family is not None and not families:
-        return f"scan {name} takes no --family"
-    if args.family not in (None, *families):
-        return f"unknown family {args.family!r} for scan {name}; choose from {', '.join(families)}"
+    if args.family not in (None, *reads.get("family", ())):
+        return f"unknown family {args.family!r} for scan {name}; choose from {', '.join(reads['family'])}"
     return None
 
 
 def _run_scan(args) -> ScanReport:
     name = args.name
+    if name == "growth":
+        from .growth import verify_growth
+
+        lo, hi = (args.range.start, args.range.stop - 1) if args.range else (19, args.nmax)
+        return verify_growth(lo, hi)
+    if name == "cross-validate":
+        from .formulas import cross_validate
+
+        return cross_validate(12 if args.tmax is None else args.tmax, args.nmax)
+    from . import analytics
+
     if name == "positivity":
         return analytics.positivity_scan(args.t, args.nmax)
     if name == "characterization":
@@ -365,10 +380,9 @@ def _run_scan(args) -> ScanReport:
             args.alpha, args.nlo, strict=not args.non_strict,
         )
         return analytics.inequality_check(spec, args.nmax)
-    if name == "growth":
-        lo, hi = (args.range.start, args.range.stop - 1) if args.range else (19, args.nmax)
-        return growth.verify_growth(lo, hi)
     if name == "distribution":
+        from .reports import FAILS, HOLDS, ScanReport
+
         ns = args.range if args.range else range(args.nmax, args.nmax + 1)
         witnesses = []
         rows_out = {}
@@ -393,12 +407,12 @@ def _run_scan(args) -> ScanReport:
         return rep.finish()
     if name == "simultaneous":
         return analytics.simultaneous_scan(args.s, args.t)
-    if name == "cross-validate":
-        return formulas.cross_validate(12 if args.tmax is None else args.tmax, args.nmax)
     raise SCCoreError(f"unknown scan {name}")
 
 
 def _merge_reports(name: str, reports: list[ScanReport]) -> ScanReport:
+    from .reports import FAILS, HOLDS, ScanReport
+
     witnesses = [w for r in reports for w in r.witnesses]
     data = {f"{i}:{r.params}": r.verdict for i, r in enumerate(reports)}
     merged = ScanReport(
@@ -429,6 +443,8 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     summary = f"# {report.scan}: {report.verdict} ({len(report.witnesses)} witnesses, {report.elapsed_ms} ms)"
     print(summary, file=sys.stderr)
+    from .reports import HOLDS
+
     return EXIT_OK if report.verdict == HOLDS else EXIT_VIOLATIONS
 
 
@@ -437,6 +453,8 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cache(args) -> int:
+    from . import cache
+
     cache_dir = _resolve_cache_dir(args) or cache.default_cache_dir()
     if args.action == "purge":
         removed = cache.purge(cache_dir)
@@ -512,9 +530,9 @@ def build_parser() -> _Parser:
     s.add_argument("--s", type=int)
     s.add_argument("--family")
     s.add_argument("--pair", type=int, help="monotonicity: compare sc_{pair+2} vs sc_pair")
-    s.add_argument("--window", default="conjecture", choices=("conjecture", "theorem"))
-    s.add_argument("--nmax", type=_parse_count, default=400)
-    s.add_argument("--nlo", type=int, default=0)
+    s.add_argument("--window", default=_SCAN_DEFAULTS["window"], choices=("conjecture", "theorem"))
+    s.add_argument("--nmax", type=_parse_count, default=_SCAN_DEFAULTS["nmax"])
+    s.add_argument("--nlo", type=int, default=_SCAN_DEFAULTS["nlo"])
     s.add_argument("--ncap", type=int)
     s.add_argument("--tmax", type=int)
     s.add_argument("--range", type=_parse_range, help="a..b")
@@ -526,7 +544,7 @@ def build_parser() -> _Parser:
     s.add_argument("--non-strict", action="store_true")
     s.add_argument("--preset", nargs="?", const=True)
     s.add_argument("--json", help="write the JSON report to this path")
-    s.add_argument("--workers", type=int, help="accepted and ignored: the growth audit runs in-process")
+    s.add_argument("--workers", type=int, help="growth: accepted and ignored, the audit runs in-process")
     common(s)
     s.set_defaults(func=cmd_scan)
 

@@ -15,6 +15,7 @@ from time import monotonic
 
 from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
+    DiagonalHooks,
     Partition,
     descending_odd_sequences,
     diagonal_hooks,
@@ -147,8 +148,14 @@ def map_h_hooks(delta: HookSeq, n: int) -> HookSeq:
 
     In hook space: shrink hook k by 2, where k is the length of the initial
     run of gap-2 hooks (the corner boxes removed are the two ends of that
-    hook).
+    hook).  Raises InvalidHooks unless delta is strictly decreasing positive
+    odds, and NotInB unless it is in the B class of n.
     """
+    return _map_h_hooks(DiagonalHooks(tuple(delta)).hooks, n)
+
+
+def _map_h_hooks(delta: HookSeq, n: int) -> HookSeq:
+    """`map_h_hooks` on a delta already known to be diagonal hooks."""
     if not _in_b_hooks(delta, n):
         raise NotInB(f"{delta!r} is not in the B class for n={n}")
     k = 1
@@ -164,7 +171,7 @@ def map_h(b: Partition) -> Partition:
     n = size(b)
     if not is_self_conjugate(b):
         raise NotInB(f"{b!r} is not self-conjugate")
-    return from_diagonal_hooks(map_h_hooks(diagonal_hooks(b).hooks, n))
+    return from_diagonal_hooks(_map_h_hooks(diagonal_hooks(b).hooks, n))
 
 
 def beta_star_hooks(n: int) -> HookSeq:
@@ -223,7 +230,7 @@ def _growth_check_one(
             missing = sorted(b_set - set(fibers))[:3]
             violations.append(("g-not-onto-B", n, len(fibers), len(b_set), missing))
         for beta in sorted(b_set):
-            back = map_h_hooks(beta, n)
+            back = _map_h_hooks(beta, n)
             image, _ = map_g_hooks(back, n)
             if image != beta:
                 violations.append(("g-h-not-identity", n, beta, image))

@@ -1,8 +1,9 @@
 """Truncated integer power series and the counting generating functions.
 
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
-Every family is the series 1 or a base row times eta powers E(q^a)^k,
-where E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms).  One power is
+Every family is the series 1 or a row times eta powers E(q^a)^k, where
+E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), or psi(q) times such
+a row in q^4 (below).  One power is
 applied to a row in one of two ways, which give the same integers:
 
 - k pentagonal passes: a multiplication is a handful of shifted slice
@@ -15,13 +16,16 @@ constant than the k passes have pentagonal terms in all.  That holds for the
 large t the scans sweep; the choice depends on (a, k, N) only.  When a > N
 the factor is 1 on the truncation and the row comes back unchanged.
 
-The two base rows are
+The base rows are p and sc.  Gauss's psi(q) = sum_{k >= 0} q^(k(k+1)/2)
+= E(q^2)^2 / E(q) turns every row that carries the factor
+prod (1 + q^(2m-1)) = psi(q) / E(q^4) into psi(q) times a row in q^4:
 
-    p(n)   = [q^n] 1/E(q)
-    sc(n)  = [q^n] prod (1 + q^(2m-1)) = [q^n] p(q) * sum_j (-1)^j q^(2j^2)
+    sc(q)      = psi(q) p(q^4)
+    sc_2m(q)   = psi(q) c_m(q^4),  so  sc_2m(n) = sum of c_m(k) over the
+                 k >= 0 with n - 4k triangular
 
-(Gauss: E(q^2)^2 / E(q^4) = sum over all integers j of (-1)^j q^(2j^2)).
-Families:
+and psi times a row r[0..N // 4] is one slice addition per triangular number
+T <= N, r added into the stride-4 slice of the row from T.  Families:
 
     p(n)       = [q^n] 1/E(q)                        unrestricted partitions
     phat_t(n)  = [q^n] 1/E(q)^t                      t-tuples of partitions
@@ -29,26 +33,57 @@ Families:
     c_t(n)     = [q^n] p(q) E(q^t)^t                 t-cores
     sc_t(n)    = [q^n] sc(q) times an eta product in q^t, by parity of t
 
+The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  An even
+sc_t row is psi(q) c_(t/2)(q^4), on the stored c_(t/2) row at N // 4, when
+that route costs fewer element operations than the eta power over the sc row
+at N; the costs are counted from (t, N) alone (`_eta_cost`, `_psi_cost`).
+That holds for the small t at large N, and the eta power wins for the large t
+at small N, where E(q^2t)^(t/2) has only a few terms.  Odd t takes the eta
+product over the sc row.
+
 Every family row is served from one store keyed by (family, t).  A row is
 built once, at the largest N asked for so far, and smaller N are served its
 prefix; the series last served for a key is kept, so the same request twice
-returns the same object.  The c_t and sc_t rows are built on the stored p and
-sc rows.  `clear_series_caches()` empties the store.
+returns the same object.  The rows that others are built on (p and c_m at
+N // 4, sc at N) are stored rows too.  `clear_series_caches()` empties the
+store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
-
 from .errors import UnsupportedT
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Integer coefficients c[0..order]; arithmetic never sees beyond order."""
+    """Integer coefficients c[0..order]; arithmetic never sees beyond order.
 
-    coeffs: tuple[int, ...]
+    Immutable; equal, hashed and printed by its coefficient tuple.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -183,21 +218,67 @@ def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
     return _eta_factors(_unit(n), factors, n)
 
 
+def _eta_cost(a: int, k: int, n: int) -> int:
+    """Element operations of c * E(q^a)^k truncated at n, from (a, k, n) alone:
+    the k pentagonal passes, or one fused pass counted as if every term of
+    E(x)^k were nonzero, whichever is fewer (see `_fused_shifts`)."""
+    if k == 0 or a > n:
+        return 0
+    passes = abs(k) * sum(n + 1 - g for g, _ in pentagonal_terms(a, n))
+    if a == 1 or abs(k) < 2:
+        return passes
+    m = n // a
+    return min(passes, m * (n + 1) - a * m * (m + 1) // 2)
+
+
+def _triangular(n: int) -> list[int]:
+    """The triangular numbers k(k+1)/2 <= n: the exponents of psi(q)."""
+    out, k = [], 0
+    while k * (k + 1) // 2 <= n:
+        out.append(k * (k + 1) // 2)
+        k += 1
+    return out
+
+
+def _psi_times(r: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """Return psi(q) * r(q^4) truncated at n, from r[0..n // 4].
+
+    Each triangular number T adds r into the stride-4 slice of the row from T.
+    """
+    out = [0] * (n + 1)
+    for tri in _triangular(n):
+        out[tri::4] = [x + y for x, y in zip(out[tri::4], r)]
+    return out
+
+
+def _psi_cost(n: int) -> int:
+    """Element operations of `_psi_times` at n."""
+    return sum((n - tri) // 4 + 1 for tri in _triangular(n))
+
+
+def _even_by_psi(t: int, n: int) -> bool:
+    """Whether the even sc_t row to n is psi(q) c_(t/2)(q^4): true when that
+    takes fewer element operations than E(q^2t)^(t/2) over the sc row."""
+    m = t // 2
+    return _eta_cost(m, m, n // 4) + _psi_cost(n) < _eta_cost(2 * t, m, n)
+
+
 def _build(family: str, t: int, n: int) -> list[int]:
-    """The (family, t) row to n: c_t and sc on the stored p row, sc_t on sc."""
+    """The (family, t) row to n: c_t on the stored p row, sc and sc_t by the
+    routes of the module docstring."""
     if family == "p":
         return _divide_eta(_unit(n), 1, n)
     if family == "phat":
         return eta_product(n, [(1, -t)])
     if family == "c_t":
         return _eta_power(_served("p", 0, n).coeffs, t, t, n)
-    if family == "sc":  # p * sum_j (-1)^j q^(2j^2), one pass over the sqrt(n/2) theta terms
-        return _shift_add(_served("p", 0, n).coeffs, [(2 * j * j, 2 if j % 2 == 0 else -2)
-                                                      for j in range(1, isqrt(n // 2) + 1)])
-    c = _served("sc", 0, n).coeffs
-    if t % 2 == 0:
-        return _eta_power(c, 2 * t, t // 2, n)
-    return _eta_factors(c, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
+    if family == "sc":
+        return _psi_times(_served("p", 0, n // 4).coeffs, n)
+    if t % 2:
+        return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
+    if _even_by_psi(t, n):
+        return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
+    return _eta_power(_served("sc", 0, n).coeffs, 2 * t, t // 2, n)
 
 
 # (family, t) -> (the row at the largest n built so far, the series last served)
@@ -250,16 +331,19 @@ def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
 
 
 def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
-    """Self-conjugate t-core counts sc_t(0..n), t >= 2, on the stored sc row.
+    """Self-conjugate t-core counts sc_t(0..n), t >= 2.
 
-    Even t:  sc(q) E(q^2t)^(t/2)
+    Even t:  sc(q) E(q^2t)^(t/2)  = psi(q) c_(t/2)(q^4)
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
              = sc(q) E(q^2t)^((t-1)/2 - 2) E(q^t) E(q^4t)
-    Each eta power is one fused pass or k pentagonal passes (see the module
-    docstring), and a factor in q^a with a > n is 1.  So sc_t(n) = sc(n)
-    for n < 2t when t is even and for n < t when t is odd, and those rows
-    share the stored sc prefix.  Like every family, the row is built once
-    per t at the largest n asked for and served to smaller n as a prefix.
+    An even row is psi times the stored c_(t/2) row at n // 4 when that
+    costs fewer element operations than the eta power over the sc row at n,
+    counted from (t, n) alone; else, and for odd t, each eta power is one
+    fused pass or k pentagonal passes over the sc row (see the module
+    docstring).  A factor in q^a with a > n is 1, so sc_t(n) = sc(n) for
+    n < 2t when t is even and for n < t when t is odd, and those rows are the
+    stored sc prefix.  Like every family, the row is built once per t at the
+    largest n asked for and served to smaller n as a prefix.
     """
     if t < 2:
         raise UnsupportedT(f"sc_t series defined for t >= 2, got {t}")

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +377,21 @@ class TestBadInputs:
     def test_scan_option_it_does_not_read(self, argv, option, capsys):
         assert _assert_one_line_usage_error(argv, capsys) == f"scan {argv[1]} takes no {option}\n"
 
+    @pytest.mark.parametrize("argv, option", [
+        (["scan", "growth", "--range", "19..20", "--t", "5", "--pair", "3", "--s", "2"], "--t"),
+        (["scan", "monotonicity", "--pair", "3", "--window", "theorem", "--nmax", "50"], "--window"),
+        (["scan", "positivity", "--t", "6", "--nmax", "20", "--alpha", "3/2", "--range", "1..3"], "--range"),
+        (["scan", "unimodality", "--family", "pi", "--nmax", "30", "--tmax", "4"], "--tmax"),
+        (["scan", "simultaneous", "--s", "3", "--t", "4", "--nmax", "10"], "--nmax"),
+        (["scan", "positivity", "--t", "6", "--nmax", "20", "--workers", "2"], "--workers"),
+        (["scan", "identity", "--preset", "--nmax", "20", "--non-strict"], "--non-strict"),
+    ])
+    def test_scan_refuses_every_option_it_does_not_read(self, argv, option, capsys):
+        assert _assert_one_line_usage_error(argv, capsys) == f"scan {argv[1]} takes no {option}\n"
+
+    def test_option_at_its_default_counts_as_not_given(self, capsys):
+        assert main(["scan", "monotonicity", "--pair", "3", "--window", "conjecture", "--nmax", "20"]) == 0
+
     def test_growth_still_accepts_workers(self, capsys):
         assert main(["scan", "growth", "--range", "19..20", "--workers", "2"]) == 0
 
@@ -415,3 +434,32 @@ class TestCacheCommand:
         main(["count", "sc_t", "--t", "5", "--n", "41", "--cache-dir", str(flag_dir)])
         assert list(env_dir.iterdir()) == []
         assert (flag_dir / "sc_t_t5_n41.bin").exists()
+
+
+class TestImportOnDemand:
+    """A command loads only the layers its handler runs (checked in a fresh interpreter)."""
+
+    UNUSED = ("dataclasses", "fractions", "sccore.analytics", "sccore.growth", "sccore.formulas",
+              "sccore.abacus", "sccore.partitions")
+    SCRIPT = """
+import contextlib, io, sys
+from sccore.cli import main
+for argv in (["count", "sc", "--n", "7"], ["table", "sc", "--nmax", "60", "--tmax", "62", "--format", "csv"],
+             ["cache", "purge"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(set(sys.argv[1:]) & set(sys.modules)))
+import sccore
+assert sccore.growth.verify_growth.__module__ == "sccore.growth"
+from sccore import sc_t_coeffs
+assert sc_t_coeffs(6, 13)[13] == 0
+"""
+
+    def test_count_table_and_purge_load_no_unused_layer(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, SCCORE_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *self.UNUSED], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -4,7 +4,7 @@ import pytest
 
 from sccore import growth as gr
 from sccore import partitions as pt
-from sccore.errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
+from sccore.errors import InvalidHooks, MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from sccore.series import sc_coeffs
 
 
@@ -105,6 +105,12 @@ class TestMapGH:
             gr.map_h((3, 2, 1))  # hooks (5, 1): gap 4, class A
         with pytest.raises(NotInB):
             gr.map_h_hooks((3, 1), 4)  # the 2x2 square
+
+    @pytest.mark.parametrize("delta", [(9, 7, 3, 3), (9, 7, 4, 2), (9, 7, 7, -1), (9, 7, 6, 0)])
+    def test_h_rejects_sequences_that_are_not_diagonal_hooks(self, delta):
+        # each sums to 22 with a leading gap of 2, so only the hook check refuses it
+        with pytest.raises(InvalidHooks):
+            gr.map_h_hooks(delta, 22)
 
     def test_h_matches_corner_removal(self):
         # remove the last box of the last row, then of the last column

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from series_reference import binomial_factor, c_t_reference, multiply, sc_t_reference
+from series_reference import binomial_factor, c_t_reference, multiply, odd_parts, sc_t_reference
 
 from sccore import partitions as pt
 from sccore import series as se
@@ -190,6 +190,35 @@ class TestRowKernel:
                  for a, k in ((2 * t, t // 2), (t, t)) if a <= n}
         assert fused == {True, False}
 
+    PSI_NS = (0, 1, 3, 4, 7, 150, 300, 1001)
+
+    def test_psi_rows_match_factor_by_factor_product(self):
+        for n in self.PSI_NS:
+            assert se.sc_coeffs(n) == odd_parts(n), ("sc", n)
+            for t in range(2, 81, 2):
+                assert se.sc_t_coeffs(t, n) == sc_t_reference(t, n), ("sc_t", t, n)
+
+    def test_even_rows_match_the_eta_power_over_sc(self):
+        n = 2000
+        sc = list(se.sc_coeffs(n).coeffs)
+        for t in range(2, 25, 2):
+            assert list(se.sc_t_coeffs(t, n).coeffs) == se._eta_power(sc, 2 * t, t // 2, n), t
+
+    def test_triangular_sum_identity(self):
+        # sc_2m(n) = sum of c_m(k) over the k >= 0 with n - 4k triangular
+        n_max = 3000
+        triangular = [k * (k + 1) // 2 for k in range(77)]  # every one <= 3000
+        for m in range(1, 16):
+            c = se.c_t_coeffs(m, n_max // 4)
+            row = se.sc_t_coeffs(2 * m, n_max)
+            for n in range(n_max + 1):
+                assert row[n] == sum(c[(n - tri) // 4] for tri in triangular
+                                     if tri <= n and (n - tri) % 4 == 0), (m, n)
+
+    def test_grid_takes_both_even_routes(self):
+        routes = {se._even_by_psi(t, n) for n in self.PSI_NS for t in range(2, 81, 2) if 2 * t <= n}
+        assert routes == {True, False}
+
     def test_rows_beyond_the_factor_are_the_base_row(self):
         for t in range(2, 40):
             assert se.c_t_coeffs(t, t - 1).coeffs == se.p_coeffs(t - 1).coeffs
@@ -219,7 +248,7 @@ class TestRowKernel:
         se.sc_t_coeffs(6, 90)
         se.c_t_coeffs(5, 90)
         se.phat_coeffs(2, 90)
-        assert se._store
+        assert {("p", 0), ("c_t", 3)} <= set(se._store)  # the rows at 90 // 4 under sc and sc_6
         se.clear_series_caches()
         assert se._store == {}
 
