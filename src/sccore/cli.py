@@ -284,26 +284,33 @@ def cmd_table(args) -> int:
 _REQUIRED = "required"
 # The options each scan reads, besides --json, --cache-dir and --oracle-cap:
 # option -> None (any value), _REQUIRED, or the values it takes (True is the
-# bare --preset flag).  Under --preset, identity and inequality need nothing
-# else.  "pair" is monotonicity with --pair.  A scan refuses an option it
-# does not read; an option left at its default counts as not given.
+# bare --preset flag).  A scan with modes has one entry per mode: "NAME --OPT"
+# is NAME run with OPT given (_SCAN_MODES), so under --preset identity and
+# inequality read no spec option, and under --range growth and distribution
+# read no --nmax.  A scan refuses an option it does not read; an option left at
+# its default counts as not given.
 _SCAN_OPTIONS = {
     "positivity": {"t": _REQUIRED, "nmax": None},
     "characterization": {"t": _REQUIRED, "nmax": None},
     "monotonicity": {"family": ("sc-even", "sc-odd", "c", "nsc-odd"), "window": None, "nmax": None},
+    "monotonicity --pair": {"pair": None, "family": ("sc", "c", "nsc"), "nmax": None},
     "unimodality": {"family": ("pi", "sigma_even", "sigma_odd"), "nlo": None, "nmax": None, "ncap": None},
-    "identity": {"preset": (True,), "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED,
-                 "a2": _REQUIRED, "b2": _REQUIRED, "nmax": None},
-    "inequality": {"preset": (True, "all", "conjectured", "proved"), "family": ("sc", "c"),
-                   "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED, "alpha": _REQUIRED,
-                   "nlo": None, "non_strict": None, "nmax": None},
-    "growth": {"range": None, "nmax": None, "workers": None},
-    "distribution": {"range": None, "nmax": None},
+    "identity": {"t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED, "a2": _REQUIRED, "b2": _REQUIRED,
+                 "nmax": None},
+    "identity --preset": {"preset": (True,), "nmax": None},
+    "inequality": {"family": ("sc", "c"), "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED,
+                   "alpha": _REQUIRED, "nlo": None, "non_strict": None, "nmax": None},
+    "inequality --preset": {"preset": (True, "all", "conjectured", "proved"), "nmax": None},
+    "growth": {"nmax": None, "workers": None},
+    "growth --range": {"range": None, "workers": None},
+    "distribution": {"nmax": None},
+    "distribution --range": {"range": None},
     "simultaneous": {"s": _REQUIRED, "t": _REQUIRED},
     "cross-validate": {"tmax": None, "nmax": None},
-    "pair": {"pair": None, "family": ("sc", "c", "nsc"), "nmax": None},
 }
-_SCANS = tuple(name for name in _SCAN_OPTIONS if name != "pair")
+_SCAN_MODES = {"monotonicity": "pair", "identity": "preset", "inequality": "preset",
+               "growth": "range", "distribution": "range"}
+_SCANS = tuple(name for name in _SCAN_OPTIONS if " " not in name)
 # every option a scan may read, in the order they are checked, with its default
 _SCAN_DEFAULTS = {
     "preset": None, "family": None, "t": None, "s": None, "pair": None, "window": "conjecture",
@@ -315,7 +322,8 @@ _SCAN_DEFAULTS = {
 def _scan_usage_error(args) -> str | None:
     """Why these arguments cannot run the scan, or None."""
     name = args.name
-    reads = _SCAN_OPTIONS["pair" if name == "monotonicity" and args.pair is not None else name]
+    mode = _SCAN_MODES.get(name)
+    reads = _SCAN_OPTIONS[f"{name} --{mode}" if mode and getattr(args, mode) is not None else name]
     for opt, default in _SCAN_DEFAULTS.items():
         if opt not in reads and getattr(args, opt) != default:
             return f"scan {name} takes no --{opt.replace('_', '-')}"
@@ -323,10 +331,9 @@ def _scan_usage_error(args) -> str | None:
         values = ", ".join(p for p in reads["preset"] if p is not True)
         hint = f"choose from {values}" if values else "it takes no value"
         return f"unknown preset {args.preset!r} for scan {name}; {hint}"
-    if not args.preset:
-        missing = [f"--{opt}" for opt, spec in reads.items() if spec is _REQUIRED and getattr(args, opt) is None]
-        if missing:
-            return f"scan {name} requires {', '.join(missing)}"
+    missing = [f"--{opt}" for opt, spec in reads.items() if spec is _REQUIRED and getattr(args, opt) is None]
+    if missing:
+        return f"scan {name} requires {', '.join(missing)}"
     if name == "cross-validate" and args.tmax is not None and args.tmax < 2:
         return f"scan cross-validate needs --tmax >= 2, got {args.tmax}"
     if args.pair is not None and args.pair < 1:

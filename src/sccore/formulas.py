@@ -14,8 +14,9 @@ Closed forms are literal signed sums over (pairs of) integer sequences and are
 budget-gated because their term count grows exponentially.  A term is
 (-1)^len sc(n - w step) times a product that does not depend on n, where w is
 the sequence's total weight and step is the recursion's.  So each closed form
-is expanded once per core size: every sequence is still enumerated and
-multiplied out, and the products are summed by weight into c[w]
+is expanded once per core size by one depth-first walk on an explicit stack:
+each sequence is visited once, its term is its parent's times one signed
+factor, and the terms are summed by weight into c[w]
 (`RecursionTables.closed_weights`).  A value is then sum_w c[w] sc(n - w step).
 """
 
@@ -74,31 +75,43 @@ class RecursionTables:
         """c[0..cap] for core size t_full, cap = min(budget, n_max // step).
 
         c[w] sums (-1)^len times the sc-free product over the closed form's
-        sequences of total weight w.  Expanded again only for a larger cap.
+        sequences of total weight w, from one stack walk that visits each
+        sequence once (`_expand_closed`).  Expanded again only for a larger cap.
         """
         _check_core_size(t_full)
         cap = min(budget, self.n_max // _step(t_full))
         c = self._closed.get(t_full)
-        if c is not None and len(c) > cap:
-            return c
-        phat = self._phat(t_full)
-        c = [0] * (cap + 1)
-        if t_full % 2 == 0:
-            for seq in _compositions(cap):
-                term = (-1) ** len(seq)
-                for i in seq:
-                    term *= phat[i]
-                c[sum(seq)] += term
-        else:
-            sc = self._sc
-            for seq in _weighted_pair_sequences(cap):
-                term, weight = (-1) ** len(seq), 0
-                for i, j in seq:
-                    term *= phat[i] * sc[j]
-                    weight += 2 * i + j
-                c[weight] += term
-        self._closed[t_full] = c
+        if c is None or len(c) <= cap:
+            c = self._closed[t_full] = _expand_closed(t_full, cap, self._phat(t_full), self._sc)
         return c
+
+
+def _expand_closed(t_full: int, cap: int, phat, sc) -> list[int]:
+    """The closed form's signed products for core size t_full, summed by weight.
+
+    One depth-first walk on an explicit stack of (weight, term) visits every
+    sequence of total weight <= cap once; each pop is one sequence.  A child
+    appends one element of weight w to its parent's sequence, and its term is
+    the parent's times that element's signed factor:
+      even core size: a positive integer w, factor -phat_t(w);
+      odd core size:  a pair (i, w - 2i), 0 <= i <= w/2, factor -phat_t(i) sc(w - 2i).
+    """
+    # (weight, factor) of every element that fits, in increasing weight;
+    # ends[r] counts the elements of weight <= r
+    elements, ends = [], [0]
+    for w in range(1, cap + 1):
+        if t_full % 2 == 0:
+            elements.append((w, -phat[w]))
+        else:
+            elements.extend((w, -phat[i] * sc[w - 2 * i]) for i in range(w // 2 + 1))
+        ends.append(len(elements))
+    c = [0] * (cap + 1)
+    stack = [(0, 1)]
+    while stack:
+        weight, term = stack.pop()
+        c[weight] += term
+        stack.extend([(weight + w, term * f) for w, f in elements[: ends[cap - weight]]])
+    return c
 
 
 def _step(t_full: int) -> int:
@@ -112,7 +125,12 @@ def _check_core_size(t_full: int) -> None:
 
 
 def _compositions(total_max: int) -> Iterator[tuple[int, ...]]:
-    """Every sequence of positive integers with sum <= total_max (incl. empty)."""
+    """Every sequence of positive integers with sum <= total_max (incl. empty).
+
+    With `_weighted_pair_sequences`, the closed forms' sequences listed one by
+    one: the reference that `_expand_closed` is tested against.  Both are named
+    by perfbench's per-layer tracer.
+    """
     yield ()
     for first in range(1, total_max + 1):
         for rest in _compositions(total_max - first):

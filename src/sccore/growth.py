@@ -56,16 +56,9 @@ def classify_hooks(delta: HookSeq, n: int) -> str:
     B: first gap exactly 2, excluding the square when n is a perfect square.
     C: everything else (exactly the square partitions).
     """
-    d = len(delta)
-    if d == 0:
-        return CLASS_C  # the empty partition: degenerate square
-    if d == 1:
+    if len(delta) == 1 or (delta and delta[0] - delta[1] >= 4):
         return CLASS_A
-    if delta[0] - delta[1] >= 4:
-        return CLASS_A
-    if _is_square_hooks(delta):
-        return CLASS_C
-    return CLASS_B
+    return CLASS_C if not delta or _is_square_hooks(delta) else CLASS_B
 
 
 def classify(p: Partition, n: int) -> ClassifiedSC:
@@ -90,12 +83,27 @@ def map_f(p: Partition) -> Partition:
 def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
     """Image of a self-conjugate partition of n-2 in the B class of n.
 
-    Returns (hooks, branch) where branch names the case taken.  Raises
+    Returns (hooks, branch) where branch names the case taken:
+      single-hook        one hook: (n+1)/2, (n-3)/2, 1 or (n-1)/2, (n-5)/2, 3,
+                         by n mod 4;
+      insert             the first two hooks are replaced by their average s
+                         split as s+1, s-1 (s even) or s+2, s-2 (s odd), and the
+                         first hook below a gap >= 4 grows by 2;
+      two-hook-fallback  two hooks with no such gap: (n-4)/2, (n-8)/2, 5, 1;
+      run-fallback       otherwise the first two averaged hooks grow by 2 and
+                         the last hook shrinks by 2.
+    Raises InvalidHooks unless delta is strictly decreasing positive odds,
+    OutOfDomain for n < 27, ValueError unless delta sums to n - 2, and
     MapGUndefined on the one input the published construction cannot handle:
     the square partition of n-2, whose final fallback would shrink a unit
     hook.  (No element of B has that square as its retraction, so the
     surjectivity audit is unaffected; occurrences are counted, not hidden.)
     """
+    return _map_g_hooks(DiagonalHooks(tuple(delta)).hooks, n)
+
+
+def _map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
+    """`map_g_hooks` on a delta already known to be diagonal hooks."""
     if n < 27:
         raise OutOfDomain(f"map g is defined for n >= 27, got {n}")
     if sum(delta) != n - 2:
@@ -106,31 +114,30 @@ def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
             return ((n + 1) // 2, (n - 3) // 2, 1), "single-hook"
         return ((n - 1) // 2, (n - 5) // 2, 3), "single-hook"
     s = (delta[0] + delta[1]) // 2
+    first, second = (s + 2, s - 2) if s % 2 == 1 else (s + 1, s - 1)
+    # the tail delta[2:] is valid, so only the two averaged hooks need checking
+    if not (first > second > (delta[2] if d > 2 else 0) and first % 2 == second % 2 == 1):
+        raise AssertionError(f"averaged hooks invalid: {[first, second, *delta[2:]]} from {delta}")
     if s % 2 == 1:
-        prime = [s + 2, s - 2, *delta[2:]]
-    else:
-        prime = [s + 1, s - 1, *delta[2:]]
-    for k in range(d - 1):
-        if not (prime[k] > prime[k + 1] > 0 and prime[k] % 2 == 1):
-            raise AssertionError(f"averaged hooks invalid: {prime} from {delta}")
-    for i in range(d - 1):
-        if prime[i] >= prime[i + 1] + 4:
-            prime[i + 1] += 2
-            return tuple(prime), "insert"
+        # first - second = 4: the insert is at index 0
+        return (first, second + 2, *delta[2:]), "insert"
+    # first - second = 2, so the search for a gap >= 4 starts at index 1
+    above = second
+    for k in range(2, d):
+        if above >= delta[k] + 4:
+            return (first, second, *delta[2:k], delta[k] + 2, *delta[k + 1:]), "insert"
+        above = delta[k]
     if d == 2:
         return ((n - 4) // 2, (n - 8) // 2, 5, 1), "two-hook-fallback"
-    if prime[-1] == 1:
+    if delta[-1] == 1:
         raise MapGUndefined(f"square input {delta} has no image (n={n})")
-    prime[0] += 2
-    prime[1] += 2
-    prime[-1] -= 2
-    return tuple(prime), "run-fallback"
+    return (first + 2, second + 2, *delta[2:-1], delta[-1] - 2), "run-fallback"
 
 
 def map_g(p: Partition, n: int) -> Partition:
     if not is_self_conjugate(p) or size(p) != n - 2:
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of n-2")
-    hooks, _ = map_g_hooks(diagonal_hooks(p).hooks, n)
+    hooks, _ = _map_g_hooks(diagonal_hooks(p).hooks, n)
     return from_diagonal_hooks(hooks)
 
 
@@ -217,7 +224,7 @@ def _growth_check_one(
         branches: dict[str, int] = {}
         for delta in below:
             try:
-                image, branch = map_g_hooks(delta, n)
+                image, branch = _map_g_hooks(delta, n)
             except MapGUndefined:
                 undefined += 1
                 continue
@@ -226,12 +233,12 @@ def _growth_check_one(
                 violations.append(("g-image-not-in-B", n, delta, image))
                 continue
             fibers[image] = fibers.get(image, 0) + 1
-        if set(fibers) != b_set:
-            missing = sorted(b_set - set(fibers))[:3]
+        if fibers.keys() != b_set:
+            missing = sorted(b_set - fibers.keys())[:3]
             violations.append(("g-not-onto-B", n, len(fibers), len(b_set), missing))
         for beta in sorted(b_set):
             back = _map_h_hooks(beta, n)
-            image, _ = map_g_hooks(back, n)
+            image, _ = _map_g_hooks(back, n)
             if image != beta:
                 violations.append(("g-h-not-identity", n, beta, image))
         max_fiber = max(fibers.values(), default=0)

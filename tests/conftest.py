@@ -27,6 +27,14 @@ def _diff_fixture(name: str) -> dict[tuple[str, int], int]:
 
 
 @pytest.fixture(scope="session")
+def growth_19_150():
+    """The growth audit on [19, 150], run once for c10 and the data pin."""
+    from sccore.growth import verify_growth
+
+    return verify_growth(19, 150, workers=2)
+
+
+@pytest.fixture(scope="session")
 def table2_even_printed() -> dict[tuple[str, int], int]:
     return _diff_fixture("sc_diff_even_printed.csv")
 

@@ -113,6 +113,10 @@ def _groups() -> dict[str, list[list[str]]]:
         "scan monotonicity --pair 3 --window theorem --nmax 50",
         "scan positivity --t 6 --nmax 20 --alpha 3/2 --range 1..3",
         "scan unimodality --family pi --nmax 30 --tmax 4",
+        "scan identity --preset --t 5 --a 2 --nmax 20",
+        "scan inequality --preset --t 5 --nmax 20",
+        "scan growth --range 19..20 --nmax 50",
+        "scan distribution --range 3..5 --nmax 50",
     )]
     groups["method-all"] = [["count", "sc_t", "--t", str(t), "--n", "0..60", "--method", "all"]
                             for t in range(2, 26)]

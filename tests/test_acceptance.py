@@ -227,11 +227,11 @@ def test_c09_theorem_windows_and_anomalies():
     assert extras == EXTRA_EQUALITIES, sorted(extras)
 
 
-def test_c10_growth():
+def test_c10_growth(growth_19_150):
     sc = sc_coeffs(5000).coeffs
     bad_ratio = [n for n in range(19, 5001) if sc[n - 2] * (n + 2) >= sc[n] * n]
     bad_ratio += [n for n in range(8, 5001) if sc[n - 4] * (n + 4) >= sc[n] * n]
-    rep = gr.verify_growth(19, 150, workers=2)
+    rep = growth_19_150
     kinds = {w[0] for w in rep.witnesses}
     structural = kinds & {"g-h-not-identity", "g-not-onto-B", "A-size", "B-empty",
                           "class-total", "growth-inequality", "g-image-not-in-B"}

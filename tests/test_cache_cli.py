@@ -385,6 +385,12 @@ class TestBadInputs:
         (["scan", "simultaneous", "--s", "3", "--t", "4", "--nmax", "10"], "--nmax"),
         (["scan", "positivity", "--t", "6", "--nmax", "20", "--workers", "2"], "--workers"),
         (["scan", "identity", "--preset", "--nmax", "20", "--non-strict"], "--non-strict"),
+        # a mode reads only its own options: spec options under --preset, --nmax under --range
+        (["scan", "identity", "--preset", "--t", "5", "--a", "2", "--nmax", "20"], "--t"),
+        (["scan", "inequality", "--preset", "--t", "5", "--nmax", "20"], "--t"),
+        (["scan", "inequality", "--preset", "conjectured", "--family", "c", "--nmax", "20"], "--family"),
+        (["scan", "growth", "--range", "19..20", "--nmax", "50"], "--nmax"),
+        (["scan", "distribution", "--range", "3..5", "--nmax", "50"], "--nmax"),
     ])
     def test_scan_refuses_every_option_it_does_not_read(self, argv, option, capsys):
         assert _assert_one_line_usage_error(argv, capsys) == f"scan {argv[1]} takes no {option}\n"
@@ -394,6 +400,13 @@ class TestBadInputs:
 
     def test_growth_still_accepts_workers(self, capsys):
         assert main(["scan", "growth", "--range", "19..20", "--workers", "2"]) == 0
+        assert main(["scan", "growth", "--nmax", "20", "--workers", "2"]) == 0
+
+    def test_each_mode_runs_with_its_own_options(self, capsys):
+        assert main(["scan", "distribution", "--range", "3..5"]) == 0
+        assert main(["scan", "distribution", "--nmax", "5"]) == 0
+        assert main(["scan", "identity", "--preset", "--nmax", "20"]) == 0
+        assert main(["scan", "inequality", "--preset", "proved", "--nmax", "20"]) == 0
 
     @pytest.mark.parametrize("family", [None, "sc", "c", "nsc"])
     @pytest.mark.parametrize("pair", ["0", "-2"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,25 @@ def tables():
 @functools.cache
 def _sequences(odd: bool, cap: int) -> tuple:
     return tuple(fm._weighted_pair_sequences(cap) if odd else fm._compositions(cap))
+
+
+def _weights_term_by_term(t_full: int, cap: int, phat, sc) -> list[int]:
+    """Reference for closed_weights: every sequence listed and multiplied out."""
+    c = [0] * (cap + 1)
+    if t_full % 2 == 0:
+        for seq in _sequences(False, cap):
+            term = (-1) ** len(seq)
+            for i in seq:
+                term *= phat[i]
+            c[sum(seq)] += term
+    else:
+        for seq in _sequences(True, cap):
+            term, weight = (-1) ** len(seq), 0
+            for i, j in seq:
+                term *= phat[i] * sc[j]
+                weight += 2 * i + j
+            c[weight] += term
+    return c
 
 
 def _closed_term_by_term(t_full: int, n: int) -> int:
@@ -145,29 +165,35 @@ class TestClosedFormsByWeight:
             with pytest.raises(OutOfRange):
                 fm.sc_t_value(t_full, 10, tables)
 
+    def test_weights_equal_the_literal_expansion(self):
+        # n_max = 960 gives cap 12 for every core size up to 40 (step 80)
+        tables = fm.RecursionTables(960)
+        for t_full in range(2, 41):
+            phat = phat_coeffs(t_full // 2, 960 // fm._step(t_full)).coeffs
+            assert tables.closed_weights(t_full, 12) == \
+                _weights_term_by_term(t_full, 12, phat, tables._sc), t_full
+
+    def test_walk_pops_each_sequence_once(self):
+        # with every factor +1, c[w] counts the pops at weight w, which must be
+        # the number of sequences of weight w
+        minus_ones, ones = [-1] * 9, [1] * 9
+        for t_full in (4, 5):
+            odd = t_full % 2 == 1
+            by_weight = Counter(sum(2 * i + j for i, j in seq) if odd else sum(seq)
+                                for seq in _sequences(odd, 8))
+            assert fm._expand_closed(t_full, 8, minus_ones, ones) == [by_weight[w] for w in range(9)]
+
     def test_cross_validate_expands_once_per_core_size(self, monkeypatch):
-        entries = {"_compositions": 0, "_weighted_pair_sequences": 0}
+        expanded = Counter()
+        real = fm._expand_closed
 
-        def counted(name):
-            real, depth = getattr(fm, name), [0]
+        def counted(t_full, *args):
+            expanded[t_full] += 1
+            return real(t_full, *args)
 
-            def outermost_entries(total_max):
-                # the generators recurse through the module name, so count
-                # only the entries that no other entry encloses
-                entries[name] += depth[0] == 0
-                depth[0] += 1
-                try:
-                    yield from real(total_max)
-                finally:
-                    depth[0] -= 1
-            return outermost_entries
-
-        for name in entries:
-            monkeypatch.setattr(fm, name, counted(name))
+        monkeypatch.setattr(fm, "_expand_closed", counted)
         assert fm.cross_validate(12, 48).verdict == "holds"
-        # core sizes 2, 4, ..., 12 and 3, 5, ..., 11
-        assert 1 <= entries["_compositions"] <= 6
-        assert 1 <= entries["_weighted_pair_sequences"] <= 5
+        assert expanded == Counter(range(2, 13))
 
 
 class TestLargeT:

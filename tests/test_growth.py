@@ -8,6 +8,48 @@ from sccore.errors import InvalidHooks, MapGUndefined, NotInB, NotSelfConjugate,
 from sccore.series import sc_coeffs
 
 
+def _reference_map_g(delta, n):
+    """Reference for the kernel: g built term by term, with the whole averaged
+    sequence checked and the gap search started at index 0."""
+    if n < 27:
+        raise OutOfDomain(f"map g is defined for n >= 27, got {n}")
+    if sum(delta) != n - 2:
+        raise ValueError(f"hooks sum to {sum(delta)}, expected n-2={n - 2}")
+    d = len(delta)
+    if d == 1:
+        if n % 4 == 1:
+            return ((n + 1) // 2, (n - 3) // 2, 1), "single-hook"
+        return ((n - 1) // 2, (n - 5) // 2, 3), "single-hook"
+    s = (delta[0] + delta[1]) // 2
+    if s % 2 == 1:
+        prime = [s + 2, s - 2, *delta[2:]]
+    else:
+        prime = [s + 1, s - 1, *delta[2:]]
+    for k in range(d - 1):
+        if not (prime[k] > prime[k + 1] > 0 and prime[k] % 2 == 1):
+            raise AssertionError(f"averaged hooks invalid: {prime} from {delta}")
+    for i in range(d - 1):
+        if prime[i] >= prime[i + 1] + 4:
+            prime[i + 1] += 2
+            return tuple(prime), "insert"
+    if d == 2:
+        return ((n - 4) // 2, (n - 8) // 2, 5, 1), "two-hook-fallback"
+    if prime[-1] == 1:
+        raise MapGUndefined(f"square input {delta} has no image (n={n})")
+    prime[0] += 2
+    prime[1] += 2
+    prime[-1] -= 2
+    return tuple(prime), "run-fallback"
+
+
+def _outcome(fn, delta, n):
+    """(image, branch), or the type and message of the exception raised."""
+    try:
+        return fn(delta, n)
+    except Exception as exc:  # the exception's type and message are what is compared
+        return type(exc), str(exc)
+
+
 class TestClassify:
     def test_examples(self):
         assert gr.classify(pt.from_diagonal_hooks((21,)), 21).cls == "A"
@@ -112,6 +154,28 @@ class TestMapGH:
         with pytest.raises(InvalidHooks):
             gr.map_h_hooks(delta, 22)
 
+    @pytest.mark.parametrize("delta, n", [
+        ((31, -1), 32), ((19, 7, 4, 2), 34), ((15, 15), 32), ((21, 9, 0), 32), ((9, 13, 3), 27),
+    ])
+    def test_g_rejects_sequences_that_are_not_diagonal_hooks(self, delta, n):
+        # each sums to n - 2, so only the hook check refuses it
+        with pytest.raises(InvalidHooks):
+            gr.map_g_hooks(delta, n)
+
+    def test_g_kernel_matches_the_reference(self):
+        for n in range(27, 131):
+            for delta in pt.descending_odd_sequences(n - 2):
+                want = _outcome(_reference_map_g, delta, n)
+                assert _outcome(gr._map_g_hooks, delta, n) == want, (n, delta)
+                assert _outcome(gr.map_g_hooks, delta, n) == want, (n, delta)
+
+    def test_g_kernel_errors_match_the_reference(self):
+        # wrong sums (ValueError) and n below 27 (OutOfDomain)
+        for m in range(16, 41):
+            for delta in pt.descending_odd_sequences(m):
+                for n in (m + 1, m + 2, m + 4):
+                    assert _outcome(gr._map_g_hooks, delta, n) == _outcome(_reference_map_g, delta, n)
+
     def test_h_matches_corner_removal(self):
         # remove the last box of the last row, then of the last column
         def corner(p):
@@ -176,6 +240,17 @@ class TestVerifyGrowth:
         for clean in ("growth-inequality", "B-empty", "A-size", "class-total",
                       "g-h-not-identity", "g-not-onto-B", "g-image-not-in-B"):
             assert clean not in kinds
+
+    def test_data_to_150(self, growth_19_150):
+        # the whole data block that c10 reads, and that the golden corpus pins
+        # only by digest
+        data = growth_19_150.data
+        assert data == {
+            "beta_star_argmax_mismatches": sorted([*range(29, 151, 4), *range(44, 151, 4)]),
+            "g_undefined_at": [27, 38, 51, 66, 83, 102, 123, 146],
+            "two_hook_fallback_at": list(range(30, 151, 4)),
+        }
+        assert len(data["beta_star_argmax_mismatches"]) == 58
 
     def test_requires_n_at_least_19(self):
         with pytest.raises(OutOfDomain):
