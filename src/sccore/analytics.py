@@ -322,13 +322,9 @@ class DistributionRow:
         return sum(self.values.values(), Fraction(0))
 
 
-def distribution_table(n: int, n_cap: int | None = None) -> dict[str, DistributionRow]:
-    """pi_t(n) and both sigma parity families as exact rationals.
-
-    pi_t = (c_{t+1} - c_t)/p(n) for t >= 1; sigma_t = (sc_{t+2} - sc_t)/sc(n)
-    for t >= 0, split by parity of t.  n_cap (>= n) controls the series
-    truncation so repeated calls share cached rows.
-    """
+def _distribution_numerators(n: int, n_cap: int | None) -> dict[str, tuple[int, dict[int, int]]]:
+    """Each family of `distribution_table` at n as (denominator, {t: numerator}),
+    read off the rows once for it and for `telescoping_check`."""
     cap = n_cap if n_cap is not None else n
     if cap < n:
         raise ValueError("n_cap must be >= n")
@@ -337,29 +333,38 @@ def distribution_table(n: int, n_cap: int | None = None) -> dict[str, Distributi
     if scn == 0:
         raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
     c_at = {t: _c_family(t, cap)[n] for t in range(1, n + 2)}
-    pi = DistributionRow(n, "pi")
-    for t in range(1, n + 1):
-        pi.values[t] = Fraction(c_at[t + 1] - c_at[t], pn)
     # the sigma families read sc_t for t <= n + 3 (n even) or t <= n + 2 (n odd)
     sc_at = {t: _sc_family(t, cap)[n] for t in range(n + 4 - n % 2)}
-    sigma_even = DistributionRow(n, "sigma_even")
-    for t in range(0, n + 1, 2):
-        sigma_even.values[t] = Fraction(sc_at[t + 2] - sc_at[t], scn)
-    sigma_odd = DistributionRow(n, "sigma_odd")
-    for t in range(1, n + 2, 2):
-        sigma_odd.values[t] = Fraction(sc_at[t + 2] - sc_at[t], scn)
-    return {"pi": pi, "sigma_even": sigma_even, "sigma_odd": sigma_odd}
+    return {
+        "pi": (pn, {t: c_at[t + 1] - c_at[t] for t in range(1, n + 1)}),
+        "sigma_even": (scn, {t: sc_at[t + 2] - sc_at[t] for t in range(0, n + 1, 2)}),
+        "sigma_odd": (scn, {t: sc_at[t + 2] - sc_at[t] for t in range(1, n + 2, 2)}),
+    }
+
+
+def distribution_table(n: int, n_cap: int | None = None) -> dict[str, DistributionRow]:
+    """pi_t(n) and both sigma parity families as exact rationals.
+
+    pi_t = (c_{t+1} - c_t)/p(n) for t >= 1; sigma_t = (sc_{t+2} - sc_t)/sc(n)
+    for t >= 0, split by parity of t.  n_cap (>= n) controls the series
+    truncation so repeated calls share cached rows.
+    """
+    return {
+        family: DistributionRow(n, family, {t: Fraction(num, den) for t, num in nums.items()})
+        for family, (den, nums) in _distribution_numerators(n, n_cap).items()
+    }
 
 
 def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, bool]:
-    """Do the three distribution families each sum to exactly 1 at this n?"""
-    rows = distribution_table(n, n_cap)
-    one = Fraction(1)
-    return (
-        rows["pi"].total() == one,
-        rows["sigma_even"].total() == one,
-        rows["sigma_odd"].total() == one,
-    )
+    """Do the three distribution families each sum to exactly 1 at this n?
+
+    The denominators are positive, so each family sums to 1 exactly when its
+    numerators sum to its denominator: sum (c_{t+1}(n) - c_t(n)) = p(n), and
+    sum (sc_{t+2}(n) - sc_t(n)) = sc(n) for each parity.
+    """
+    families = _distribution_numerators(n, n_cap).values()
+    pi, even, odd = (sum(nums.values()) == den for den, nums in families)
+    return pi, even, odd
 
 
 def _is_unimodal(xs: list) -> tuple[bool, int]:

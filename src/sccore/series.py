@@ -3,18 +3,35 @@
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
 Every family is the series 1 or a row times eta powers E(q^a)^k, where
 E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), or psi(q) times such
-a row in q^4 (below).  One power is
-applied to a row in one of two ways, which give the same integers:
+a row in q^4 (below).  A power is applied to a row by shift-add passes,
+each a multiplication by 1 + sum u q^g, in one of three ways, which give the
+same integers:
 
 - k pentagonal passes: a multiplication is a handful of shifted slice
   additions, a division a short linear recurrence;
 - one fused pass: the short series E(x)^k is built up to x^(N // a), and
-  each of its nonzero terms u*x^i adds u times the row shifted by a*i.
+  each of its nonzero terms u*x^i adds u times the row shifted by a*i;
+- packed (Kronecker substitution): the row is one integer, w bits per
+  coefficient, so a term u q^g is one big-integer shift and add, and all the
+  positive powers of a row run on that integer between one packing and one
+  unpacking (`_packed_steps`).
 
 The fused pass is taken when E(x)^k has fewer nonzero terms past the
 constant than the k passes have pentagonal terms in all.  That holds for the
 large t the scans sweep; the choice depends on (a, k, N) only.  When a > N
 the factor is 1 on the truncation and the row comes back unchanged.
+
+The packed integer is exact: the map q -> 2^w takes series truncated at N
+to integers mod 2^((N+1) w), and w >= bitlen(max |c|) + bitlen(prod of the
+passes' l1 norms) + 2 holds every final coefficient below 2^(w-1) in
+magnitude, so the slots decode with a bias of 2^(w-1) each.  Packing and
+unpacking cost about 8 list passes, and a packed term moves the whole
+integer whatever its shift, so the positive powers are packed when their
+list passes cost more than that: at least 8 row lengths of element
+operations plus w / 1000 of a row per term (`_pack_width`).  The small-t
+rows at large N qualify; the large-t rows, whose few terms are short list
+passes, and the c_t rows with long fused passes of big coefficients do not.
+Negative powers (the p row, phat, t = 3's E(q^6)^-1) always use list passes.
 
 The base rows are p and sc.  Gauss's psi(q) = sum_{k >= 0} q^(k(k+1)/2)
 = E(q^2)^2 / E(q) turns every row that carries the factor
@@ -35,10 +52,9 @@ T <= N, r added into the stride-4 slice of the row from T.  Families:
 
 The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  An even
 sc_t row is psi(q) c_(t/2)(q^4), on the stored c_(t/2) row at N // 4, when
-that route costs fewer element operations than the eta power over the sc row
-at N; the costs are counted from (t, N) alone (`_eta_cost`, `_psi_cost`).
-That holds for the small t at large N, and the eta power wins for the large t
-at small N, where E(q^2t)^(t/2) has only a few terms.  Odd t takes the eta
+32 t^3 <= N^2 (`_even_by_psi`), which timing both routes put at their
+crossover; else it is E(q^2t)^(t/2) over the sc row at N, which wins for the
+large t, where that power has only a few terms.  Odd t takes the eta
 product over the sc row.
 
 Every family row is served from one store keyed by (family, t).  A row is
@@ -121,14 +137,7 @@ def _unit(n: int) -> list[int]:
 
 def _multiply_eta(c: list[int], a: int, n: int) -> list[int]:
     """Return c * E(q^a) truncated at n."""
-    out = list(c)
-    for g, s in pentagonal_terms(a, n):
-        src = c[: n + 1 - g]
-        if s > 0:
-            out[g:] = [x + y for x, y in zip(out[g:], src)]
-        else:
-            out[g:] = [x - y for x, y in zip(out[g:], src)]
-    return out
+    return _shift_add(c, pentagonal_terms(a, n))
 
 
 def _divide_eta(c: list[int], a: int, n: int) -> list[int]:
@@ -152,7 +161,12 @@ def _shift_add(c: list[int], shifts: list[tuple[int, int]]) -> list[int]:
     """Return c * (1 + sum of u q^g over (g, u) in shifts), truncated at len(c)."""
     out = list(c)
     for g, u in shifts:
-        out[g:] = [x + u * y for x, y in zip(out[g:], c)]
+        if u == 1:
+            out[g:] = [x + y for x, y in zip(out[g:], c)]
+        elif u == -1:
+            out[g:] = [x - y for x, y in zip(out[g:], c)]
+        else:
+            out[g:] = [x + u * y for x, y in zip(out[g:], c)]
     return out
 
 
@@ -189,46 +203,116 @@ def _fused_shifts(a: int, k: int, n: int) -> list[tuple[int, int]] | None:
     return shifts if len(shifts) < abs(k) * len(pentagonal_terms(a, n)) else None
 
 
+def _power_steps(a: int, k: int, n: int) -> list[list[tuple[int, int]]]:
+    """E(q^a)^k truncated at n, k > 0, as the factors 1 + sum u q^g of its
+    shift-add passes: the one fused pass, or k pentagonal passes."""
+    shifts = _fused_shifts(a, k, n)
+    return [shifts] if shifts is not None else [pentagonal_terms(a, n)] * k
+
+
 def _eta_power(c: list[int], a: int, k: int, n: int) -> list[int]:
-    """Return c * E(q^a)^k truncated at n; c itself when the factor is 1 there."""
+    """Return c * E(q^a)^k truncated at n by list passes; c itself when the
+    factor is 1 there."""
     if k == 0 or a > n:
+        return c
+    if k > 0:
+        for step in _power_steps(a, k, n):
+            c = _shift_add(c, step)
         return c
     shifts = _fused_shifts(a, k, n)
     if shifts is not None:
         return _shift_add(c, shifts)
-    step = _multiply_eta if k > 0 else _divide_eta
-    for _ in range(abs(k)):
-        c = step(c, a, n)
+    for _ in range(-k):
+        c = _divide_eta(c, a, n)
     return c
+
+
+# Packing a row and unpacking it cost about PACK_ROWS list passes over it.  A
+# packed term, whatever its shift, moves the whole (n + 1) * w bit integer at
+# about SLOT_BITS bits for the time of one list element operation, and twice
+# that when it multiplies by a coefficient other than +-1.
+PACK_ROWS = 8
+SLOT_BITS = 1000
+
+
+def _slot_width(c: list[int], steps: list[list[tuple[int, int]]]) -> int:
+    """Bits per slot, a multiple of 8, that hold every coefficient of c times
+    the steps with its sign: the largest |c[i]| times the product of the
+    steps' l1 norms is below 2**(w - 2)."""
+    norm = 1
+    for step in steps:
+        norm *= 1 + sum(abs(u) for _, u in step)
+    big = max(max(c), -min(c))
+    return -(-(big.bit_length() + norm.bit_length() + 2) // 8) * 8
+
+
+def _pack_width(c: list[int], steps: list[list[tuple[int, int]]], n: int) -> int | None:
+    """The slot width for `_packed_steps` when that is cheaper than the list
+    passes, else None: their element operations against PACK_ROWS rows plus
+    w / SLOT_BITS of a row per term (2 w / SLOT_BITS when |u| > 1)."""
+    passes = sum(n + 1 - g for step in steps for g, _ in step)
+    if passes < PACK_ROWS * (n + 1):
+        return None
+    w = _slot_width(c, steps)
+    terms = sum(1 if abs(u) == 1 else 2 for step in steps for _, u in step)
+    return w if passes * SLOT_BITS >= (n + 1) * (PACK_ROWS * SLOT_BITS + terms * w) else None
+
+
+def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: int) -> list[int]:
+    """c times every step, truncated at n, on one integer (Kronecker substitution).
+
+    Slot i, w bits wide, holds the coefficient of q^i, so multiplying by q^g
+    is a shift by g * w, and the mask reduces mod 2**((n + 1) * w), which is
+    the ring of series truncated at n with q = 2**w.  The reduction before
+    unpacking makes the result exact; reducing each term as well keeps the
+    integer (n + 1) * w bits long.  A slot of `_slot_width` holds every final
+    coefficient below 2**(w - 1) in magnitude, so adding 2**(w - 1) to each
+    slot (the bias) makes them all non-negative and the slots decode one by
+    one.
+    """
+    size, half = w // 8, 1 << (w - 1)
+    mask = (1 << (n + 1) * w) - 1
+    bias = int.from_bytes(half.to_bytes(size, "little") * (n + 1), "little")
+    x = int.from_bytes(b"".join([(v + half).to_bytes(size, "little") for v in c]), "little") - bias
+    for step in steps:
+        out = x
+        for g, u in step:
+            if u == 1:
+                out += (x << g * w) & mask
+            elif u == -1:
+                out -= (x << g * w) & mask
+            else:
+                out += ((u * x) << g * w) & mask
+        x = out
+    raw = ((x + bias) & mask).to_bytes((n + 1) * size, "little")
+    decode = int.from_bytes
+    return [decode(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
 
 
 def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int) -> list[int]:
     """c * prod E(q^a)^k truncated at n.
 
-    Positive exponents are applied before negative ones so intermediate
-    coefficients stay as small as the final answer allows.
+    The positive powers go first, so intermediate coefficients stay as small
+    as the final answer allows: all of them on one packed integer when
+    `_pack_width` finds that cheaper, else by list passes.  Then the negative
+    powers, by list passes.
     """
-    for a, k in sorted(factors, key=lambda f: f[1] < 0):
-        c = _eta_power(c, a, k, n)
+    steps = [step for a, k in factors if k > 0 and a <= n for step in _power_steps(a, k, n)]
+    w = _pack_width(c, steps, n)
+    if w is not None:
+        c = _packed_steps(c, steps, n, w)
+    else:
+        for step in steps:
+            c = _shift_add(c, step)
+    for a, k in factors:
+        if k < 0:
+            c = _eta_power(c, a, k, n)
     return c
 
 
 def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
     """Coefficients of prod E(q^a)^e truncated at n."""
     return _eta_factors(_unit(n), factors, n)
-
-
-def _eta_cost(a: int, k: int, n: int) -> int:
-    """Element operations of c * E(q^a)^k truncated at n, from (a, k, n) alone:
-    the k pentagonal passes, or one fused pass counted as if every term of
-    E(x)^k were nonzero, whichever is fewer (see `_fused_shifts`)."""
-    if k == 0 or a > n:
-        return 0
-    passes = abs(k) * sum(n + 1 - g for g, _ in pentagonal_terms(a, n))
-    if a == 1 or abs(k) < 2:
-        return passes
-    m = n // a
-    return min(passes, m * (n + 1) - a * m * (m + 1) // 2)
 
 
 def _triangular(n: int) -> list[int]:
@@ -251,16 +335,14 @@ def _psi_times(r: list[int] | tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def _psi_cost(n: int) -> int:
-    """Element operations of `_psi_times` at n."""
-    return sum((n - tri) // 4 + 1 for tri in _triangular(n))
-
-
 def _even_by_psi(t: int, n: int) -> bool:
-    """Whether the even sc_t row to n is psi(q) c_(t/2)(q^4): true when that
-    takes fewer element operations than E(q^2t)^(t/2) over the sc row."""
-    m = t // 2
-    return _eta_cost(m, m, n // 4) + _psi_cost(n) < _eta_cost(2 * t, m, n)
+    """Whether the even sc_t row to n is psi(q) c_(t/2)(q^4): when 32 t^3 <= n^2.
+
+    The other route is E(q^2t)^(t/2) over the sc row at n.  Timing both, each
+    from its stored base rows, for every even t put the crossover at about
+    t = 0.31 n^(2/3) for n from 400 to 2 * 10^4.
+    """
+    return 32 * t ** 3 <= n * n
 
 
 def _build(family: str, t: int, n: int) -> list[int]:
@@ -271,14 +353,14 @@ def _build(family: str, t: int, n: int) -> list[int]:
     if family == "phat":
         return eta_product(n, [(1, -t)])
     if family == "c_t":
-        return _eta_power(_served("p", 0, n).coeffs, t, t, n)
+        return _eta_factors(_served("p", 0, n).coeffs, [(t, t)], n)
     if family == "sc":
         return _psi_times(_served("p", 0, n // 4).coeffs, n)
     if t % 2:
         return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
     if _even_by_psi(t, n):
         return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
-    return _eta_power(_served("sc", 0, n).coeffs, 2 * t, t // 2, n)
+    return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, t // 2)], n)
 
 
 # (family, t) -> (the row at the largest n built so far, the series last served)
@@ -336,11 +418,9 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
     Even t:  sc(q) E(q^2t)^(t/2)  = psi(q) c_(t/2)(q^4)
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
              = sc(q) E(q^2t)^((t-1)/2 - 2) E(q^t) E(q^4t)
-    An even row is psi times the stored c_(t/2) row at n // 4 when that
-    costs fewer element operations than the eta power over the sc row at n,
-    counted from (t, n) alone; else, and for odd t, each eta power is one
-    fused pass or k pentagonal passes over the sc row (see the module
-    docstring).  A factor in q^a with a > n is 1, so sc_t(n) = sc(n) for
+    An even row is psi times the stored c_(t/2) row at n // 4 when
+    32 t^3 <= n^2; else, and for odd t, the eta powers go over the sc row by
+    list passes or on one packed integer (see the module docstring).  A factor in q^a with a > n is 1, so sc_t(n) = sc(n) for
     n < 2t when t is even and for n < t when t is odd, and those rows are the
     stored sc prefix.  Like every family, the row is built once per t at the
     largest n asked for and served to smaller n as a prefix.

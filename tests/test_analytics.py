@@ -7,7 +7,7 @@ import pytest
 from sccore import analytics as an
 from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
 from sccore.reports import FAILS, HOLDS, ScanReport
-from sccore.series import sc_t_coeffs
+from sccore.series import c_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
 # anomalies named in the published remark on the odd window
 REMARK_EQUALITIES = {(21, 47), (19, 45), (19, 42), (17, 39), (15, 37),
@@ -171,6 +171,30 @@ class TestDistributions:
         assert rows["sigma_odd"].total() == Fraction(1)
         # spot value: sigma_0(20) = (sc_2(20) - sc_0(20))/sc(20) = 0
         assert rows["sigma_even"].values[0] == Fraction(0, 1)
+
+    def test_integer_sums_equal_the_fraction_sums(self):
+        cap = 200
+
+        def sc_at(t: int, n: int) -> int:  # sc_0 and sc_1 count only the empty partition
+            return sc_t_coeffs(t, cap)[n] if t >= 2 else int(n == 0)
+
+        for n in range(cap + 1):
+            p, sc = p_coeffs(cap)[n], sc_coeffs(cap)[n]
+            if sc == 0:
+                with pytest.raises(UndefinedAtN):
+                    an.telescoping_check(n, cap)
+                continue
+            pi = sum((Fraction(c_t_coeffs(t + 1, cap)[n] - c_t_coeffs(t, cap)[n], p)
+                      for t in range(1, n + 1)), Fraction(0))
+            even = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(0, n + 1, 2)), Fraction(0))
+            odd = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(1, n + 2, 2)), Fraction(0))
+            assert an.telescoping_check(n, cap) == (pi == 1, even == 1, odd == 1), n
+
+    def test_cap_below_n_is_refused(self):
+        with pytest.raises(ValueError, match="n_cap must be >= n"):
+            an.telescoping_check(20, 10)
+        with pytest.raises(ValueError, match="n_cap must be >= n"):
+            an.distribution_table(20, 10)
 
 
 class TestUnimodality:

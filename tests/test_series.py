@@ -266,3 +266,98 @@ class TestRowKernel:
     def test_t_below_one_is_unsupported(self, build):
         with pytest.raises(UnsupportedT):
             build(0, 10)
+
+
+def _row_factors(family: str, t: int) -> list[tuple[int, int]]:
+    """The eta powers that `series` applies to the p row (c_t) or the sc row (sc_t)."""
+    if family == "c_t":
+        return [(t, t)]
+    return [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)] if t % 2 else [(2 * t, t // 2)]
+
+
+def _base_row(family: str, n: int) -> list[int]:
+    return list((se.p_coeffs if family == "c_t" else se.sc_coeffs)(n).coeffs)
+
+
+def _positive_steps(factors: list[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
+    return [step for a, k in factors if k > 0 and a <= n for step in se._power_steps(a, k, n)]
+
+
+def _list_row(family: str, t: int, n: int) -> list[int]:
+    """The row by list passes alone, positive powers first."""
+    c = _base_row(family, n)
+    for a, k in sorted(_row_factors(family, t), key=lambda f: f[1] < 0):
+        c = se._eta_power(c, a, k, n)
+    return c
+
+
+def _packed_row(family: str, t: int, n: int) -> list[int]:
+    """The row with every positive power on the packed integer, whatever it costs."""
+    c = _base_row(family, n)
+    factors = _row_factors(family, t)
+    steps = _positive_steps(factors, n)
+    if steps:
+        c = se._packed_steps(c, steps, n, se._slot_width(c, steps))
+    for a, k in factors:
+        if k < 0:
+            c = se._eta_power(c, a, k, n)
+    return c
+
+
+class TestPackedKernel:
+    """The packed integer (Kronecker substitution) against the list passes,
+    series_reference, and the slot bound."""
+
+    NS = TestRowKernel.NS
+
+    def test_packed_rows_match_the_list_passes_and_the_reference(self):
+        for n in self.NS:
+            for t in range(2, 81):
+                for family, reference in (("sc_t", sc_t_reference), ("c_t", c_t_reference)):
+                    packed = _packed_row(family, t, n)
+                    assert packed == _list_row(family, t, n), (family, t, n)
+                    assert tuple(packed) == reference(t, n).coeffs, (family, t, n)
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_packed_rows_match_the_list_passes_at_large_n(self, n):
+        for t in (*range(2, 12), 16, 24, 31, 40, 57, 80):
+            for family in ("sc_t", "c_t"):
+                assert _packed_row(family, t, n) == _list_row(family, t, n), (family, t, n)
+
+    def test_grid_takes_both_kernel_routes(self):
+        packs = {se._pack_width(_base_row(family, n), _positive_steps(_row_factors(family, t), n), n)
+                 is not None
+                 for n in (*self.NS, 2000, 5000) for t in range(2, 81) for family in ("sc_t", "c_t")}
+        assert packs == {True, False}
+
+    def test_signed_coefficients_through_eta_product(self):
+        n, factors = 600, [(1, 2), (2, 3), (3, 1), (5, 2), (2, -1)]
+        steps = _positive_steps(factors, n)
+        assert se._pack_width(se._unit(n), steps, n) is not None
+        expected = se.TruncatedSeries((1,) + (0,) * n)
+        for a, k in factors:
+            expected = multiply(binomial_factor(-1, a, 0, k, n), expected)
+        got = se.eta_product(n, factors)
+        assert tuple(got) == expected.coeffs
+        assert min(got) < 0 < max(got)
+
+    def test_fused_power_at_the_slot_bound(self):
+        # E(q^2)^100 is one fused pass 1 + sum u q^g.  Against a base row
+        # with c[n - g] = B sign(u) and c[n] = B, the last coefficient is B
+        # times the pass's l1 norm, the bound the slot width is taken from.
+        # bitlen(B) + bitlen(norm) is a multiple of 8, so the 2-bit margin is
+        # what adds the slot's last byte: without it the coefficient would
+        # fill the slot, sign bit included.
+        n = 120
+        steps = se._power_steps(2, 100, n)
+        assert len(steps) == 1 and se._fused_shifts(2, 100, n) is not None
+        norm = 1 + sum(abs(u) for _, u in steps[0])
+        big = (1 << (-norm.bit_length() % 8 + 8)) - 1
+        c = [0] * (n + 1)
+        c[n] = big
+        for g, u in steps[0]:
+            c[n - g] = big if u > 0 else -big
+        w = se._slot_width(c, steps)
+        expected = se._shift_add(c, steps[0])
+        assert expected[n] == big * norm and expected[n].bit_length() == w - 8
+        assert se._packed_steps(c, steps, n, w) == expected
