@@ -3,26 +3,55 @@
 A beta-set of length m is the strictly decreasing sequence of first-column hook
 lengths of the partition padded to m rows.  Removing a t-hook is the abacus
 move "slide one bead down its runner": replace a bead b by b - t when b - t is
-free.  The t-quotient convention used everywhere here: take the beta-set whose
-length is the unique multiple of t in [#parts, #parts + t); runner k holds the
-beads congruent to k mod t; component k is the partition read off runner k.
-This choice reproduces the worked 5-core/5-quotient of the partition with
-diagonal hooks (29, 15) in runner order, and is frozen by tests.
+free.
+
+One runner form.  `t_core`, `t_quotient` and `assemble` read the beta-set
+whose length is the unique multiple of t in [#parts, #parts + t) (t beads
+for the empty partition), placed straight into t runners (`_split`): runner r
+holds the beads b = r (mod t) at levels b // t, top first.  Component r of
+the t-quotient is the partition read off runner r's levels.  The runner
+counts alone give the t-core, every bead slid to the bottom of its runner
+(`_flush_core`), and tell whether a partition is a t-core: its bead sum is
+then the least those counts allow.  The lattice of t-cores (`t_cores_up_to`)
+walks the same counts.  The t-cores met are few next to the partitions that
+share them, so the core of a count vector and the counts of a core are each
+kept in a bounded LRU cache (`_core`, `_core_counts`).  This convention
+reproduces the worked 5-core/5-quotient of the partition with diagonal hooks
+(29, 15) in runner order, and is frozen by tests.
+
+Validation.  `beta_set` checks its length, `partition_of` checks that its
+beads are distinct and non-negative, and `assemble` checks that its core and
+every quotient component are partitions (`ValueError`) and that the core is
+a t-core (`NotACore`).  The other functions trust their partition arguments.
+The kernels produce their beads sorted and read them back with the trusted
+`_parts`, which checks nothing.
+
+The self-conjugate reduction checks self-conjugacy once, on its input, and
+then walks one beta-set whose length m is the input's number of parts, so m
+stays >= the first part of every partition on the chain.  Such a set B is
+self-conjugate exactly when b -> 2m - 1 - b maps B onto its complement in
+[0, 2m), so the mirror of the move b -> b - t is the move
+2m + t - 1 - b -> 2m - 1 - b.  A t-hook on the diagonal is its own mirror:
+it is the bead m + (t - 1) / 2.  Every other t-hook of a self-conjugate
+partition has a mirror, and the upper one of the two (row i < column j) has
+the larger bead; the only self-conjugate result of removing it and one more
+t-hook is the mirror's removal.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
+from operator import ge, sub
 from typing import Iterator, Sequence
 
 from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
 from .partitions import (
     Partition,
+    check_partition,
     conjugate,
     hook_length,
     is_self_conjugate,
-    is_t_core,
-    size,
 )
 
 BetaSet = tuple[int, ...]
@@ -38,72 +67,109 @@ def beta_set(p: Partition, m: int) -> BetaSet:
     return tuple(beads)
 
 
+def _parts(beads: Sequence[int]) -> Partition:
+    """The partition of strictly decreasing non-negative beads; not checked."""
+    return tuple([part for part in map(sub, beads, range(len(beads) - 1, -1, -1)) if part])
+
+
 def partition_of(b: Sequence[int]) -> Partition:
     """Inverse of beta_set for any strictly decreasing non-negative sequence."""
     beads = sorted(b, reverse=True)
-    m = len(beads)
-    parts = []
-    for k, bead in enumerate(beads):
-        if bead < 0 or (k + 1 < m and beads[k + 1] == bead):
-            raise ValueError(f"not a beta-set: {b!r}")
-        part = bead - (m - 1 - k)
-        if part > 0:
-            parts.append(part)
-        elif part < 0:
-            raise ValueError(f"not a beta-set: {b!r}")
-    return tuple(parts)
+    if (beads and beads[-1] < 0) or any(x == y for x, y in zip(beads, beads[1:])):
+        raise ValueError(f"not a beta-set: {b!r}")
+    return _parts(beads)
+
+
+def _slide(beads: Sequence[int], rows: Sequence[int], h: int) -> list[int]:
+    """The beads with the bead at each index in rows moved h down, sorted again."""
+    moved = list(beads)
+    for k in rows:
+        moved[k] -= h
+    moved.sort(reverse=True)
+    return moved
 
 
 def remove_hook(p: Partition, i: int, j: int) -> Partition:
     """Remove the hook of cell (i, j): delete its boxes and migrate the rest."""
-    h = hook_length(p, i, j)
-    beads = list(beta_set(p, len(p)))
-    moved = beads[i - 1] - h
-    assert moved >= 0 and moved not in beads
-    beads[i - 1] = moved
-    return partition_of(beads)
+    return _parts(_slide(beta_set(p, len(p)), (i - 1,), hook_length(p, i, j)))
 
 
-def _quotient_length(p: Partition, t: int) -> int:
-    m = len(p)
-    return m if m % t == 0 else m + (t - m % t)
-
-
-def _runners(p: Partition, t: int) -> list[list[int]]:
+def _split(p: Partition, t: int) -> list[list[int]]:
     """Runner r lists the levels b // t of the beads b = r (mod t), top first."""
     if t < 1:
         raise ValueError("t must be positive")
+    m = len(p)
+    pad = -m % t if m else t
+    top = m + pad - 1
     runners: list[list[int]] = [[] for _ in range(t)]
-    for b in beta_set(p, _quotient_length(p, t) or t):
-        runners[b % t].append(b // t)
+    for k, part in enumerate(p):
+        level, r = divmod(part + top - k, t)
+        runners[r].append(level)
+    # the padding beads pad - 1, ..., 0 each sit at level 0 of their own runner
+    for r in range(pad):
+        runners[r].append(0)
     return runners
+
+
+def _flush_core(counts: Sequence[int], t: int) -> Partition:
+    """The t-core with counts[r] beads on runner r, all slid to the bottom.
+
+    Only the differences of the counts matter: removing a full bottom level
+    removes the beads 0..t-1 and leaves the partition as it was.
+    """
+    low = min(counts)
+    beads = sorted([r + t * j for r, c in enumerate(counts) for j in range(c - low)], reverse=True)
+    return _parts(beads)
+
+
+# most partitions share their core with many others, so a few hundred recent
+# cores serve most calls; each entry costs a few hundred bytes
+_core = lru_cache(maxsize=256)(_flush_core)
 
 
 def t_core(p: Partition, t: int) -> Partition:
     """Slide every bead to the bottom of its runner and read off the partition."""
-    return partition_of([r + t * j for r, levels in enumerate(_runners(p, t)) for j in range(len(levels))])
+    return _core(tuple(map(len, _split(p, t))), t)
 
 
 def t_quotient(p: Partition, t: int) -> Quotient:
     """The t runner partitions recording which hooks are divisible by t."""
-    return tuple(partition_of(r) for r in _runners(p, t))
+    # a flush runner, top level = bead count - 1, holds the empty partition
+    return tuple([_parts(levels) if levels and levels[0] >= len(levels) else ()
+                  for levels in _split(p, t)])
+
+
+@lru_cache(maxsize=256)
+def _core_counts(core: Partition, t: int) -> tuple[int, ...]:
+    """The runner counts of a t-core; NotACore unless every runner is flush."""
+    check_partition(core)
+    counts = tuple(map(len, _split(core, t)))
+    # flush runners give the least bead sum that their counts allow
+    m = sum(counts)
+    if sum(core) + m * (m - 1) // 2 != sum(r * c + t * c * (c - 1) // 2 for r, c in enumerate(counts)):
+        raise NotACore(f"{core!r} still has a {t}-hook")
+    return counts
 
 
 def assemble(core: Partition, q: Quotient, t: int) -> Partition:
     """Inverse of (t_core, t_quotient) under the frozen runner convention."""
     if len(q) != t:
         raise ValueError(f"quotient must have exactly {t} components")
-    runners = _runners(core, t)
-    # a t-core has every runner flush: its top level is its bead count - 1
-    if any(levels and levels[0] != len(levels) - 1 for levels in runners):
-        raise NotACore(f"{core!r} still has a {t}-hook")
-    counts = [len(levels) for levels in runners]
-    # pad every runner equally so each has room for its component's parts
-    pad = max(0, max((len(comp) for comp in q), default=0) + 1 - min(counts))
+    for comp in q:
+        if comp and (comp[-1] < 1 or not all(map(ge, comp, comp[1:]))):
+            raise ValueError(f"quotient components must be partitions, got {comp!r}")
+    counts = _core_counts(tuple(core), t)
+    # lengthen every runner equally so each has room for its component's parts,
+    # and drop the full bottom levels, which leave the partition as it is
+    pad = max(map(sub, map(len, q), counts))
     beads = []
-    for r in range(t):
-        beads.extend(r + t * j for j in beta_set(q[r], counts[r] + pad))
-    return partition_of(beads)
+    for r, comp in enumerate(q):
+        length = counts[r] + pad
+        if comp:
+            beads.extend([r + t * (part + length - 1 - k) for k, part in enumerate(comp)])
+        beads.extend(range(r, r + t * (length - len(comp)), t))
+    beads.sort(reverse=True)
+    return _parts(beads)
 
 
 def quotient_is_self_symmetric(q: Quotient) -> bool:
@@ -112,19 +178,53 @@ def quotient_is_self_symmetric(q: Quotient) -> bool:
     return all(q[k] == conjugate(q[t - 1 - k]) for k in range(t))
 
 
+def _hook_rows(beads: Sequence[int], t: int) -> list[int]:
+    """Indices of the beads b >= t with b - t empty: one t-hook per such row."""
+    occupied = set(beads)
+    return [k for k, b in enumerate(beads) if b >= t and b - t not in occupied]
+
+
 def t_hook_cells(p: Partition, t: int) -> list[tuple[int, int]]:
     """Cells of p with hook length t, row-major: row i has one exactly when its
     bead b_i has b_i - t empty, and its leg counts the beads in between."""
     if t < 1:
         raise ValueError("t must be positive")
     beads = beta_set(p, len(p))
-    occupied = set(beads)
     cells = []
-    for i, b in enumerate(beads, start=1):
-        if b >= t and b - t not in occupied:
-            leg = sum(1 for c in beads[i:] if c > b - t)
-            cells.append((i, p[i - 1] - (t - 1 - leg)))
+    for k in _hook_rows(beads, t):
+        leg = sum(1 for c in beads[k + 1:] if c > beads[k] - t)
+        cells.append((k + 1, p[k] - (t - 1 - leg)))
     return cells
+
+
+def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
+    """One minimal self-conjugacy-preserving removal of t-hooks on the beads of
+    a self-conjugate partition (length m >= its first part), or None at the t-core.
+
+    Odd t takes the diagonal t-hook when there is one; otherwise the topmost
+    t-hook, which lies above the diagonal, goes with its mirror.
+    """
+    rows = _hook_rows(beads, t)
+    if not rows:
+        return None
+    m = len(beads)
+    if t % 2 == 1:
+        diagonal = m + (t - 1) // 2
+        for k in rows:
+            if beads[k] == diagonal:
+                return _slide(beads, (k,), t), {"case": "diagonal", "cells": [(k + 1, k + 1)]}
+    i = rows[0]
+    j = beads.index(2 * m + t - 1 - beads[i])
+    return _slide(beads, (i, j), t), {"case": "pair", "cells": [(i + 1, j + 1), (j + 1, i + 1)]}
+
+
+def _sc_beads(p: Partition, t: int) -> list[int]:
+    """The beads that the reduction walks, after checking t and self-conjugacy."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    if not is_self_conjugate(p):
+        raise NotSelfConjugate(f"{p!r} is not self-conjugate")
+    return list(beta_set(p, len(p)))
 
 
 def sc_reduction_step(p: Partition, t: int) -> tuple[Partition, dict]:
@@ -132,41 +232,26 @@ def sc_reduction_step(p: Partition, t: int) -> tuple[Partition, dict]:
 
     Even t: removes a conjugate pair of off-diagonal t-hooks (2t boxes).
     Odd t: prefers a diagonal t-hook (t boxes) when one exists, otherwise the
-    pair.  The off-diagonal search prefers the smallest (row, column) cell so
-    the output is deterministic.
+    pair.  The pair is the first cell (i, j), i < j, in row-major order and
+    its mirror (j, i), so the output is deterministic.
     """
-    if not is_self_conjugate(p):
-        raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    cells = t_hook_cells(p, t)
-    if not cells:
+    step = _sc_step(_sc_beads(p, t), t)
+    if step is None:
         raise AlreadyCore(f"{p!r} has no {t}-hook")
-    if t % 2 == 1:
-        diagonal = [(i, j) for (i, j) in cells if i == j]
-        if diagonal:
-            i, _ = diagonal[0]
-            result = remove_hook(p, i, i)
-            assert is_self_conjugate(result) and size(result) == size(p) - t
-            return result, {"case": "diagonal", "cells": [(i, i)]}
-    n = size(p)
-    for i, j in cells:
-        if i >= j:
-            continue
-        first = remove_hook(p, i, j)
-        # the mirror hook survives as some t-hook of the intermediate whose
-        # removal restores self-conjugacy; try them in deterministic order
-        for i2, j2 in t_hook_cells(first, t):
-            second = remove_hook(first, i2, j2)
-            if size(second) == n - 2 * t and is_self_conjugate(second):
-                return second, {"case": "pair", "cells": [(i, j), (j, i)]}
-    raise AssertionError(f"no self-conjugate reduction found for {p!r}, t={t}")
+    beads, descriptor = step
+    return _parts(beads), descriptor
 
 
 def sc_reduce_to_core(p: Partition, t: int) -> list[Partition]:
-    """Iterate sc_reduction_step down to the t-core; returns all intermediates."""
+    """Iterate sc_reduction_step down to the t-core; returns all intermediates.
+
+    Self-conjugacy is checked once, on p: every step keeps it.
+    """
+    beads = _sc_beads(p, t)
     chain = [p]
-    while not is_t_core(chain[-1], t):
-        nxt, _ = sc_reduction_step(chain[-1], t)
-        chain.append(nxt)
+    while (step := _sc_step(beads, t)) is not None:
+        beads = step[0]
+        chain.append(_parts(beads))
     return chain
 
 
@@ -175,9 +260,10 @@ def t_cores_up_to(limit: int, t: int) -> Iterator[tuple[int, Partition]]:
 
     A t-core corresponds to a flush bead configuration; writing c_r = K + d_r
     for the runner counts (relative to the empty partition), sum d_r = 0 and
-    the size is (t/2)*sum(d_r^2) + sum(r*d_r), independent of K.  Depth-first
-    search over deviation vectors with a quadratic pruning bound; size is
-    tracked doubled so it stays integral mid-search.
+    the size is (t/2)*sum(d_r^2) + sum(r*d_r), independent of K, and
+    `_flush_core` reads the core off d alone.  Depth-first search over
+    deviation vectors with a quadratic pruning bound; size is tracked doubled
+    so it stays integral mid-search.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -209,9 +295,7 @@ def t_cores_up_to(limit: int, t: int) -> Iterator[tuple[int, Partition]]:
             yield from dfs(r + 1, sum_d + d, twice_size + t * d * d + 2 * r * d, ds + (d,))
 
     for size_, ds in dfs(0, 0, 0, ()):
-        K = max(1, 1 - min(ds))
-        beads = [r + t * j for r in range(t) for j in range(K + ds[r])]
-        yield size_, partition_of(beads)
+        yield size_, _flush_core(ds, t)
 
 
 def simultaneous_cores(s: int, t: int) -> Iterator[Partition]:
@@ -239,7 +323,7 @@ def simultaneous_cores(s: int, t: int) -> Iterator[Partition]:
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
     while stack:
         start, mask, beads = stack.pop()
-        yield partition_of(beads)
+        yield _parts(beads[::-1])
         for k in range(start, len(gaps)):
             g = gaps[k]
             if (g < s or mask >> (g - s) & 1) and (g < t or mask >> (g - t) & 1):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import abacus_reference as ref
 from sccore import abacus as ab
 from sccore import partitions as pt
 from sccore.errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
@@ -137,6 +138,18 @@ class TestCoreQuotient:
         with pytest.raises(NotACore):
             ab.assemble((3, 3, 2), ((), (), (), ()), 4)
 
+    def test_assemble_rejects_malformed_input(self):
+        # each of these once came back as a partition: (3, 2, 2, 1) for the first
+        # component and () for the second
+        for q in (((1, 3), ()), ((0,), ()), ((-1,), ()), ((), (2, 0))):
+            with pytest.raises(ValueError):
+                ab.assemble((), q, 2)
+        for core in ((1, 2), (1, 0)):
+            with pytest.raises(ValueError):
+                ab.assemble(core, ((), ()), 2)
+        with pytest.raises(ValueError):
+            ab.assemble((), ((), ()), 3)
+
 
 class TestQuotientSymmetry:
     def test_examples(self):
@@ -172,6 +185,13 @@ class TestSCReduction:
         with pytest.raises(NotSelfConjugate):
             ab.sc_reduction_step((3, 1), 2)
 
+    def test_chain_refuses_non_self_conjugate_input(self):
+        # (2,) is a 3-core and (3, 1) a 5-core; once each came back as a
+        # one-element chain, and (3, 1) at t = 2 always raised
+        for p, t in (((2,), 3), ((3, 1), 5), ((3, 1), 2), ((2, 2, 1), 4)):
+            with pytest.raises(NotSelfConjugate):
+                ab.sc_reduce_to_core(p, t)
+
     def test_chain_reaches_core_through_sc_partitions(self):
         for n in range(2, 36):
             for p in pt.enumerate_self_conjugate(n):
@@ -183,6 +203,45 @@ class TestSCReduction:
                     if t % 2 == 0:
                         steps = [sum(a) - sum(b) for a, b in zip(chain, chain[1:])]
                         assert all(s == 2 * t for s in steps)
+
+
+class TestAgainstReference:
+    """The runner-form kernels against the partition-level ones in
+    tests/abacus_reference.py: every self-conjugate partition with n <= 30 and
+    every partition with n <= 20, at t = 1..9."""
+
+    @staticmethod
+    def _step(module, p, t):
+        try:
+            return module.sc_reduction_step(p, t)
+        except AlreadyCore:
+            return None
+
+    def test_chains_and_steps(self):
+        for n in range(31):
+            for p in pt.enumerate_self_conjugate(n):
+                for t in range(1, 10):
+                    assert ab.sc_reduce_to_core(p, t) == ref.sc_reduce_to_core(p, t), (p, t)
+                    assert self._step(ab, p, t) == self._step(ref, p, t), (p, t)
+
+    def test_cores_quotients_and_reassembly(self):
+        sc_set = [p for n in range(31) for p in pt.enumerate_self_conjugate(n)]
+        every = [p for n in range(21) for p in pt.partitions_of(n)]
+        for p in sc_set + every:
+            for t in range(1, 10):
+                core, quotient = ab.t_core(p, t), ab.t_quotient(p, t)
+                assert core == ref.t_core(p, t), (p, t)
+                assert quotient == ref.t_quotient(p, t), (p, t)
+                assert ab.assemble(core, quotient, t) == ref.assemble(core, quotient, t) == p, (p, t)
+
+    def test_hook_cells_and_removal(self):
+        for n in range(16):
+            for p in pt.partitions_of(n):
+                for t in range(1, 10):
+                    cells = ab.t_hook_cells(p, t)
+                    assert cells == ref.t_hook_cells(p, t), (p, t)
+                    for i, j in cells:
+                        assert ab.remove_hook(p, i, j) == ref.remove_hook(p, i, j), (p, i, j)
 
 
 class TestTCoreEnumeration:

@@ -40,27 +40,19 @@ def _weights_term_by_term(t_full: int, cap: int, phat, sc) -> list[int]:
     return c
 
 
+@functools.cache
+def _literal_weights(t_full: int, cap: int) -> list[int]:
+    """The closed form for core size t_full, every sequence of weight <= cap
+    multiplied out once (`_weights_term_by_term`)."""
+    return _weights_term_by_term(t_full, cap, phat_coeffs(t_full // 2, 199).coeffs, sc_coeffs(199).coeffs)
+
+
 def _closed_term_by_term(t_full: int, n: int) -> int:
-    """Reference: the closed form with every term multiplied out again for each n."""
-    t = t_full // 2
-    sc = sc_coeffs(199).coeffs
-    phat = phat_coeffs(t, 199).coeffs
-    total = 0
-    if t_full % 2 == 0:
-        for seq in _sequences(False, n // (4 * t)):
-            m = n - 4 * t * sum(seq)
-            term = (-1) ** len(seq) * (sc[m] if m >= 0 else 0)
-            for i in seq:
-                term *= phat[i]
-            total += term
-    else:
-        for seq in _sequences(True, n // t_full):
-            term, m = (-1) ** len(seq), n
-            for i, j in seq:
-                term *= phat[i] * sc[j]
-                m -= (2 * i + j) * t_full
-            total += term * (sc[m] if m >= 0 else 0)
-    return total
+    """Reference: the closed form from its literal expansion, each weight w
+    taken against sc(n - w step)."""
+    step = fm._step(t_full)
+    c, sc = _literal_weights(t_full, n // step), sc_coeffs(199).coeffs
+    return sum(c[w] * sc[n - w * step] for w in range(n // step + 1))
 
 
 class TestRecursions:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -340,6 +342,27 @@ class TestPackedKernel:
         got = se.eta_product(n, factors)
         assert tuple(got) == expected.coeffs
         assert min(got) < 0 < max(got)
+
+    def test_working_integer_stays_one_row_long(self):
+        # E(q^9)^9 at n = 2000 is nine pentagonal passes.  Reducing each term
+        # mod 2**((n + 1) w) keeps the working integer (n + 1) w bits long;
+        # left unreduced it grows by a row with every pass and the peak passes
+        # 40 row sizes, though every coefficient still comes out exact.  The
+        # packed pieces and the output list take about 9 row sizes themselves.
+        n, t = 2000, 9
+        c = list(se.p_coeffs(n).coeffs)
+        steps = se._power_steps(t, t, n)
+        assert len(steps) == t
+        w = se._slot_width(c, steps)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            se._packed_steps(c, steps, n, w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * (n + 1) * w // 8
 
     def test_fused_power_at_the_slot_bound(self):
         # E(q^2)^100 is one fused pass 1 + sum u q^g.  Against a base row
