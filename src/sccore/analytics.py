@@ -1,6 +1,7 @@
 """Conjecture and identity laboratory: positivity characterizations,
-monotonicity and unimodality scans, exact-rational distribution tables,
-identity/inequality checks, and simultaneous-core certification.
+monotonicity and unimodality scans, exact-rational distribution tables and
+their telescoping scan, identity/inequality checks, and simultaneous-core
+certification.
 
 Every verdict is reached in exact integer or rational arithmetic; rational
 thresholds are compared by cross-multiplication, never floats.
@@ -53,21 +54,20 @@ def zero_set(t: int, n_max: int) -> set[int]:
     return {n for n, v in enumerate(row) if v == 0}
 
 
-def _has_odd_power_prime_3_mod_4(m: int) -> bool:
-    """Trial-division test: some prime p = 3 (mod 4) divides m to an odd power."""
-    if m <= 0:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            if d % 4 == 3 and e % 2 == 1:
-                return True
-        d += 1 if d == 2 else 2
-    return m % 4 == 3  # leftover prime to the first power
+def _odd_power_prime_3_mod_4(m_max: int) -> bytearray:
+    """flags[m] for 0 <= m <= m_max: 1 when some prime p = 3 (mod 4) divides m
+    to an odd power.
+
+    By Fermat's two-squares theorem those m > 0 are exactly the m that are
+    not a^2 + b^2, and 0 = 0^2 + 0^2 is unflagged as well, so one sieve over
+    the pairs a <= b clears every sum of two squares.
+    """
+    flags = bytearray(b"\x01") * (m_max + 1)
+    squares = [b * b for b in range(isqrt(m_max) + 1)]
+    for a, a2 in enumerate(squares):
+        for b2 in squares[a: isqrt(m_max - a2) + 1]:
+            flags[a2 + b2] = 0
+    return flags
 
 
 def _is_power_of_four(m: int) -> bool:
@@ -95,11 +95,13 @@ def characterization_sets(t: int, n_max: int) -> dict[str, set[int]]:
             d += 1
         return {"predicate": {n for n in ns if n not in hits}}
     if t == 4:
-        return {"predicate": {n for n in ns if _has_odd_power_prime_3_mod_4(8 * n + 5)}}
+        flags = _odd_power_prime_3_mod_4(8 * n_max + 5)
+        return {"predicate": {n for n, bad in enumerate(flags[5::8]) if bad}}
     if t == 5:
+        flags = _odd_power_prime_3_mod_4(n_max + 1)
         return {
-            "printed": {n for n in ns if _has_odd_power_prime_3_mod_4(n)},
-            "shifted": {n for n in ns if _has_odd_power_prime_3_mod_4(n + 1)},
+            "printed": {n for n, bad in enumerate(flags[:-1]) if bad},
+            "shifted": {n for n, bad in enumerate(flags[1:]) if bad},
         }
     if t == 6:
         return {"predicate": {n for n in (2, 12, 13, 73) if n <= n_max}}
@@ -246,6 +248,33 @@ def _odd_window(n: int, window: str) -> range:
     return range(lo, hi + 1, 2)
 
 
+def _rows_read(fetch, windows: list[range]) -> list:
+    """fetch(t) at the index t of a list, for every t from the first window
+    start to one step past the last window end, in that step; None elsewhere.
+
+    The windows of a scan grow with n and overlap, so their union is that
+    whole progression and every row is fetched once.
+    """
+    used = [ts for ts in windows if ts]
+    if not used:
+        return []
+    step = used[0].step
+    last = max(ts[-1] for ts in used) + step
+    rows = [None] * (last + 1)
+    for t in range(min(ts.start for ts in used), last + 1, step):
+        rows[t] = fetch(t)
+    return rows
+
+
+def _columns(rows: list, windows: list[range]):
+    """(n, ts, col) for each n with a nonempty window ts = windows[n]: col[i]
+    is rows[ts[i]][n], and col[-1] the row one step past the window, read
+    with one slice of the rows."""
+    for n, ts in enumerate(windows):
+        if ts:
+            yield n, ts, [row[n] for row in rows[ts.start: ts.stop + ts.step: ts.step]]
+
+
 def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> ScanReport:
     """Scan the stated (t, n) window of a monotonicity statement.
 
@@ -255,47 +284,42 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
     conjectured range or the proved-theorem range for the sc families.
     For sc-odd the report also carries the small-n anomaly sets (T odd,
     11 <= T <= n-17, n <= 47), split into equalities and strict reversals.
+    Each row is fetched once, and each n reads its window as one column.
     """
     start = monotonic()
-    witnesses: list[tuple] = []
-    data: dict = {}
+    ns = range(n_max + 1)
+    small: list[range] = []
     if family in ("sc-even", "sc-odd"):
-        rows: dict[int, tuple[int, ...]] = {}
-
-        def row(t: int) -> tuple[int, ...]:
-            if t not in rows:
-                rows[t] = _sc_family(t, n_max)
-            return rows[t]
-
         wins = _even_window if family == "sc-even" else _odd_window
-        for n in range(n_max + 1):
-            for t in wins(n, window):
-                if row(t + 2)[n] <= row(t)[n]:
-                    witnesses.append((t, n, row(t + 2)[n], row(t)[n]))
+        windows = [wins(n, window) for n in ns]
         if family == "sc-odd":
-            eq, lt = [], []
-            for n in range(min(n_max, 47) + 1):
-                for t in range(11, n - 17 + 1, 2):
-                    if row(t + 2)[n] == row(t)[n]:
-                        eq.append((t, n))
-                    elif row(t + 2)[n] < row(t)[n]:
-                        lt.append((t, n))
-            data["small_n_equalities"] = eq
-            data["small_n_reversals"] = lt
+            small = [range(11, n - 17 + 1, 2) for n in range(min(n_max, 47) + 1)]
+        rows = _rows_read(lambda t: _sc_family(t, n_max), windows + small)
     elif family == "c":
-        rows = {t: _c_family(t, n_max) for t in range(4, n_max + 1)}
-        for n in range(5, n_max + 1):
-            for t in range(4, min(n - 1, n_max - 1) + 1):
-                if rows[t + 1][n] < rows[t][n]:
-                    witnesses.append((t, n, rows[t + 1][n], rows[t][n]))
+        windows = [range(4, min(n - 1, n_max - 1) + 1) for n in ns]
+        rows = _rows_read(lambda t: _c_family(t, n_max), windows)
     elif family == "nsc-odd":
-        rows = {t: nsc_t_coeffs(t, n_max).coeffs for t in range(3, n_max + 3, 2)}
-        for n in range(n_max + 1):
-            for t in range(3, n - 2 + 1, 2):  # 5 <= t+2 <= n
-                if rows[t + 2][n] <= rows[t][n]:
-                    witnesses.append((t, n, rows[t + 2][n], rows[t][n]))
+        windows = [range(3, n - 2 + 1, 2) for n in ns]  # 5 <= t+2 <= n
+        rows = _rows_read(lambda t: nsc_t_coeffs(t, n_max).coeffs, windows)
     else:
         raise ValueError(f"unknown family {family!r}")
+    witnesses: list[tuple] = []
+    for n, ts, col in _columns(rows, windows):
+        if family == "c":  # c_{t+1} >= c_t: only a strict drop fails
+            witnesses.extend((t, n, hi, lo) for t, lo, hi in zip(ts, col, col[1:]) if hi < lo)
+        else:
+            witnesses.extend((t, n, hi, lo) for t, lo, hi in zip(ts, col, col[1:]) if hi <= lo)
+    data: dict = {}
+    if family == "sc-odd":
+        eq, lt = [], []
+        for n, ts, col in _columns(rows, small):
+            for t, lo, hi in zip(ts, col, col[1:]):
+                if hi == lo:
+                    eq.append((t, n))
+                elif hi < lo:
+                    lt.append((t, n))
+        data["small_n_equalities"] = eq
+        data["small_n_reversals"] = lt
     return ScanReport(
         scan="monotonicity",
         params={"family": family, "n_max": n_max, "window": window},
@@ -322,6 +346,23 @@ class DistributionRow:
         return sum(self.values.values(), Fraction(0))
 
 
+def _numerators(c_col: list[int], sc_col: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The numerators of pi_t at n for t = 1..n, of sigma_t for the even
+    t <= n and of sigma_t for the odd t <= n + 1, from the columns
+    c_col[i] = c_(i+1)(n) for i = 0..n and sc_col[t] = sc_t(n) for
+    t = 0..n + 3 - n % 2, the last t the sigma families read."""
+    return (
+        [b - a for a, b in zip(c_col, c_col[1:])],
+        [b - a for a, b in zip(sc_col[::2], sc_col[2::2])],
+        [b - a for a, b in zip(sc_col[1::2], sc_col[3::2])],
+    )
+
+
+def _sc_col_length(n: int) -> int:
+    """How many sc_t the sigma families read at n: t = 0..n + 3 - n % 2."""
+    return n + 4 - n % 2
+
+
 def _distribution_numerators(n: int, n_cap: int | None) -> dict[str, tuple[int, dict[int, int]]]:
     """Each family of `distribution_table` at n as (denominator, {t: numerator}),
     read off the rows once for it and for `telescoping_check`."""
@@ -332,13 +373,12 @@ def _distribution_numerators(n: int, n_cap: int | None) -> dict[str, tuple[int, 
     scn = sc_coeffs(cap)[n]
     if scn == 0:
         raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
-    c_at = {t: _c_family(t, cap)[n] for t in range(1, n + 2)}
-    # the sigma families read sc_t for t <= n + 3 (n even) or t <= n + 2 (n odd)
-    sc_at = {t: _sc_family(t, cap)[n] for t in range(n + 4 - n % 2)}
+    pi, even, odd = _numerators([_c_family(t, cap)[n] for t in range(1, n + 2)],
+                                [_sc_family(t, cap)[n] for t in range(_sc_col_length(n))])
     return {
-        "pi": (pn, {t: c_at[t + 1] - c_at[t] for t in range(1, n + 1)}),
-        "sigma_even": (scn, {t: sc_at[t + 2] - sc_at[t] for t in range(0, n + 1, 2)}),
-        "sigma_odd": (scn, {t: sc_at[t + 2] - sc_at[t] for t in range(1, n + 2, 2)}),
+        "pi": (pn, dict(zip(range(1, n + 1), pi))),
+        "sigma_even": (scn, dict(zip(range(0, n + 1, 2), even))),
+        "sigma_odd": (scn, dict(zip(range(1, n + 2, 2), odd))),
     }
 
 
@@ -365,6 +405,45 @@ def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, boo
     families = _distribution_numerators(n, n_cap).values()
     pi, even, odd = (sum(nums.values()) == den for den, nums in families)
     return pi, even, odd
+
+
+def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
+    """`telescoping_check` for every n_lo <= n <= n_hi on rows to n_hi: a
+    witness (0, n, family, "sum != 1") for each family that does not sum to
+    1.  For a single n the report carries its `distribution_table` as data.
+
+    Every c_t and sc_t row is fetched once, and each n sums its columns.
+    UndefinedAtN names the first n with sc(n) = 0.
+    """
+    start = monotonic()
+    if not 0 <= n_lo <= n_hi:
+        raise ValueError(f"need 0 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
+    ns = range(n_lo, n_hi + 1)
+    p, sc = p_coeffs(n_hi).coeffs, sc_coeffs(n_hi).coeffs
+    for n in ns:
+        if sc[n] == 0:
+            raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    c_rows = [_c_family(t, n_hi) for t in range(1, n_hi + 2)]
+    sc_rows = [_sc_family(t, n_hi) for t in range(_sc_col_length(n_hi))]  # the longest column
+    witnesses = []
+    for n in ns:
+        families = _numerators([row[n] for row in c_rows[:n + 1]],
+                               [row[n] for row in sc_rows[:_sc_col_length(n)]])
+        for family, den, nums in zip(("pi", "sigma_even", "sigma_odd"), (p[n], sc[n], sc[n]), families):
+            if sum(nums) != den:
+                witnesses.append((0, n, family, "sum != 1"))
+    data = {}
+    if n_lo == n_hi:
+        data = {family: {str(t): v for t, v in row.values.items()}
+                for family, row in distribution_table(n_lo).items()}
+    return ScanReport(
+        scan="distribution",
+        params={"n_lo": n_lo, "n_hi": n_hi},
+        verdict=HOLDS if not witnesses else FAILS,
+        witnesses=witnesses,
+        data=data,
+        elapsed_ms=int((monotonic() - start) * 1000),
+    ).finish()
 
 
 def _is_unimodal(xs: list) -> tuple[bool, int]:

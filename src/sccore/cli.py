@@ -388,30 +388,8 @@ def _run_scan(args) -> ScanReport:
         )
         return analytics.inequality_check(spec, args.nmax)
     if name == "distribution":
-        from .reports import FAILS, HOLDS, ScanReport
-
-        ns = args.range if args.range else range(args.nmax, args.nmax + 1)
-        witnesses = []
-        rows_out = {}
-        for n in ns:
-            pi_ok, se_ok, so_ok = analytics.telescoping_check(n, max(ns))
-            for fam, ok in (("pi", pi_ok), ("sigma_even", se_ok), ("sigma_odd", so_ok)):
-                if not ok:
-                    witnesses.append((0, n, fam, "sum != 1"))
-            if len(ns) == 1:
-                rows = analytics.distribution_table(n, max(ns))
-                rows_out = {
-                    fam: {str(t): v for t, v in row.values.items()}
-                    for fam, row in rows.items()
-                }
-        rep = ScanReport(
-            scan="distribution",
-            params={"n_lo": min(ns), "n_hi": max(ns)},
-            verdict=HOLDS if not witnesses else FAILS,
-            witnesses=witnesses,
-            data=rows_out,
-        )
-        return rep.finish()
+        lo, hi = (args.range.start, args.range.stop - 1) if args.range else (args.nmax, args.nmax)
+        return analytics.distribution_scan(lo, hi)
     if name == "simultaneous":
         return analytics.simultaneous_scan(args.s, args.t)
     raise SCCoreError(f"unknown scan {name}")

@@ -3,9 +3,10 @@
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
 Every family is the series 1 or a row times eta powers E(q^a)^k, where
 E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), or psi(q) times such
-a row in q^4 (below).  A power is applied to a row by shift-add passes,
-each a multiplication by 1 + sum u q^g, in one of three ways, which give the
-same integers:
+a row in q^4, and odd sc_t may take psi(-q^t) in place of three eta powers
+(below).  A power is applied to a row by shift-add passes, each a
+multiplication by 1 + sum u q^g, in one of three ways, which give the same
+integers:
 
 - k pentagonal passes: a multiplication is a handful of shifted slice
   additions, a division a short linear recurrence;
@@ -31,7 +32,7 @@ list passes cost more than that: at least 8 row lengths of element
 operations plus w / 1000 of a row per term (`_pack_width`).  The small-t
 rows at large N qualify; the large-t rows, whose few terms are short list
 passes, and the c_t rows with long fused passes of big coefficients do not.
-Negative powers (the p row, phat, t = 3's E(q^6)^-1) always use list passes.
+Negative powers, left only in the p and phat rows, always use list passes.
 
 The base rows are p and sc.  Gauss's psi(q) = sum_{k >= 0} q^(k(k+1)/2)
 = E(q^2)^2 / E(q) turns every row that carries the factor
@@ -54,8 +55,15 @@ The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  An even
 sc_t row is psi(q) c_(t/2)(q^4), on the stored c_(t/2) row at N // 4, when
 32 t^3 <= N^2 (`_even_by_psi`), which timing both routes put at their
 crossover; else it is E(q^2t)^(t/2) over the sc row at N, which wins for the
-large t, where that power has only a few terms.  Odd t takes the eta
-product over the sc row.
+large t, where that power has only a few terms.  Odd t takes an eta
+product over the sc row.  Gauss's psi(-q) = E(q) E(q^4) / E(q^2)
+= sum_{k >= 0} (-1)^(k(k+1)/2) q^(k(k+1)/2) makes its three factors
+
+    E(q^2t)^((t-5)/2) E(q^t) E(q^4t) = psi(-q^t) E(q^2t)^((t-3)/2),
+
+and psi(-q^t) - 1 is one sparse step of +-1 terms, taken with the positive
+powers.  So sc_3 = sc(q) psi(-q^3) needs no division.  The psi form is taken
+for t = 3 and t = 9 and when t^2 >= 4 N (`_odd_by_psi`).
 
 Every family row is served from one store keyed by (family, t).  A row is
 built once, at the largest N asked for so far, and smaller N are served its
@@ -289,15 +297,17 @@ def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: i
     return [decode(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
 
 
-def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int) -> list[int]:
-    """c * prod E(q^a)^k truncated at n.
+def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
+                 steps: tuple[list[tuple[int, int]], ...] = ()) -> list[int]:
+    """c * prod E(q^a)^k truncated at n, times the factor 1 + sum u q^g of
+    each of the given steps.
 
-    The positive powers go first, so intermediate coefficients stay as small
-    as the final answer allows: all of them on one packed integer when
-    `_pack_width` finds that cheaper, else by list passes.  Then the negative
-    powers, by list passes.
+    The steps and the positive powers go first, so intermediate coefficients
+    stay as small as the final answer allows: all of them on one packed
+    integer when `_pack_width` finds that cheaper, else by list passes.  Then
+    the negative powers, by list passes.
     """
-    steps = [step for a, k in factors if k > 0 and a <= n for step in _power_steps(a, k, n)]
+    steps = [*steps, *(step for a, k in factors if k > 0 and a <= n for step in _power_steps(a, k, n))]
     w = _pack_width(c, steps, n)
     if w is not None:
         c = _packed_steps(c, steps, n, w)
@@ -345,6 +355,28 @@ def _even_by_psi(t: int, n: int) -> bool:
     return 32 * t ** 3 <= n * n
 
 
+def _psi_minus(a: int, n: int) -> list[tuple[int, int]]:
+    """psi(-q^a) - 1 = E(q^a) E(q^4a) / E(q^2a) - 1 up to q^n as one step:
+    (-1)^T at each a T, T = k(k+1)/2 triangular, k >= 1."""
+    return [(a * tri, -1 if tri % 2 else 1) for tri in _triangular(n // a)[1:]]
+
+
+def _odd_by_psi(t: int, n: int) -> bool:
+    """Whether the odd sc_t row to n is psi(-q^t) E(q^2t)^((t-3)/2) over the
+    sc row: for t = 3 and t = 9, and when t^2 >= 4 n.
+
+    The other route is E(q^2t)^((t-5)/2) E(q^t) E(q^4t), which needs a
+    division at t = 3.  At t = 9 the psi route's power is Jacobi's sparse
+    cube E(q^18)^3, and at t = 11 the other route's is; elsewhere the psi
+    step has about as many terms as the two eta passes it replaces plus the
+    extra E(q^2t).  Timing both routes from the stored sc row at n = 300,
+    1000, 2000, 5000 and 10^4 put the psi route ahead by 15-20% once both
+    take list passes, which happens from t^2 = n to 4 n, and level or behind
+    below that, where the other route's longer passes pack.
+    """
+    return t in (3, 9) or t * t >= 4 * n
+
+
 def _build(family: str, t: int, n: int) -> list[int]:
     """The (family, t) row to n: c_t on the stored p row, sc and sc_t by the
     routes of the module docstring."""
@@ -357,7 +389,10 @@ def _build(family: str, t: int, n: int) -> list[int]:
     if family == "sc":
         return _psi_times(_served("p", 0, n // 4).coeffs, n)
     if t % 2:
-        return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)], n)
+        sc = _served("sc", 0, n).coeffs
+        if _odd_by_psi(t, n):
+            return _eta_factors(sc, [(2 * t, (t - 3) // 2)], n, (_psi_minus(t, n),) if t <= n else ())
+        return _eta_factors(sc, [(2 * t, (t - 5) // 2), (t, 1), (4 * t, 1)], n)
     if _even_by_psi(t, n):
         return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
     return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, t // 2)], n)
@@ -417,13 +452,17 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
 
     Even t:  sc(q) E(q^2t)^(t/2)  = psi(q) c_(t/2)(q^4)
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
-             = sc(q) E(q^2t)^((t-1)/2 - 2) E(q^t) E(q^4t)
+             = sc(q) E(q^2t)^((t-5)/2) E(q^t) E(q^4t)
+             = sc(q) psi(-q^t) E(q^2t)^((t-3)/2)
     An even row is psi times the stored c_(t/2) row at n // 4 when
-    32 t^3 <= n^2; else, and for odd t, the eta powers go over the sc row by
-    list passes or on one packed integer (see the module docstring).  A factor in q^a with a > n is 1, so sc_t(n) = sc(n) for
-    n < 2t when t is even and for n < t when t is odd, and those rows are the
-    stored sc prefix.  Like every family, the row is built once per t at the
-    largest n asked for and served to smaller n as a prefix.
+    32 t^3 <= n^2.  Else, and for odd t, the eta powers go over the sc row by
+    list passes or on one packed integer (see the module docstring); an odd
+    row takes psi(-q^t) as one step of +-1 terms for t = 3 and t = 9 and
+    when t^2 >= 4 n, so no sc_t row divides.  A factor in q^a with a > n is
+    1, so sc_t(n) = sc(n) for n < 2t when t is even and for n < t when t is
+    odd, and those rows are the stored sc prefix.  Like every family, the row
+    is built once per t at the largest n asked for and served to smaller n as
+    a prefix.
     """
     if t < 2:
         raise UnsupportedT(f"sc_t series defined for t >= 2, got {t}")

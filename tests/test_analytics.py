@@ -6,8 +6,8 @@ import pytest
 
 from sccore import analytics as an
 from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
-from sccore.reports import FAILS, HOLDS, ScanReport
-from sccore.series import c_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
+from sccore.reports import FAILS, HOLDS, ScanReport, _witness_key
+from sccore.series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
 # anomalies named in the published remark on the odd window
 REMARK_EQUALITIES = {(21, 47), (19, 45), (19, 42), (17, 39), (15, 37),
@@ -59,6 +59,49 @@ class TestZeroSets:
     def test_no_characterization_below_two(self):
         with pytest.raises(NoKnownCharacterization):
             an.characterization_sets(1, 100)
+
+
+def _has_odd_power_prime_3_mod_4(m: int) -> bool:
+    """Trial-division test: some prime p = 3 (mod 4) divides m to an odd power."""
+    if m <= 0:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if d % 4 == 3 and e % 2 == 1:
+                return True
+        d += 1 if d == 2 else 2
+    return m % 4 == 3  # leftover prime to the first power
+
+
+class TestOddPowerSieve:
+    """The two-squares sieve behind the t = 4 and t = 5 closed forms against
+    trial division."""
+
+    def test_flags_equal_trial_division(self):
+        m_max = 80_005  # 8 n + 5 at n = 10^4
+        flags = an._odd_power_prime_3_mod_4(m_max)
+        assert len(flags) == m_max + 1
+        assert [bool(f) for f in flags] == [_has_odd_power_prime_3_mod_4(m) for m in range(m_max + 1)]
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 3, 4, 8, 9])
+    def test_small_bounds(self, m_max):
+        flags = an._odd_power_prime_3_mod_4(m_max)
+        assert [bool(f) for f in flags] == [_has_odd_power_prime_3_mod_4(m) for m in range(m_max + 1)]
+
+    def test_closed_forms_equal_trial_division_sets(self):
+        n_max = 3000
+        ns = range(n_max + 1)
+        assert an.characterization_sets(4, n_max) == {
+            "predicate": {n for n in ns if _has_odd_power_prime_3_mod_4(8 * n + 5)}}
+        assert an.characterization_sets(5, n_max) == {
+            "printed": {n for n in ns if _has_odd_power_prime_3_mod_4(n)},
+            "shifted": {n for n in ns if _has_odd_power_prime_3_mod_4(n + 1)},
+        }
 
 
 class TestScanReport:
@@ -150,6 +193,74 @@ class TestMonotonicity:
         assert sorted(n for (_, n, _, _) in rep.witnesses) == list(range(5, 61))
 
 
+def _monotonicity_per_cell(family: str, n_max: int, window: str) -> tuple[list, dict]:
+    """The witnesses and data of `monotonicity_scan`, one row lookup per (t, n)
+    cell: the scan as it read its rows before the column reads."""
+    witnesses: list[tuple] = []
+    data: dict = {}
+    if family in ("sc-even", "sc-odd"):
+        rows: dict[int, tuple[int, ...]] = {}
+
+        def row(t: int) -> tuple[int, ...]:
+            if t not in rows:
+                rows[t] = an._sc_family(t, n_max)
+            return rows[t]
+
+        wins = an._even_window if family == "sc-even" else an._odd_window
+        for n in range(n_max + 1):
+            for t in wins(n, window):
+                if row(t + 2)[n] <= row(t)[n]:
+                    witnesses.append((t, n, row(t + 2)[n], row(t)[n]))
+        if family == "sc-odd":
+            eq, lt = [], []
+            for n in range(min(n_max, 47) + 1):
+                for t in range(11, n - 17 + 1, 2):
+                    if row(t + 2)[n] == row(t)[n]:
+                        eq.append((t, n))
+                    elif row(t + 2)[n] < row(t)[n]:
+                        lt.append((t, n))
+            data["small_n_equalities"] = eq
+            data["small_n_reversals"] = lt
+    elif family == "nsc-odd":
+        rows = {t: nsc_t_coeffs(t, n_max).coeffs for t in range(3, n_max + 3, 2)}
+        for n in range(n_max + 1):
+            for t in range(3, n - 2 + 1, 2):
+                if rows[t + 2][n] <= rows[t][n]:
+                    witnesses.append((t, n, rows[t + 2][n], rows[t][n]))
+    return sorted(witnesses, key=_witness_key), data
+
+
+class TestMonotonicityColumns:
+    """`monotonicity_scan` reads each n's window as one column of the rows;
+    its reports equal the per-cell loop's."""
+
+    @pytest.mark.parametrize("family", ["sc-even", "sc-odd"])
+    @pytest.mark.parametrize("window", ["conjecture", "theorem"])
+    def test_sc_families_equal_the_per_cell_loop(self, family, window):
+        rep = an.monotonicity_scan(family, 600, window)
+        assert (rep.witnesses, rep.data) == _monotonicity_per_cell(family, 600, window)
+        assert rep.verdict == (HOLDS if not rep.witnesses else FAILS)
+
+    def test_nsc_odd_equals_the_per_cell_loop(self):
+        rep = an.monotonicity_scan("nsc-odd", 200)
+        assert (rep.witnesses, rep.data) == _monotonicity_per_cell("nsc-odd", 200, "conjecture")
+
+    @pytest.mark.parametrize("family", ["sc-even", "sc-odd", "nsc-odd"])
+    def test_small_n_max(self, family):
+        for n_max in range(0, 60):
+            for window in ("conjecture", "theorem"):
+                rep = an.monotonicity_scan(family, n_max, window)
+                assert (rep.witnesses, rep.data) == _monotonicity_per_cell(family, n_max, window), n_max
+
+    def test_rows_are_fetched_once_each(self, monkeypatch):
+        fetched = []
+        sc_family = an._sc_family
+        monkeypatch.setattr(an, "_sc_family", lambda t, n: fetched.append(t) or sc_family(t, n))
+        an.monotonicity_scan("sc-odd", 300, "theorem")
+        # the anomaly rows from 11 and the theorem windows up to t + 2 = n - 15, once each
+        assert sorted(fetched) == list(range(11, 300 - 15 + 1, 2))
+
+
 class TestDistributions:
     def test_telescoping(self):
         for n in (3, 20, 60):
@@ -189,6 +300,40 @@ class TestDistributions:
             even = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(0, n + 1, 2)), Fraction(0))
             odd = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(1, n + 2, 2)), Fraction(0))
             assert an.telescoping_check(n, cap) == (pi == 1, even == 1, odd == 1), n
+
+    def test_range_scan_equals_the_per_n_checks(self):
+        rep = an.distribution_scan(3, 150)
+        witnesses = [(0, n, family, "sum != 1")
+                     for n in range(3, 151)
+                     for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 150))
+                     if not ok]
+        assert rep.witnesses == witnesses == []
+        assert (rep.verdict, rep.params, rep.data) == (HOLDS, {"n_lo": 3, "n_hi": 150}, {})
+
+    def test_range_scan_names_failing_families(self):
+        # at n = 0 every family is empty or sums past 1: pi has no term
+        # against p(0) = 1, and sc_2(0) - sc_0(0) = 0, sc_3(0) - sc_1(0) = 0
+        rep = an.distribution_scan(0, 1)
+        per_n = [(0, n, family, "sum != 1")
+                 for n in (0, 1)
+                 for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 1))
+                 if not ok]
+        assert rep.witnesses == sorted(per_n, key=_witness_key) != []
+
+    def test_single_n_scan_carries_the_table(self):
+        rep = an.distribution_scan(20, 20)
+        table = an.distribution_table(20)
+        assert rep.data == {family: {str(t): v for t, v in row.values.items()} for family, row in table.items()}
+
+    @pytest.mark.parametrize("n_lo, n_hi", [(2, 5), (0, 60), (2, 2)])
+    def test_range_scan_stops_at_the_first_undefined_n(self, n_lo, n_hi):
+        with pytest.raises(UndefinedAtN, match=r"^sc\(2\) = 0; sigma families undefined$"):
+            an.distribution_scan(n_lo, n_hi)
+
+    @pytest.mark.parametrize("n_lo, n_hi", [(5, 4), (-1, 3)])
+    def test_range_scan_refuses_a_bad_range(self, n_lo, n_hi):
+        with pytest.raises(ValueError, match="need 0 <= n_lo <= n_hi"):
+            an.distribution_scan(n_lo, n_hi)
 
     def test_cap_below_n_is_refused(self):
         with pytest.raises(ValueError, match="n_cap must be >= n"):

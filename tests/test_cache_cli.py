@@ -228,6 +228,11 @@ class TestScanCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["data"]["pi"]["4"] == [8, 627]  # (c_5(20) - c_4(20))/p(20)
 
+    def test_distribution_over_an_undefined_n(self, capsys):
+        assert main(["scan", "distribution", "--range", "2..5"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "scan error: sc(2) = 0; sigma families undefined\n")
+
     def test_unimodality(self, capsys):
         code = main(["scan", "unimodality", "--family", "pi", "--nlo", "63",
                      "--nmax", "100", "--ncap", "100"])

@@ -271,7 +271,9 @@ class TestRowKernel:
 
 
 def _row_factors(family: str, t: int) -> list[tuple[int, int]]:
-    """The eta powers that `series` applies to the p row (c_t) or the sc row (sc_t)."""
+    """The eta powers of the c_t row over the p row, and of the sc_t row over
+    the sc row with no psi step: for odd t the three factors, with a division
+    at t = 3."""
     if family == "c_t":
         return [(t, t)]
     return [(2 * t, (t - 1) // 2 - 2), (t, 1), (4 * t, 1)] if t % 2 else [(2 * t, t // 2)]
@@ -304,6 +306,43 @@ def _packed_row(family: str, t: int, n: int) -> list[int]:
         if k < 0:
             c = se._eta_power(c, a, k, n)
     return c
+
+
+class TestOddRows:
+    """Odd sc_t rows as psi(-q^t) E(q^2t)^((t-3)/2) over the sc row, or by the
+    three eta factors, against the three-factor product."""
+
+    NS = TestRowKernel.NS
+
+    def test_psi_minus_is_the_eta_quotient(self):
+        n = 200
+        for a in range(1, 8):
+            expected = multiply(multiply(binomial_factor(-1, a, 0, 1, n), binomial_factor(-1, 4 * a, 0, 1, n)),
+                                binomial_factor(-1, 2 * a, 0, -1, n))
+            assert tuple(se._shift_add(se._unit(n), se._psi_minus(a, n))) == expected.coeffs, a
+
+    def test_grid_takes_both_odd_routes(self):
+        # so TestRowKernel's check against series_reference covers both
+        routes = {se._odd_by_psi(t, n) for n in self.NS for t in range(3, 81, 2) if t <= n}
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_odd_rows_match_the_three_factor_product(self, n):
+        for t in (*range(3, 12, 2), 91, 151, 301):
+            assert list(se.sc_t_coeffs(t, n).coeffs) == _list_row("sc_t", t, n), (t, n)
+        assert {se._odd_by_psi(t, n) for t in (5, 7, 11, 91, 151, 301)} == {True, False}
+
+    def test_no_sc_t_row_divides(self, monkeypatch):
+        se.clear_series_caches()
+        se.p_coeffs(3000)
+        divisions = []
+        divide = se._divide_eta
+        monkeypatch.setattr(se, "_divide_eta", lambda *args: divisions.append(args[1:]) or divide(*args))
+        for t in range(2, 42):
+            se.sc_t_coeffs(t, 3000)
+        assert divisions == []
+        se.phat_coeffs(2, 50)  # the one family besides p that still divides
+        assert divisions == [(1, 50), (1, 50)]
 
 
 class TestPackedKernel:
