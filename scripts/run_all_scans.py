@@ -14,16 +14,45 @@ Usage:
   python scripts/run_all_scans.py [--outdir reports] [--deep]
 
 --deep raises the n ranges to the levels used by the acceptance gate
-(10000 for zero sets and pair scans); the default finishes in seconds.
+(10000 for zero sets and pair scans), checks that the theta product
+equals the series route for every sc_t row with t = 2..101 at N = 10000,
+and that every row pinned in tests/data/row_digests.json keeps its digest
+as a prefix of the N = 10000 row; the default finishes in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
+from sccore import series
 from sccore.cli import main as sccore
+
+
+def theta_check(n: int, ts: range) -> tuple[str, str, int, int]:
+    """A summary row: the t in ts whose theta product and series route differ at n."""
+    differ = [t for t in ts if series._theta_product(t, n) != list(series._sc_t_series(t, n))]
+    if differ:
+        print(f"theta product and series route differ at N = {n} for t in {differ}")
+    return f"theta_vs_series_{n}", "fails" if differ else "holds", len(differ), 3 if differ else 0
+
+
+def digest_check(n: int) -> tuple[str, str, int, int]:
+    """A summary row: the pinned rows whose prefix of the row built at n
+    differs from its recorded digest."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    import test_row_digests as pins
+
+    pinned = json.loads(pins.DATA.read_text())["rows"]
+    series.clear_series_caches()
+    pins.digests(n)
+    differ = [f"{name} at N = {m}" for m in pins.NS for name, digest in pins.digests(m).items()
+              if digest != pinned[str(m)][name]]
+    if differ:
+        print(f"row digests differ: {differ}")
+    return f"row_digests_prefix_{n}", "fails" if differ else "holds", len(differ), 3 if differ else 0
 
 
 def run() -> None:
@@ -65,6 +94,9 @@ def run() -> None:
         code = sccore([*argv, "--json", str(dest)])
         rep = json.loads(dest.read_text())
         summary.append((name, rep["verdict"], len(rep["witnesses"]), code))
+    if args.deep:
+        summary.append(theta_check(10_000, range(2, 102)))
+        summary.append(digest_check(10_000))
     width = max(len(n) for n, *_ in summary)
     print(f"\n{'scan'.ljust(width)}  verdict  witnesses  exit")
     for name, verdict, wit, code in summary:

@@ -3,10 +3,10 @@
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
 Every family is the series 1 or a row times eta powers E(q^a)^k, where
 E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), or psi(q) times such
-a row in q^4, and odd sc_t may take psi(-q^t) in place of three eta powers
-(below).  A power is applied to a row by shift-add passes, each a
-multiplication by 1 + sum u q^g, in one of three ways, which give the same
-integers:
+a row in q^4; odd sc_t may take psi(-q^t) in place of three eta powers, and
+the small-t sc_t rows are a product of theta series (below).  A power is
+applied to a row by shift-add passes, each a multiplication by
+1 + sum u q^g, in one of three ways, which give the same integers:
 
 - k pentagonal passes: a multiplication is a handful of shifted slice
   additions, a division a short linear recurrence;
@@ -63,7 +63,27 @@ product over the sc row.  Gauss's psi(-q) = E(q) E(q^4) / E(q^2)
 
 and psi(-q^t) - 1 is one sparse step of +-1 terms, taken with the positive
 powers.  So sc_3 = sc(q) psi(-q^3) needs no division.  The psi form is taken
-for t = 3 and t = 9 and when t^2 >= 4 N (`_odd_by_psi`).
+when t^2 >= 4 N (`_odd_by_psi`).
+
+Those routes carry coefficients of the size of sc(n), about 10^55 at
+N = 10^4, and cancel them down to small counts.  For small t the sc_t row
+is built from no base row.  In the coordinates of Garvan, Kim and Stanton
+(Cranks and t-cores, Invent. Math. 101, 1990) a self-conjugate t-core is a
+vector d in Z^floor(t/2) of runner offsets, of size
+sum_r (t d_r^2 - (t-1-2r) d_r), so
+
+    sc_t(q) = prod_{r < floor(t/2)} sum_{d in Z} q^(t d^2 - (t-1-2r) d),
+
+a product of theta series with coefficients 0 and 1 (two d with the same
+exponent would make t - 1 - 2r a multiple of t).  `_theta_product` applies
+each factor to one packed integer.  Every partial product is non-negative
+and bounded by the product of the factors' term counts, so slots one bit
+wider than that bound need no bias and never carry, and one mask per factor
+truncates it.  Its packed terms grow with t, so it is taken when
+t^3 <= 7 N for odd t and t^3 <= 2 N for even t (`_by_theta`), where timing
+both routes put their crossover; every other sc_t row takes the routes
+above.  Below N = 4 the t = 3 row takes those routes, with E(q^6) past the
+truncation, so no sc_t row divides.
 
 Every family row is served from one store keyed by (family, t).  A row is
 built once, at the largest N asked for so far, and smaller N are served its
@@ -141,11 +161,6 @@ def _unit(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be non-negative")
     return [1] + [0] * n
-
-
-def _multiply_eta(c: list[int], a: int, n: int) -> list[int]:
-    """Return c * E(q^a) truncated at n."""
-    return _shift_add(c, pentagonal_terms(a, n))
 
 
 def _divide_eta(c: list[int], a: int, n: int) -> list[int]:
@@ -292,9 +307,14 @@ def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: i
             else:
                 out += ((u * x) << g * w) & mask
         x = out
-    raw = ((x + bias) & mask).to_bytes((n + 1) * size, "little")
+    return _unpack((x + bias) & mask, n, size, half)
+
+
+def _unpack(x: int, n: int, size: int, offset: int = 0) -> list[int]:
+    """The n + 1 slots of x, size bytes each from the lowest, less offset each."""
+    raw = x.to_bytes((n + 1) * size, "little")
     decode = int.from_bytes
-    return [decode(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
+    return [decode(raw[i:i + size], "little") - offset for i in range(0, len(raw), size)]
 
 
 def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
@@ -322,6 +342,7 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
 
 def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
     """Coefficients of prod E(q^a)^e truncated at n."""
+    _check_ints(n=n)
     return _eta_factors(_unit(n), factors, n)
 
 
@@ -363,18 +384,93 @@ def _psi_minus(a: int, n: int) -> list[tuple[int, int]]:
 
 def _odd_by_psi(t: int, n: int) -> bool:
     """Whether the odd sc_t row to n is psi(-q^t) E(q^2t)^((t-3)/2) over the
-    sc row: for t = 3 and t = 9, and when t^2 >= 4 n.
+    sc row: when t^2 >= 4 n.
 
     The other route is E(q^2t)^((t-5)/2) E(q^t) E(q^4t), which needs a
-    division at t = 3.  At t = 9 the psi route's power is Jacobi's sparse
-    cube E(q^18)^3, and at t = 11 the other route's is; elsewhere the psi
-    step has about as many terms as the two eta passes it replaces plus the
-    extra E(q^2t).  Timing both routes from the stored sc row at n = 300,
-    1000, 2000, 5000 and 10^4 put the psi route ahead by 15-20% once both
-    take list passes, which happens from t^2 = n to 4 n, and level or behind
-    below that, where the other route's longer passes pack.
+    division by E(q^6) at t = 3; the t = 3 row comes here only below n = 4
+    (`_by_theta`), where that factor is 1.  Timing both routes from the
+    stored sc row at n = 300, 1000, 2000, 5000 and 10^4 put the psi route
+    ahead by 15-20% once both take list passes, which happens from t^2 = n
+    to 4 n, and level or behind below that, where the other route's longer
+    passes pack.
     """
-    return t in (3, 9) or t * t >= 4 * n
+    return t * t >= 4 * n
+
+
+def _theta_steps(t: int, n: int) -> list[list[tuple[int, int]]]:
+    """The floor(t/2) theta factors sum_d q^(t d^2 - b d), b = t - 1 - 2 r,
+    each as one step 1 + sum q^g up to q^n.
+
+    The terms d and -d are q^(d (t d - b)) and q^(d (t d + b)), both positive
+    for d >= 1 since 0 < b < t.  No two d give the same exponent, since that
+    would take t (d + d') = b, so every coefficient is 0 or 1.
+    """
+    steps = []
+    for b in range(t - 1, 0, -2):
+        step, d = [], 1
+        while d * (t * d - b) <= n:
+            step.append((d * (t * d - b), 1))
+            if d * (t * d + b) <= n:
+                step.append((d * (t * d + b), 1))
+            d += 1
+        steps.append(step)
+    return steps
+
+
+def _theta_width(steps: list[list[tuple[int, int]]]) -> int:
+    """Bits per slot, a multiple of 8, for the theta product: the product of
+    the factors' term counts bounds every coefficient of every partial
+    product, and it is below 2**(w - 1)."""
+    count = 1
+    for step in steps:
+        count *= len(step) + 1
+    return -(-(count.bit_length() + 1) // 8) * 8
+
+
+def _theta_product(t: int, n: int) -> list[int]:
+    """sc_t to n as the product of the floor(t/2) theta series, each applied
+    to one packed integer (Kronecker substitution, as in `_packed_steps`).
+
+    Every partial product has non-negative coefficients below 2**(w - 1)
+    (`_theta_width`), so a slot never carries into the next and no bias is
+    needed.  The terms of a factor are summed untruncated, and one mask per
+    factor cuts the sum back to n + 1 slots.
+    """
+    steps = _theta_steps(t, n)
+    w = _theta_width(steps)
+    mask = (1 << (n + 1) * w) - 1
+    x = 1
+    for step in steps:
+        out = x
+        for g, _ in step:
+            out += x << g * w
+        x = out & mask
+    return _unpack(x, n, w // 8)
+
+
+def _by_theta(t: int, n: int) -> bool:
+    """Whether the sc_t row to n is the theta product: when t^3 <= 7 n for
+    odd t and t^3 <= 2 n for even t.
+
+    The product's packed terms grow like (t n)^(1/2) and its slots like
+    t log(n / t), while the eta passes of the other routes cost about the
+    same at every t.  `scripts/calibrate_theta.py` timed both routes for
+    every t to about twice the crossover, the series route from its stored
+    base rows (the c_(t/2) row at n // 4 built cold for even t), and found
+    the cutoff that minimises the summed time of each sweep between these
+    values of t^3 / n (scripts/calibrate_theta.txt, 2 CPUs, best of 3):
+
+        n        odd t         even t
+        1000     19.7 - 24.4   4.1 - 5.8
+        5000      6.0 - 7.2    2.1 - 2.8
+        10^4      6.9 - 8.0    1.8 - 2.2
+        2 10^4    7.4 - 8.3    2.0 - 2.3
+
+    Summed over the rows this rule gives it at each n and parity, the
+    product took 0.37-0.63 of the series route's time; at t = 3, where it
+    is one 0/1 series, 0.03-0.11.
+    """
+    return t ** 3 <= (7 if t % 2 else 2) * n
 
 
 def _build(family: str, t: int, n: int) -> list[int]:
@@ -388,6 +484,15 @@ def _build(family: str, t: int, n: int) -> list[int]:
         return _eta_factors(_served("p", 0, n).coeffs, [(t, t)], n)
     if family == "sc":
         return _psi_times(_served("p", 0, n // 4).coeffs, n)
+    if _by_theta(t, n):
+        return _theta_product(t, n)
+    return _sc_t_series(t, n)
+
+
+def _sc_t_series(t: int, n: int) -> list[int]:
+    """The sc_t row to n over its stored base row: psi(q) c_(t/2)(q^4) or the
+    eta power over sc for even t, psi(-q^t) or three eta factors over sc for
+    odd t."""
     if t % 2:
         sc = _served("sc", 0, n).coeffs
         if _odd_by_psi(t, n):
@@ -423,13 +528,23 @@ def _served(family: str, t: int, n: int) -> TruncatedSeries:
     return last
 
 
+def _check_ints(**values) -> None:
+    """Refuse, in one line, a size or core size that is not an int; a bool
+    is refused too, though Python counts it an int."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def p_coeffs(n: int) -> TruncatedSeries:
     """Unrestricted partition numbers p(0..n)."""
+    _check_ints(n=n)
     return _served("p", 0, n)
 
 
 def phat_coeffs(t: int, n: int) -> TruncatedSeries:
     """Number of t-tuples of partitions with total size 0..n."""
+    _check_ints(t=t, n=n)
     if t < 1:
         raise UnsupportedT(f"phat_t series defined for t >= 1, got {t}")
     return _served("phat", t, n)
@@ -437,11 +552,13 @@ def phat_coeffs(t: int, n: int) -> TruncatedSeries:
 
 def sc_coeffs(n: int) -> TruncatedSeries:
     """Self-conjugate partition counts sc(0..n)."""
+    _check_ints(n=n)
     return _served("sc", 0, n)
 
 
 def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
     """t-core partition counts c_t(0..n): p(q) E(q^t)^t, so c_t(n) = p(n) for n < t."""
+    _check_ints(t=t, n=n)
     if t < 1:
         raise UnsupportedT(f"c_t series defined for t >= 1, got {t}")
     return _served("c_t", t, n)
@@ -454,16 +571,21 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
              = sc(q) E(q^2t)^((t-5)/2) E(q^t) E(q^4t)
              = sc(q) psi(-q^t) E(q^2t)^((t-3)/2)
-    An even row is psi times the stored c_(t/2) row at n // 4 when
-    32 t^3 <= n^2.  Else, and for odd t, the eta powers go over the sc row by
-    list passes or on one packed integer (see the module docstring); an odd
-    row takes psi(-q^t) as one step of +-1 terms for t = 3 and t = 9 and
-    when t^2 >= 4 n, so no sc_t row divides.  A factor in q^a with a > n is
-    1, so sc_t(n) = sc(n) for n < 2t when t is even and for n < t when t is
-    odd, and those rows are the stored sc prefix.  Like every family, the row
-    is built once per t at the largest n asked for and served to smaller n as
-    a prefix.
+    Both t:  prod_{r < floor(t/2)} sum_{d in Z} q^(t d^2 - (t-1-2r) d)
+    The row is the last line, a product of 0/1 theta series on one packed
+    integer, when t^3 <= 7 n for odd t and t^3 <= 2 n for even t.  Else an
+    even row is psi times the stored c_(t/2) row at n // 4 when
+    32 t^3 <= n^2, and otherwise, as for odd t, the eta powers go over the
+    sc row by list passes or on one packed integer (see the module
+    docstring); an odd row takes psi(-q^t) as one step of +-1 terms when
+    t^2 >= 4 n, and the t = 3 row takes the theta product from n = 4, so no
+    sc_t row divides.  A factor in q^a with a > n is 1, so sc_t(n) = sc(n)
+    for n < 2t when t is even and for n < t when t is odd, and those rows
+    are the stored sc prefix.  Like every family, the row is built once per
+    t at the largest n asked for and served to smaller n as a prefix.  A t
+    or n that is not an int, a bool included, raises TypeError.
     """
+    _check_ints(t=t, n=n)
     if t < 2:
         raise UnsupportedT(f"sc_t series defined for t >= 2, got {t}")
     return _served("sc_t", t, n)

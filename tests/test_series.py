@@ -11,6 +11,12 @@ from sccore import partitions as pt
 from sccore import series as se
 from sccore.errors import UnsupportedT
 
+
+def _multiply_eta(c: list[int], a: int, n: int) -> list[int]:
+    """c * E(q^a) truncated at n, by pentagonal shift-adds."""
+    return se._shift_add(c, se.pentagonal_terms(a, n))
+
+
 A000700_PREFIX = [
     1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3,
     3, 4, 5, 5, 5, 6, 7, 8, 8, 9, 11, 12, 12, 14,
@@ -33,7 +39,7 @@ class TestBuildingBlocks:
 
     def test_eta_inverse_is_inverse(self):
         for a in (1, 2, 3, 5):
-            forward = se._multiply_eta([1] + [0] * 40, a, 40)
+            forward = _multiply_eta([1] + [0] * 40, a, 40)
             back = se._divide_eta(forward, a, 40)
             assert back == [1] + [0] * 40
 
@@ -218,7 +224,8 @@ class TestRowKernel:
                                      if tri <= n and (n - tri) % 4 == 0), (m, n)
 
     def test_grid_takes_both_even_routes(self):
-        routes = {se._even_by_psi(t, n) for n in self.PSI_NS for t in range(2, 81, 2) if 2 * t <= n}
+        routes = {se._even_by_psi(t, n) for n in self.PSI_NS for t in range(2, 81, 2)
+                  if 2 * t <= n and not se._by_theta(t, n)}
         assert routes == {True, False}
 
     def test_rows_beyond_the_factor_are_the_base_row(self):
@@ -268,6 +275,23 @@ class TestRowKernel:
     def test_t_below_one_is_unsupported(self, build):
         with pytest.raises(UnsupportedT):
             build(0, 10)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: se.sc_t_coeffs(2, 2.5), "n must be an int, not float"),
+        (lambda: se.sc_coeffs(None), "n must be an int, not NoneType"),
+        (lambda: se.p_coeffs("5"), "n must be an int, not str"),
+        (lambda: se.p_coeffs(True), "n must be an int, not bool"),
+        (lambda: se.c_t_coeffs(3.0, 5), "t must be an int, not float"),
+        (lambda: se.phat_coeffs(False, 5), "t must be an int, not bool"),
+        (lambda: se.nsc_t_coeffs(3, 5.0), "n must be an int, not float"),
+        (lambda: se.eta_product("5", [(1, 1)]), "n must be an int, not str"),
+    ])
+    def test_sizes_that_are_not_ints_fail_at_entry(self, call, message):
+        se.clear_series_caches()
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+        assert se._store == {}
 
 
 def _row_factors(family: str, t: int) -> list[tuple[int, int]]:
@@ -323,7 +347,8 @@ class TestOddRows:
 
     def test_grid_takes_both_odd_routes(self):
         # so TestRowKernel's check against series_reference covers both
-        routes = {se._odd_by_psi(t, n) for n in self.NS for t in range(3, 81, 2) if t <= n}
+        routes = {se._odd_by_psi(t, n) for n in self.NS for t in range(3, 81, 2)
+                  if t <= n and not se._by_theta(t, n)}
         assert routes == {True, False}
 
     @pytest.mark.parametrize("n", [2000, 10_000])
@@ -343,6 +368,54 @@ class TestOddRows:
         assert divisions == []
         se.phat_coeffs(2, 50)  # the one family besides p that still divides
         assert divisions == [(1, 50), (1, 50)]
+
+
+class TestThetaRows:
+    """sc_t as the product of floor(t/2) theta series on one packed integer,
+    against the series route over the stored base rows."""
+
+    @pytest.mark.parametrize("n", [7, 300, 1000, 3000])
+    def test_theta_product_equals_the_series_route(self, n):
+        for t in range(2, 102):
+            assert se._theta_product(t, n) == list(se._sc_t_series(t, n)), (t, n)
+
+    def test_grid_takes_both_sides_of_the_theta_rule(self):
+        # so TestRowKernel's check against series_reference covers the product
+        routes = {(t % 2, se._by_theta(t, n)) for n in TestRowKernel.NS for t in range(2, 81)}
+        assert routes == {(0, True), (0, False), (1, True), (1, False)}
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_partial_products_stay_below_the_sign_bit(self, n):
+        # the slots need no bias and never carry while every coefficient of
+        # every partial product is below 2**(w - 1)
+        for t in range(2, 102):
+            steps = se._theta_steps(t, n)
+            assert len(steps) == t // 2
+            bound = 1 << (se._theta_width(steps) - 1)
+            c = se._unit(n)
+            for step in steps:
+                assert len({g for g, _ in step}) == len(step), (t, n)
+                c = se._shift_add(c, step)
+                assert 0 <= min(c) and max(c) < bound, (t, n)
+            assert se._theta_product(t, n) == c, (t, n)
+
+    def test_no_small_sc_t_row_divides(self, monkeypatch):
+        # below the theta rule's n the t = 3 row takes the other routes
+        se.p_coeffs(40)
+        divisions = []
+        divide = se._divide_eta
+        monkeypatch.setattr(se, "_divide_eta", lambda *args: divisions.append(args[1:]) or divide(*args))
+        for n in range(41):
+            for t in range(2, 42):
+                se._build("sc_t", t, n)
+        assert divisions == []
+
+    def test_slot_width_is_the_term_count_bound(self):
+        # 2 * 3 * 4 = 24 takes 5 bits and the spare top bit a sixth: one byte;
+        # 128 takes 8 bits and the top bit a ninth: two bytes
+        steps = [[(1, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1)]]
+        assert se._theta_width(steps) == 8
+        assert se._theta_width([[(g, 1) for g in range(1, 128)]]) == 16
 
 
 class TestPackedKernel:
