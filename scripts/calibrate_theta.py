@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the two routes of each sc_t row and print where the theta product stops winning.
 
-For every N and t the script times the theta product (`_theta_product`) and
-the series route (`_sc_t_series`), best of --repeats runs.  The series route
+For every N and t the script times the theta product (`_sc_t` with route
+"theta") and the series route (`_sc_t` with the route `_route` takes when
+the theta rule does not hold), best of --repeats runs.  The series route
 runs from its stored base rows: the sc row at N and the p row at N // 4 are
 built once and kept, and for even t the c_(t/2) row at N // 4 is cleared
 before each run, since only that sc_t row needs it.  Each line gives the two
@@ -45,8 +46,9 @@ def calibrate(n: int, parity: int, repeats: int) -> int:
     t_max = round((24 * n) ** (1 / 3)) if parity else round((4 * n) ** (1 / 3))
     times = []
     for t in range(3 if parity else 2, t_max + 1, 2):
-        theta = best_ms(lambda: se._theta_product(t, n), repeats)
-        series = best_ms(lambda: se._sc_t_series(t, n), repeats,
+        route = "psi" if not parity and se._even_by_psi(t, n) else "sc"
+        theta = best_ms(lambda: se._sc_t(t, n, "theta"), repeats)
+        series = best_ms(lambda: se._sc_t(t, n, route), repeats,
                          lambda: se._store.pop(("c_t", t // 2), None) if not parity else None)
         print(f"{n:6d} {t:4d} {theta:9.1f} {series:9.1f} {theta / series:6.2f}", flush=True)
         times.append((t, theta, series))

@@ -20,6 +20,8 @@ from .errors import CacheCorrupt
 
 MAGIC = b"SCCOREC1"
 VERSION = 1
+# the families `compute_family` builds, and whether each takes a t
+_TAKES_T = {"p": False, "sc": False, "sc_t": True, "c_t": True, "phat": True, "nsc_t": True}
 
 
 def compute_family(family: str, t: int | None, n: int) -> TruncatedSeries:
@@ -79,16 +81,28 @@ def _encode(family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> byte
 
 
 def _split(blob: bytes) -> tuple[dict, bytes]:
-    """(header, payload) of a cache file, after its magic and checksum pass."""
+    """(header, payload) of a cache file, after its magic, its checksum and
+    its header pass.  The header must be a JSON object of this version with
+    a known family, an int t exactly when the family takes one, and ints n
+    and width >= 0 (no bools)."""
     if not blob.startswith(MAGIC):
         raise CacheCorrupt("bad magic")
     body, digest = blob[len(MAGIC):-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CacheCorrupt("checksum mismatch")
     head, _, payload = body.partition(b"\n")
-    header = json.loads(head)
+    try:
+        header = json.loads(head)
+    except ValueError:  # not UTF-8, or not JSON
+        header = None
+    if not isinstance(header, dict):
+        raise CacheCorrupt("header is not a JSON object")
     if header.get("version") != VERSION:
         raise CacheCorrupt(f"version {header.get('version')} != {VERSION}")
+    family, t, n, width = (header.get(key) for key in ("family", "t", "n", "width"))
+    if not (isinstance(family, str) and _TAKES_T.get(family) == (t is not None)
+            and (t is None or type(t) is int) and all(type(v) is int and v >= 0 for v in (n, width))):
+        raise CacheCorrupt("malformed header")
     return header, payload
 
 

@@ -1,10 +1,9 @@
 """Truncated integer power series and the counting generating functions.
 
 Everything is exact integer arithmetic on dense coefficient lists c[0..N].
-Every family is the series 1 or a row times eta powers E(q^a)^k, where
-E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), or psi(q) times such
-a row in q^4; odd sc_t may take psi(-q^t) in place of three eta powers, and
-the small-t sc_t rows are a product of theta series (below).  A power is
+Every family is the series 1 or a base row times eta powers E(q^a)^k, where
+E(q) = prod (1 - q^m) = 1 + (signed pentagonal terms), and times a list of
+sparse steps, or psi(q) times such a row in q^4.  Every step and power is
 applied to a row by shift-add passes, each a multiplication by
 1 + sum u q^g, in one of three ways, which give the same integers:
 
@@ -14,8 +13,8 @@ applied to a row by shift-add passes, each a multiplication by
   each of its nonzero terms u*x^i adds u times the row shifted by a*i;
 - packed (Kronecker substitution): the row is one integer, w bits per
   coefficient, so a term u q^g is one big-integer shift and add, and all the
-  positive powers of a row run on that integer between one packing and one
-  unpacking (`_packed_steps`).
+  steps and positive powers of a row run on that integer between one
+  packing and one unpacking (`_packed_steps`).
 
 The fused pass is taken when E(x)^k has fewer nonzero terms past the
 constant than the k passes have pentagonal terms in all.  That holds for the
@@ -23,16 +22,16 @@ large t the scans sweep; the choice depends on (a, k, N) only.  When a > N
 the factor is 1 on the truncation and the row comes back unchanged.
 
 The packed integer is exact: the map q -> 2^w takes series truncated at N
-to integers mod 2^((N+1) w), and w >= bitlen(max |c|) + bitlen(prod of the
-passes' l1 norms) + 2 holds every final coefficient below 2^(w-1) in
-magnitude, so the slots decode with a bias of 2^(w-1) each.  Packing and
-unpacking cost about 8 list passes, and a packed term moves the whole
-integer whatever its shift, so the positive powers are packed when their
-list passes cost more than that: at least 8 row lengths of element
-operations plus w / 1000 of a row per term (`_pack_width`).  The small-t
-rows at large N qualify; the large-t rows, whose few terms are short list
-passes, and the c_t rows with long fused passes of big coefficients do not.
-Negative powers, left only in the p and phat rows, always use list passes.
+to integers mod 2^((N+1) w), and w >= bitlen(max |c| times the product of
+the passes' l1 norms) + 1 holds every final coefficient below 2^(w-1) in
+magnitude, so the slots decode with a bias of 2^(w-1) each (`_slot_width`).
+Packing and unpacking cost about 8 list passes, and a packed term moves the
+whole integer whatever its shift, so the steps are packed when their list
+passes cost more than that: at least 8 row lengths of element operations
+plus w / 1000 of a row per term (`_pack_width`).  The small-t rows at large
+N qualify; the large-t rows, whose few terms are short list passes, and the
+c_t rows with long fused passes of big coefficients do not.  Negative
+powers, left only in the p and phat rows, always use list passes.
 
 The base rows are p and sc.  Gauss's psi(q) = sum_{k >= 0} q^(k(k+1)/2)
 = E(q^2)^2 / E(q) turns every row that carries the factor
@@ -51,19 +50,16 @@ T <= N, r added into the stride-4 slice of the row from T.  Families:
     c_t(n)     = [q^n] p(q) E(q^t)^t                 t-cores
     sc_t(n)    = [q^n] sc(q) times an eta product in q^t, by parity of t
 
-The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  An even
-sc_t row is psi(q) c_(t/2)(q^4), on the stored c_(t/2) row at N // 4, when
-32 t^3 <= N^2 (`_even_by_psi`), which timing both routes put at their
-crossover; else it is E(q^2t)^(t/2) over the sc row at N, which wins for the
-large t, where that power has only a few terms.  Odd t takes an eta
-product over the sc row.  Gauss's psi(-q) = E(q) E(q^4) / E(q^2)
-= sum_{k >= 0} (-1)^(k(k+1)/2) q^(k(k+1)/2) makes its three factors
-
-    E(q^2t)^((t-5)/2) E(q^t) E(q^4t) = psi(-q^t) E(q^2t)^((t-3)/2),
-
+The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  Each
+sc_t row takes one of three routes, "theta" (below), "psi" or "sc", which
+`_route` reads off (t, N) and `_sc_t` builds.  An even row is psi(q) c_(t/2)(q^4), on the stored c_(t/2)
+row at N // 4, when 32 t^3 <= N^2 (`_even_by_psi`), which timing both
+routes put at their crossover; else it is E(q^2t)^(t/2) over the sc row at
+N, which wins for the large t, where that power has only a few terms.  An
+odd row over the sc row is psi(-q^t) E(q^2t)^((t-3)/2): Gauss's
+psi(-q) = E(q) E(q^4) / E(q^2) = sum_{k >= 0} (-1)^(k(k+1)/2) q^(k(k+1)/2),
 and psi(-q^t) - 1 is one sparse step of +-1 terms, taken with the positive
-powers.  So sc_3 = sc(q) psi(-q^3) needs no division.  The psi form is taken
-when t^2 >= 4 N (`_odd_by_psi`).
+powers, so sc_3 = sc(q) psi(-q^3) needs no division.
 
 Those routes carry coefficients of the size of sc(n), about 10^55 at
 N = 10^4, and cancel them down to small counts.  For small t the sc_t row
@@ -75,15 +71,14 @@ sum_r (t d_r^2 - (t-1-2r) d_r), so
     sc_t(q) = prod_{r < floor(t/2)} sum_{d in Z} q^(t d^2 - (t-1-2r) d),
 
 a product of theta series with coefficients 0 and 1 (two d with the same
-exponent would make t - 1 - 2r a multiple of t).  `_theta_product` applies
-each factor to one packed integer.  Every partial product is non-negative
-and bounded by the product of the factors' term counts, so slots one bit
-wider than that bound need no bias and never carry, and one mask per factor
-truncates it.  Its packed terms grow with t, so it is taken when
-t^3 <= 7 N for odd t and t^3 <= 2 N for even t (`_by_theta`), where timing
-both routes put their crossover; every other sc_t row takes the routes
-above.  Below N = 4 the t = 3 row takes those routes, with E(q^6) past the
-truncation, so no sc_t row divides.
+exponent would make t - 1 - 2r a multiple of t).  `_theta_steps` lists each
+factor as one step, and the steps run on the series 1 through the same
+kernel and slot width as every eta product; on the series 1 and 0/1 steps
+the width's bound is the product of the factors' term counts.  The
+product's packed terms grow with t, so it is taken when t^3 <= 7 N for odd
+t and t^3 <= 2 N for even t (`_by_theta`, which quotes where timing both
+routes puts their crossover); every other sc_t row takes the routes above.
+No sc_t row divides.
 
 Every family row is served from one store keyed by (family, t).  A row is
 built once, at the largest N asked for so far, and smaller N are served its
@@ -92,8 +87,9 @@ returns the same object.  The rows that others are built on (p and c_m at
 N // 4, sc at N) are stored rows too.  `clear_series_caches()` empties the
 store.
 """
-
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .errors import UnsupportedT
 
@@ -261,12 +257,13 @@ SLOT_BITS = 1000
 def _slot_width(c: list[int], steps: list[list[tuple[int, int]]]) -> int:
     """Bits per slot, a multiple of 8, that hold every coefficient of c times
     the steps with its sign: the largest |c[i]| times the product of the
-    steps' l1 norms is below 2**(w - 2)."""
-    norm = 1
+    steps' l1 norms is below 2**(w - 1).  On the series 1 and 0/1 steps that
+    bound is the product of the steps' term counts plus one each, and it
+    bounds every partial product too."""
+    bound = max(max(c), -min(c))
     for step in steps:
-        norm *= 1 + sum(abs(u) for _, u in step)
-    big = max(max(c), -min(c))
-    return -(-(big.bit_length() + norm.bit_length() + 2) // 8) * 8
+        bound *= 1 + sum(abs(u) for _, u in step)
+    return -(-(bound.bit_length() + 1) // 8) * 8
 
 
 def _pack_width(c: list[int], steps: list[list[tuple[int, int]]], n: int) -> int | None:
@@ -286,12 +283,12 @@ def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: i
 
     Slot i, w bits wide, holds the coefficient of q^i, so multiplying by q^g
     is a shift by g * w, and the mask reduces mod 2**((n + 1) * w), which is
-    the ring of series truncated at n with q = 2**w.  The reduction before
-    unpacking makes the result exact; reducing each term as well keeps the
-    integer (n + 1) * w bits long.  A slot of `_slot_width` holds every final
-    coefficient below 2**(w - 1) in magnitude, so adding 2**(w - 1) to each
-    slot (the bias) makes them all non-negative and the slots decode one by
-    one.
+    the ring of series truncated at n with q = 2**w.  The terms of a step are
+    summed unreduced and one mask per step cuts the sum back to n + 1 slots,
+    so the working integer never passes two rows.  A slot of `_slot_width`
+    holds every final coefficient below 2**(w - 1) in magnitude, so adding
+    2**(w - 1) to each slot (the bias) makes them all non-negative and the
+    slots decode one by one.
     """
     size, half = w // 8, 1 << (w - 1)
     mask = (1 << (n + 1) * w) - 1
@@ -301,24 +298,19 @@ def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: i
         out = x
         for g, u in step:
             if u == 1:
-                out += (x << g * w) & mask
+                out += x << g * w
             elif u == -1:
-                out -= (x << g * w) & mask
+                out -= x << g * w
             else:
-                out += ((u * x) << g * w) & mask
-        x = out
-    return _unpack((x + bias) & mask, n, size, half)
-
-
-def _unpack(x: int, n: int, size: int, offset: int = 0) -> list[int]:
-    """The n + 1 slots of x, size bytes each from the lowest, less offset each."""
-    raw = x.to_bytes((n + 1) * size, "little")
+                out += (u * x) << g * w
+        x = out & mask
+    raw = ((x + bias) & mask).to_bytes((n + 1) * size, "little")
     decode = int.from_bytes
-    return [decode(raw[i:i + size], "little") - offset for i in range(0, len(raw), size)]
+    return [decode(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
 
 
 def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
-                 steps: tuple[list[tuple[int, int]], ...] = ()) -> list[int]:
+                 steps: Sequence[list[tuple[int, int]]] = ()) -> list[int]:
     """c * prod E(q^a)^k truncated at n, times the factor 1 + sum u q^g of
     each of the given steps.
 
@@ -382,21 +374,6 @@ def _psi_minus(a: int, n: int) -> list[tuple[int, int]]:
     return [(a * tri, -1 if tri % 2 else 1) for tri in _triangular(n // a)[1:]]
 
 
-def _odd_by_psi(t: int, n: int) -> bool:
-    """Whether the odd sc_t row to n is psi(-q^t) E(q^2t)^((t-3)/2) over the
-    sc row: when t^2 >= 4 n.
-
-    The other route is E(q^2t)^((t-5)/2) E(q^t) E(q^4t), which needs a
-    division by E(q^6) at t = 3; the t = 3 row comes here only below n = 4
-    (`_by_theta`), where that factor is 1.  Timing both routes from the
-    stored sc row at n = 300, 1000, 2000, 5000 and 10^4 put the psi route
-    ahead by 15-20% once both take list passes, which happens from t^2 = n
-    to 4 n, and level or behind below that, where the other route's longer
-    passes pack.
-    """
-    return t * t >= 4 * n
-
-
 def _theta_steps(t: int, n: int) -> list[list[tuple[int, int]]]:
     """The floor(t/2) theta factors sum_d q^(t d^2 - b d), b = t - 1 - 2 r,
     each as one step 1 + sum q^g up to q^n.
@@ -417,37 +394,6 @@ def _theta_steps(t: int, n: int) -> list[list[tuple[int, int]]]:
     return steps
 
 
-def _theta_width(steps: list[list[tuple[int, int]]]) -> int:
-    """Bits per slot, a multiple of 8, for the theta product: the product of
-    the factors' term counts bounds every coefficient of every partial
-    product, and it is below 2**(w - 1)."""
-    count = 1
-    for step in steps:
-        count *= len(step) + 1
-    return -(-(count.bit_length() + 1) // 8) * 8
-
-
-def _theta_product(t: int, n: int) -> list[int]:
-    """sc_t to n as the product of the floor(t/2) theta series, each applied
-    to one packed integer (Kronecker substitution, as in `_packed_steps`).
-
-    Every partial product has non-negative coefficients below 2**(w - 1)
-    (`_theta_width`), so a slot never carries into the next and no bias is
-    needed.  The terms of a factor are summed untruncated, and one mask per
-    factor cuts the sum back to n + 1 slots.
-    """
-    steps = _theta_steps(t, n)
-    w = _theta_width(steps)
-    mask = (1 << (n + 1) * w) - 1
-    x = 1
-    for step in steps:
-        out = x
-        for g, _ in step:
-            out += x << g * w
-        x = out & mask
-    return _unpack(x, n, w // 8)
-
-
 def _by_theta(t: int, n: int) -> bool:
     """Whether the sc_t row to n is the theta product: when t^3 <= 7 n for
     odd t and t^3 <= 2 n for even t.
@@ -461,46 +407,54 @@ def _by_theta(t: int, n: int) -> bool:
     values of t^3 / n (scripts/calibrate_theta.txt, 2 CPUs, best of 3):
 
         n        odd t         even t
-        1000     19.7 - 24.4   4.1 - 5.8
-        5000      6.0 - 7.2    2.1 - 2.8
-        10^4      6.9 - 8.0    1.8 - 2.2
-        2 10^4    7.4 - 8.3    2.0 - 2.3
+        1000     4.9 - 6.9     2.7 - 4.1
+        5000     4.9 - 6.0     1.2 - 1.6
+        10^4     5.1 - 5.9     1.1 - 1.4
+        2 10^4   6.6 - 7.4     1.6 - 2.0
 
-    Summed over the rows this rule gives it at each n and parity, the
-    product took 0.37-0.63 of the series route's time; at t = 3, where it
-    is one 0/1 series, 0.03-0.11.
+    The rule was fitted when the product had a packed kernel of its own,
+    with no packing pass and no bias, and it now lies above these bands for
+    odd t at n <= 10^4 and for even t at n >= 5000, and below the even band
+    at n = 1000.  Summed over the rows it gives the product at each n and
+    parity, the product took 0.40-0.79 of the series route's time; at t = 3,
+    where it is one 0/1 series, 0.11-0.57.
     """
     return t ** 3 <= (7 if t % 2 else 2) * n
 
 
+def _route(t: int, n: int) -> str:
+    """How `_build` makes the sc_t row to n: "theta" when `_by_theta`, else
+    "psi" for even t when `_even_by_psi`, else "sc"."""
+    if _by_theta(t, n):
+        return "theta"
+    return "psi" if t % 2 == 0 and _even_by_psi(t, n) else "sc"
+
+
+def _sc_t(t: int, n: int, route: str) -> list[int]:
+    """The sc_t row to n by the given route, which need not be the one
+    `_route` picks: "theta", the theta steps over the series 1; "psi" (even t
+    only), psi(q) times the stored c_(t/2) row at n // 4; "sc", the eta power
+    over the stored sc row, after the step psi(-q^t) for odd t."""
+    if route == "theta":
+        return _eta_factors(_unit(n), [], n, _theta_steps(t, n))
+    if route == "psi":
+        return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
+    sc = _served("sc", 0, n).coeffs
+    if t % 2:
+        return _eta_factors(sc, [(2 * t, (t - 3) // 2)], n, [_psi_minus(t, n)])
+    return _eta_factors(sc, [(2 * t, t // 2)], n)
+
+
 def _build(family: str, t: int, n: int) -> list[int]:
-    """The (family, t) row to n: c_t on the stored p row, sc and sc_t by the
-    routes of the module docstring."""
-    if family == "p":
-        return _divide_eta(_unit(n), 1, n)
-    if family == "phat":
-        return eta_product(n, [(1, -t)])
+    """The (family, t) row to n: p as phat_1, c_t on the stored p row, sc
+    and sc_t by the routes of the module docstring."""
+    if family in ("p", "phat"):
+        return _eta_factors(_unit(n), [(1, -max(t, 1))], n)
     if family == "c_t":
         return _eta_factors(_served("p", 0, n).coeffs, [(t, t)], n)
     if family == "sc":
         return _psi_times(_served("p", 0, n // 4).coeffs, n)
-    if _by_theta(t, n):
-        return _theta_product(t, n)
-    return _sc_t_series(t, n)
-
-
-def _sc_t_series(t: int, n: int) -> list[int]:
-    """The sc_t row to n over its stored base row: psi(q) c_(t/2)(q^4) or the
-    eta power over sc for even t, psi(-q^t) or three eta factors over sc for
-    odd t."""
-    if t % 2:
-        sc = _served("sc", 0, n).coeffs
-        if _odd_by_psi(t, n):
-            return _eta_factors(sc, [(2 * t, (t - 3) // 2)], n, (_psi_minus(t, n),) if t <= n else ())
-        return _eta_factors(sc, [(2 * t, (t - 5) // 2), (t, 1), (4 * t, 1)], n)
-    if _even_by_psi(t, n):
-        return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
-    return _eta_factors(_served("sc", 0, n).coeffs, [(2 * t, t // 2)], n)
+    return _sc_t(t, n, _route(t, n))
 
 
 # (family, t) -> (the row at the largest n built so far, the series last served)
@@ -569,21 +523,20 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
 
     Even t:  sc(q) E(q^2t)^(t/2)  = psi(q) c_(t/2)(q^4)
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
-             = sc(q) E(q^2t)^((t-5)/2) E(q^t) E(q^4t)
              = sc(q) psi(-q^t) E(q^2t)^((t-3)/2)
     Both t:  prod_{r < floor(t/2)} sum_{d in Z} q^(t d^2 - (t-1-2r) d)
-    The row is the last line, a product of 0/1 theta series on one packed
-    integer, when t^3 <= 7 n for odd t and t^3 <= 2 n for even t.  Else an
-    even row is psi times the stored c_(t/2) row at n // 4 when
-    32 t^3 <= n^2, and otherwise, as for odd t, the eta powers go over the
-    sc row by list passes or on one packed integer (see the module
-    docstring); an odd row takes psi(-q^t) as one step of +-1 terms when
-    t^2 >= 4 n, and the t = 3 row takes the theta product from n = 4, so no
-    sc_t row divides.  A factor in q^a with a > n is 1, so sc_t(n) = sc(n)
-    for n < 2t when t is even and for n < t when t is odd, and those rows
-    are the stored sc prefix.  Like every family, the row is built once per
-    t at the largest n asked for and served to smaller n as a prefix.  A t
-    or n that is not an int, a bool included, raises TypeError.
+    The row is the last line, 0/1 theta series on the kernel and slot width
+    of every eta product, when t^3 <= 7 n for odd t and t^3 <= 2 n for even
+    t.  Else an even row is psi times the stored c_(t/2) row at n // 4 when
+    32 t^3 <= n^2, and otherwise, like every odd row past the theta rule,
+    the sc row times the eta power, after psi(-q^t) as one step of +-1
+    terms for odd t, by list passes or on one packed integer (`_route`,
+    `_sc_t` and the module docstring), so no sc_t row divides.  A factor in q^a with a > n is 1,
+    so sc_t(n) = sc(n) for n < 2t when t is even and for n < t when t is
+    odd, and those rows are the stored sc prefix.  Like every family, the
+    row is built once per t at the largest n asked for and served to
+    smaller n as a prefix.  A t or n that is not an int, a bool included,
+    raises TypeError.
     """
     _check_ints(t=t, n=n)
     if t < 2:

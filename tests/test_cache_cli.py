@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -126,6 +127,29 @@ class TestCountCommand:
         out, err = capsys.readouterr()
         assert out == cold
         assert err.count("\n") == 1 and err.startswith("warning:")
+
+    @pytest.mark.parametrize("head", [
+        b"not json", b"[5]", b'{"family": "sc", "n": 5, "t": null, "version": 1}',
+        b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}',
+        b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}',
+    ], ids=["not-json", "not-an-object", "no-width", "unknown-family", "no-t"])
+    def test_checksum_valid_malformed_header(self, head, tmp_path, capsys):
+        # the checksum covers the header, so only the header check catches these
+        args = ["count", "sc", "--n", "0..5", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        path = tmp_path / "sc_n5.bin"
+        body = head + b"\n" + path.read_bytes()[len(cache.MAGIC):-32].partition(b"\n")[2]
+        blob = cache.MAGIC + body + hashlib.sha256(body).digest()
+        path.write_bytes(blob)
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert err.count("\n") == 1 and err.startswith("warning:")
+        path.write_bytes(blob)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1 and out.startswith(f"{path}: corrupt (")
 
     def test_cache_dir_used_and_values_unchanged(self, tmp_path, capsys):
         args = ["count", "sc_t", "--t", "6", "--n", "73", "--cache-dir", str(tmp_path)]

@@ -224,9 +224,9 @@ class TestRowKernel:
                                      if tri <= n and (n - tri) % 4 == 0), (m, n)
 
     def test_grid_takes_both_even_routes(self):
-        routes = {se._even_by_psi(t, n) for n in self.PSI_NS for t in range(2, 81, 2)
-                  if 2 * t <= n and not se._by_theta(t, n)}
-        assert routes == {True, False}
+        # psi and the eta power over sc, besides the theta product
+        routes = {se._route(t, n) for n in self.PSI_NS for t in range(2, 81, 2) if 2 * t <= n}
+        assert routes == {"theta", "psi", "sc"}
 
     def test_rows_beyond_the_factor_are_the_base_row(self):
         for t in range(2, 40):
@@ -333,8 +333,8 @@ def _packed_row(family: str, t: int, n: int) -> list[int]:
 
 
 class TestOddRows:
-    """Odd sc_t rows as psi(-q^t) E(q^2t)^((t-3)/2) over the sc row, or by the
-    three eta factors, against the three-factor product."""
+    """Odd sc_t rows as psi(-q^t) E(q^2t)^((t-3)/2) over the sc row against
+    the three-factor product E(q^2t)^((t-5)/2) E(q^t) E(q^4t) by list passes."""
 
     NS = TestRowKernel.NS
 
@@ -345,17 +345,10 @@ class TestOddRows:
                                 binomial_factor(-1, 2 * a, 0, -1, n))
             assert tuple(se._shift_add(se._unit(n), se._psi_minus(a, n))) == expected.coeffs, a
 
-    def test_grid_takes_both_odd_routes(self):
-        # so TestRowKernel's check against series_reference covers both
-        routes = {se._odd_by_psi(t, n) for n in self.NS for t in range(3, 81, 2)
-                  if t <= n and not se._by_theta(t, n)}
-        assert routes == {True, False}
-
     @pytest.mark.parametrize("n", [2000, 10_000])
     def test_odd_rows_match_the_three_factor_product(self, n):
         for t in (*range(3, 12, 2), 91, 151, 301):
             assert list(se.sc_t_coeffs(t, n).coeffs) == _list_row("sc_t", t, n), (t, n)
-        assert {se._odd_by_psi(t, n) for t in (5, 7, 11, 91, 151, 301)} == {True, False}
 
     def test_no_sc_t_row_divides(self, monkeypatch):
         se.clear_series_caches()
@@ -371,33 +364,35 @@ class TestOddRows:
 
 
 class TestThetaRows:
-    """sc_t as the product of floor(t/2) theta series on one packed integer,
-    against the series route over the stored base rows."""
+    """sc_t as the product of floor(t/2) theta series over the series 1,
+    against every series route over the stored base rows."""
 
     @pytest.mark.parametrize("n", [7, 300, 1000, 3000])
     def test_theta_product_equals_the_series_route(self, n):
         for t in range(2, 102):
-            assert se._theta_product(t, n) == list(se._sc_t_series(t, n)), (t, n)
+            theta = se._sc_t(t, n, "theta")
+            for route in ("sc",) if t % 2 else ("psi", "sc"):
+                assert theta == list(se._sc_t(t, n, route)), (t, n, route)
 
     def test_grid_takes_both_sides_of_the_theta_rule(self):
         # so TestRowKernel's check against series_reference covers the product
-        routes = {(t % 2, se._by_theta(t, n)) for n in TestRowKernel.NS for t in range(2, 81)}
+        routes = {(t % 2, se._route(t, n) == "theta") for n in TestRowKernel.NS for t in range(2, 81)}
         assert routes == {(0, True), (0, False), (1, True), (1, False)}
 
     @pytest.mark.parametrize("n", [300, 1000])
     def test_partial_products_stay_below_the_sign_bit(self, n):
-        # the slots need no bias and never carry while every coefficient of
-        # every partial product is below 2**(w - 1)
+        # the slot width's bound on the series 1 and 0/1 steps holds every
+        # coefficient of every partial product below 2**(w - 1)
         for t in range(2, 102):
             steps = se._theta_steps(t, n)
             assert len(steps) == t // 2
-            bound = 1 << (se._theta_width(steps) - 1)
+            bound = 1 << (se._slot_width(se._unit(n), steps) - 1)
             c = se._unit(n)
             for step in steps:
                 assert len({g for g, _ in step}) == len(step), (t, n)
                 c = se._shift_add(c, step)
                 assert 0 <= min(c) and max(c) < bound, (t, n)
-            assert se._theta_product(t, n) == c, (t, n)
+            assert se._sc_t(t, n, "theta") == c, (t, n)
 
     def test_no_small_sc_t_row_divides(self, monkeypatch):
         # below the theta rule's n the t = 3 row takes the other routes
@@ -414,8 +409,8 @@ class TestThetaRows:
         # 2 * 3 * 4 = 24 takes 5 bits and the spare top bit a sixth: one byte;
         # 128 takes 8 bits and the top bit a ninth: two bytes
         steps = [[(1, 1)], [(1, 1), (2, 1)], [(1, 1), (2, 1), (3, 1)]]
-        assert se._theta_width(steps) == 8
-        assert se._theta_width([[(g, 1) for g in range(1, 128)]]) == 16
+        assert se._slot_width([1], steps) == 8
+        assert se._slot_width([1], [[(g, 1) for g in range(1, 128)]]) == 16
 
 
 class TestPackedKernel:
@@ -456,8 +451,8 @@ class TestPackedKernel:
         assert min(got) < 0 < max(got)
 
     def test_working_integer_stays_one_row_long(self):
-        # E(q^9)^9 at n = 2000 is nine pentagonal passes.  Reducing each term
-        # mod 2**((n + 1) w) keeps the working integer (n + 1) w bits long;
+        # E(q^9)^9 at n = 2000 is nine pentagonal passes.  Reducing after each
+        # pass mod 2**((n + 1) w) keeps the working integer within two rows;
         # left unreduced it grows by a row with every pass and the peak passes
         # 40 row sizes, though every coefficient still comes out exact.  The
         # packed pieces and the output list take about 9 row sizes themselves.
@@ -480,14 +475,14 @@ class TestPackedKernel:
         # E(q^2)^100 is one fused pass 1 + sum u q^g.  Against a base row
         # with c[n - g] = B sign(u) and c[n] = B, the last coefficient is B
         # times the pass's l1 norm, the bound the slot width is taken from.
-        # bitlen(B) + bitlen(norm) is a multiple of 8, so the 2-bit margin is
-        # what adds the slot's last byte: without it the coefficient would
-        # fill the slot, sign bit included.
+        # bitlen(B norm) is a multiple of 8, so the 1-bit margin is what adds
+        # the slot's last byte: without it the coefficient would fill the
+        # slot, sign bit included.
         n = 120
         steps = se._power_steps(2, 100, n)
         assert len(steps) == 1 and se._fused_shifts(2, 100, n) is not None
         norm = 1 + sum(abs(u) for _, u in steps[0])
-        big = (1 << (-norm.bit_length() % 8 + 8)) - 1
+        big = ((1 << (norm.bit_length() // 8 + 2) * 8) - 1) // norm
         c = [0] * (n + 1)
         c[n] = big
         for g, u in steps[0]:
