@@ -118,6 +118,16 @@ def _groups() -> dict[str, list[list[str]]]:
         "scan growth --range 19..20 --nmax 50",
         "scan distribution --range 3..5 --nmax 50",
     )]
+    groups["scan-modes"] = [line.split() for line in (
+        "scan identity --t 5 --a 2 --b 1 --a2 1 --b2 0 --nmax 200",
+        "scan inequality --family c --t 7 --a 2 --b 2 --alpha 2 --non-strict --nmax 200",
+        "scan inequality --t 9 --a 4 --b 1 --alpha 19/10 --nlo 1 --nmax 200",
+        *(f"scan inequality --preset {preset} --nmax 200" for preset in ("conjectured", "proved", "all")),
+        "scan growth --nmax 40",
+        "scan distribution --nmax 20",
+        "scan cross-validate --tmax 6 --nmax 30",
+        "scan monotonicity --family c --nmax 60",
+    )]
     groups["method-all"] = [["count", "sc_t", "--t", str(t), "--n", "0..60", "--method", "all"]
                             for t in range(2, 26)]
     groups["table-formats"] = [["table", kind, "--nmax", "30", "--format", fmt]
