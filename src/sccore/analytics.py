@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from time import monotonic
 
 from .abacus import simultaneous_cores
 from .errors import (
     MissingTable, NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN, UnsupportedT,
 )
 from .partitions import is_self_conjugate, is_t_core, size
-from .reports import FAILS, HOLDS, ScanReport
+from .reports import ScanReport, timed
 from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
 # conventions that make the telescoping sums exact: the degenerate families
@@ -32,6 +31,10 @@ def _sc_family(t: int, n_cap: int) -> tuple[int, ...]:
 
 def _c_family(t: int, n_cap: int) -> tuple[int, ...]:
     return c_t_coeffs(t, n_cap).coeffs
+
+
+def _nsc_family(t: int, n_cap: int) -> tuple[int, ...]:
+    return nsc_t_coeffs(t, n_cap).coeffs
 
 
 def _index_cap(n_lo: int, n_hi: int, *maps: tuple[int, int]) -> int:
@@ -123,9 +126,9 @@ def characterization_sets(t: int, n_max: int) -> dict[str, set[int]]:
     raise NoKnownCharacterization(f"no zero-set characterization for t = {t}")
 
 
+@timed
 def characterization_check(t: int, n_max: int) -> ScanReport:
     """Compare the generating-function zero set against the closed form(s)."""
-    start = monotonic()
     actual = zero_set(t, n_max)
     candidates = characterization_sets(t, n_max)
     matches = {name for name, predicted in candidates.items() if predicted == actual}
@@ -134,7 +137,6 @@ def characterization_check(t: int, n_max: int) -> ScanReport:
     if len(actual) <= 200:
         data["zero_set"] = sorted(actual)
     if t == 5:
-        verdict = HOLDS if len(matches) == 1 else FAILS
         for name, predicted in candidates.items():
             diff = sorted(actual ^ predicted)
             data[f"symmetric_difference_{name}"] = diff[:50]
@@ -148,56 +150,34 @@ def characterization_check(t: int, n_max: int) -> ScanReport:
             witnesses.append((t, n, 0, "unpredicted-zero"))
         for n in sorted(predicted - actual):
             witnesses.append((t, n, "predicted-zero", "nonzero"))
-        verdict = HOLDS if not witnesses else FAILS
-    report = ScanReport(
-        scan="characterization",
-        params={"t": t, "n_max": n_max},
-        verdict=verdict,
-        witnesses=witnesses,
-        data=data,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    )
-    return report.finish()
+    return ScanReport(scan="characterization", params={"t": t, "n_max": n_max}, witnesses=witnesses, data=data)
 
 
+@timed
 def positivity_scan(t: int, n_max: int) -> ScanReport:
     """Zero set of sc_t on [0, n_max], reported as data (never a failure)."""
-    start = monotonic()
     zs = sorted(zero_set(t, n_max))
-    return ScanReport(
-        scan="positivity",
-        params={"t": t, "n_max": n_max},
-        verdict=HOLDS,
-        data={"zero_set": zs if len(zs) <= 1000 else zs[:1000], "count": len(zs)},
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="positivity", params={"t": t, "n_max": n_max},
+                      data={"zero_set": zs if len(zs) <= 1000 else zs[:1000], "count": len(zs)})
 
 
 # ---------------------------------------------------------------------------
 # monotonicity
 # ---------------------------------------------------------------------------
 
+@timed
 def compare_pair(t: int, n_max: int, family: str = "sc") -> ScanReport:
-    """Pointwise comparison of family_{t+2} (sc) or family_{t+1} (c) vs family_t.
+    """Pointwise comparison of family_{t+2} (sc, nsc) or family_{t+1} (c) vs family_t.
 
     data lists where the larger-index count fails to strictly exceed:
     the equality set and the strictly-less set over [0, n_max].
     """
-    start = monotonic()
-    if family == "sc":
-        low = _sc_family(t, n_max)
-        high = _sc_family(t + 2, n_max)
-        pair = (t, t + 2)
-    elif family == "c":
-        low = _c_family(t, n_max)
-        high = _c_family(t + 1, n_max)
-        pair = (t, t + 1)
-    elif family == "nsc":
-        low = nsc_t_coeffs(t, n_max).coeffs
-        high = nsc_t_coeffs(t + 2, n_max).coeffs
-        pair = (t, t + 2)
-    else:
+    pairs = {"sc": (_sc_family, 2), "c": (_c_family, 1), "nsc": (_nsc_family, 2)}
+    if family not in pairs:
         raise ValueError(f"unknown family {family!r}")
+    rows, step = pairs[family]
+    pair = (t, t + step)
+    low, high = rows(t, n_max), rows(t + step, n_max)
     equal = [n for n in range(n_max + 1) if high[n] == low[n]]
     less = [n for n in range(n_max + 1) if high[n] < low[n]]
     # residue bookkeeping for the strict-less set: the class 82 mod 128 is
@@ -211,13 +191,8 @@ def compare_pair(t: int, n_max: int, family: str = "sc") -> ScanReport:
         "class_members_not_less": sum(1 for n in in_class if n not in less_set),
         "class_size": len(in_class),
     }
-    return ScanReport(
-        scan="pair-comparison",
-        params={"family": family, "pair": pair, "n_max": n_max},
-        verdict=HOLDS,
-        data={"equal": equal, "less": less, "residue_82_mod_128": residue},
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="pair-comparison", params={"family": family, "pair": pair, "n_max": n_max},
+                      data={"equal": equal, "less": less, "residue_82_mod_128": residue})
 
 
 def _even_window(n: int, window: str) -> range:
@@ -275,6 +250,7 @@ def _columns(rows: list, windows: list[range]):
             yield n, ts, [row[n] for row in rows[ts.start: ts.stop + ts.step: ts.step]]
 
 
+@timed
 def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> ScanReport:
     """Scan the stated (t, n) window of a monotonicity statement.
 
@@ -286,7 +262,6 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
     11 <= T <= n-17, n <= 47), split into equalities and strict reversals.
     Each row is fetched once, and each n reads its window as one column.
     """
-    start = monotonic()
     ns = range(n_max + 1)
     small: list[range] = []
     if family in ("sc-even", "sc-odd"):
@@ -300,7 +275,7 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
         rows = _rows_read(lambda t: _c_family(t, n_max), windows)
     elif family == "nsc-odd":
         windows = [range(3, n - 2 + 1, 2) for n in ns]  # 5 <= t+2 <= n
-        rows = _rows_read(lambda t: nsc_t_coeffs(t, n_max).coeffs, windows)
+        rows = _rows_read(lambda t: _nsc_family(t, n_max), windows)
     else:
         raise ValueError(f"unknown family {family!r}")
     witnesses: list[tuple] = []
@@ -320,14 +295,8 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
                     lt.append((t, n))
         data["small_n_equalities"] = eq
         data["small_n_reversals"] = lt
-    return ScanReport(
-        scan="monotonicity",
-        params={"family": family, "n_max": n_max, "window": window},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        data=data,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="monotonicity", params={"family": family, "n_max": n_max, "window": window},
+                      witnesses=witnesses, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +376,7 @@ def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, boo
     return pi, even, odd
 
 
+@timed
 def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     """`telescoping_check` for every n_lo <= n <= n_hi on rows to n_hi: a
     witness (0, n, family, "sum != 1") for each family that does not sum to
@@ -415,7 +385,6 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     Every c_t and sc_t row is fetched once, and each n sums its columns.
     UndefinedAtN names the first n with sc(n) = 0.
     """
-    start = monotonic()
     if not 0 <= n_lo <= n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
     ns = range(n_lo, n_hi + 1)
@@ -436,14 +405,7 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     if n_lo == n_hi:
         data = {family: {str(t): v for t, v in row.values.items()}
                 for family, row in distribution_table(n_lo).items()}
-    return ScanReport(
-        scan="distribution",
-        params={"n_lo": n_lo, "n_hi": n_hi},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        data=data,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="distribution", params={"n_lo": n_lo, "n_hi": n_hi}, witnesses=witnesses, data=data)
 
 
 def _is_unimodal(xs: list) -> tuple[bool, int]:
@@ -458,6 +420,7 @@ def _is_unimodal(xs: list) -> tuple[bool, int]:
     return True, -1
 
 
+@timed
 def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None) -> ScanReport:
     """Single-peak check over the conjectured window for each n in range.
 
@@ -466,7 +429,6 @@ def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None
     9 <= 2t+1 <= floor(n/2) for n >= 213.  Comparisons are on integer
     numerators (shared denominators), so no rationals are materialized.
     """
-    start = monotonic()
     cap = n_cap if n_cap is not None else n_hi
     if cap < n_hi:
         raise MissingTable(f"rows to n_cap = {cap} do not reach n_hi = {n_hi}")
@@ -489,14 +451,8 @@ def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None
         ok, bad = _is_unimodal(seq)
         if not ok:
             witnesses.append((ts[bad], n, seq[bad - 1], seq[bad]))
-    return ScanReport(
-        scan="unimodality",
-        params={"family": family, "n_lo": n_lo, "n_hi": n_hi},
-        verdict=HOLDS if not witnesses else FAILS,
-        data={"windows_checked": len(ns)},
-        witnesses=witnesses,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="unimodality", params={"family": family, "n_lo": n_lo, "n_hi": n_hi},
+                      witnesses=witnesses, data={"windows_checked": len(ns)})
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +468,9 @@ PRINTED_IDENTITIES: tuple[tuple[int, int, int, int, int], ...] = (
 )
 
 
+@timed
 def identity_check(spec: tuple[int, int, int, int, int], n_max: int) -> ScanReport:
     """Verify sc_t(a n + b) = sc_t(a' n + b') for all 0 <= n <= n_max."""
-    start = monotonic()
     t, a, b, a2, b2 = spec
     cap = _index_cap(0, n_max, (a, b), (a2, b2))
     row = sc_t_coeffs(t, cap).coeffs
@@ -523,13 +479,8 @@ def identity_check(spec: tuple[int, int, int, int, int], n_max: int) -> ScanRepo
         for n in range(n_max + 1)
         if row[a * n + b] != row[a2 * n + b2]
     ]
-    return ScanReport(
-        scan="identity",
-        params={"t": t, "lhs": [a, b], "rhs": [a2, b2], "n_max": n_max},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="identity", params={"t": t, "lhs": [a, b], "rhs": [a2, b2], "n_max": n_max},
+                      witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -556,12 +507,12 @@ PROVED_C7_INEQUALITIES: tuple[InequalitySpec, ...] = (
 )
 
 
+@timed
 def inequality_check(spec: InequalitySpec, n_max: int) -> ScanReport:
     """Verify family_t(a n + b) {>|>=} alpha * family_t(n) on [n_lo, n_max].
 
     Cross-multiplied: den*lhs > num*rhs, so the verdict never touches floats.
     """
-    start = monotonic()
     cap = _index_cap(spec.n_lo, n_max, (spec.a, spec.b), (1, 0))
     row = _sc_family(spec.t, cap) if spec.family == "sc" else _c_family(spec.t, cap)
     num, den = spec.alpha.numerator, spec.alpha.denominator
@@ -582,10 +533,8 @@ def inequality_check(spec: InequalitySpec, n_max: int) -> ScanReport:
             "n_max": n_max,
             "strict": spec.strict,
         },
-        verdict=HOLDS if not witnesses else FAILS,
         witnesses=witnesses,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +581,9 @@ def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     )
 
 
+@timed
 def simultaneous_scan(s: int, t: int) -> ScanReport:
-    start = monotonic()
+    """Check the three `simultaneous_counts` formulas against their enumeration."""
     rec = simultaneous_counts(s, t)
     witnesses = []
     if rec.enumerated != rec.count:
@@ -642,15 +592,5 @@ def simultaneous_scan(s: int, t: int) -> ScanReport:
         witnesses.append((s, t, rec.enumerated_sc, rec.sc_count))
     if rec.enumerated_max != rec.max_size:
         witnesses.append((s, t, rec.enumerated_max, rec.max_size))
-    return ScanReport(
-        scan="simultaneous",
-        params={"s": s, "t": t},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        data={
-            "count": rec.count,
-            "sc_count": rec.sc_count,
-            "max_size": rec.max_size,
-        },
-        elapsed_ms=int((monotonic() - start) * 1000),
-    ).finish()
+    return ScanReport(scan="simultaneous", params={"s": s, "t": t}, witnesses=witnesses,
+                      data={"count": rec.count, "sc_count": rec.sc_count, "max_size": rec.max_size})

@@ -4,6 +4,11 @@ conjecture scans, and the on-disk coefficient cache.
 Exit codes: 0 success / scan holds; 1 usage error; 2 internal method
 disagreement; 3 scan found violations (data, not a crash).
 
+`count --method all` runs the series and every method `_METHODS` gives the
+family.  Each scan mode is one `_SCAN_OPTIONS` entry: the module that runs
+it, the options it reads and a runner; `cmd_scan` picks the mode once,
+checks the options against it and times the runner's report.
+
 Each command imports the layers it runs inside its handler, so a `count`
 served from the cache, a `table` or a `cache purge` loads no scan,
 formula or enumeration code.
@@ -79,6 +84,9 @@ def _resolve_cache_dir(args) -> Path | None:
 _COUNT_FAMILIES = ("sc", "c", "sc_t", "c_t", "phat", "p", "nsc_t")
 # the families (after "c" -> "c_t") that take --t; the others refuse it
 _T_FAMILIES = ("sc_t", "c_t", "phat", "nsc_t")
+# the methods each family has besides the series; --method all runs the series and these
+_METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), "nsc_t": (),
+            "sc_t": ("recursive", "closed", "large", "oracle")}
 
 
 def _t_usage_error(family: str, t) -> str | None:
@@ -92,7 +100,7 @@ def _t_usage_error(family: str, t) -> str | None:
 
 def _count_by_method(family: str, t: int | None, n: int, method: str,
                      tables: formulas.RecursionTables | None, args) -> int:
-    """One value by a method other than the series; tables serve the sc_t formulas."""
+    """One value by a method of _METHODS[family]; tables serve the sc_t formulas."""
     from . import abacus, formulas
     from .config import Limits
     from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
@@ -105,42 +113,30 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
             return len(enumerate_self_conjugate(n, limits))
         if family == "sc_t":
             return len(enumerate_self_conjugate_t_core(n, t, limits))
-        if family in ("c", "c_t"):
+        if family == "c_t":
             return sum(1 for _ in abacus.enumerate_t_cores(n, t))
-        if family == "p":
-            if n > limits.oracle_cap:
-                raise ResourceLimit(f"n={n} above oracle cap")
-            return len(partitions_of(n))
-        raise SCCoreError(f"no oracle for family {family}")
+        if n > limits.oracle_cap:
+            raise ResourceLimit(f"n={n} above oracle cap")
+        return len(partitions_of(n))
     if method == "recursive":
         return formulas.sc_t_value(t, n, tables)
     if method == "closed":
         return formulas.sc_t_closed(t, n, tables, limits)
-    if method == "large":
-        return formulas.sc_large(t, n, tables).value
-    raise SCCoreError(f"unknown method {method}")
+    return formulas.sc_large(t, n, tables).value
 
 
 def cmd_count(args) -> int:
-    family = args.family
-    if family not in _COUNT_FAMILIES:
-        print(f"unknown family {family}", file=sys.stderr)
-        return EXIT_USAGE
-    family = {"c": "c_t"}.get(family, family)
+    family = {"c": "c_t"}.get(args.family, args.family)
     problem = _t_usage_error(family, args.t)
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_USAGE
     ns = args.n
     n_cap = ns[-1]
-    if args.method == "all":
-        methods = (
-            ["series", "recursive", "closed", "large", "oracle"]
-            if family == "sc_t"
-            else ["series", "oracle"]
-        )
-    else:
-        methods = [args.method]
+    has = ("series", *_METHODS[family])
+    if args.method not in ("all", *has):
+        raise SCCoreError(f"family {args.family} has no method {args.method}; it has {', '.join(has)}")
+    methods = has if args.method == "all" else [args.method]
     series = None
     if "series" in methods:
         from . import cache
@@ -150,8 +146,6 @@ def cmd_count(args) -> int:
             print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
     tables = None
     if {"recursive", "closed", "large"} & set(methods):
-        if family != "sc_t":
-            raise SCCoreError(f"method {args.method} applies to sc_t only")
         from .formulas import RecursionTables
 
         tables = RecursionTables(n_cap)
@@ -170,9 +164,6 @@ def cmd_count(args) -> int:
         if len(set(values.values())) > 1:
             print(f"method disagreement at n={n}: {values}", file=sys.stderr)
             return EXIT_DISAGREE
-        if not values:
-            print(f"no applicable method at n={n}", file=sys.stderr)
-            return EXIT_USAGE
         rows.append(("" if args.t is None else args.t, n, next(iter(values.values()))))
     if not _write_out(_format_rows(rows, args.format), args.out):
         return EXIT_USAGE
@@ -225,56 +216,33 @@ def _table_cells(kind: str, n_max: int, t_max: int) -> list[tuple[str, int, int]
         for t in range(2, t_max + 1):
             row = sc_t_coeffs(t, n_max)
             cells.extend((str(t), n, row[n]) for n in range(max(0, t - 2), n_max + 1))
-    elif kind in ("sc-diff-even", "sc-diff-odd"):
-        lo = 2 if kind == "sc-diff-even" else 3
-        for b in range(lo, t_max - 1, 2):
+    else:
+        for b in range(2 if kind == "sc-diff-even" else 3, t_max - 1, 2):
             high, low = sc_t_coeffs(b + 2, n_max), sc_t_coeffs(b, n_max)
             cells.extend((f"{b + 2}-{b}", n, high[n] - low[n]) for n in range(max(0, b - 2), n_max + 1))
-    else:
-        raise SCCoreError(f"unknown table kind {kind}")
     return cells
 
 
 def cmd_table(args) -> int:
     t_max = args.tmax if args.tmax is not None else args.nmax + 2
     cells = _table_cells(args.kind, args.nmax, t_max)
-    fmt = args.format
-    lines: list[str] = []
-    if fmt in ("csv", "tsv"):
-        sep = "," if fmt == "csv" else "\t"
-        lines.append(sep.join(("t", "n", "value")))
-        lines.extend(sep.join((label, str(n), str(v))) for label, n, v in cells)
-    elif fmt == "json":
+    if args.format in ("csv", "tsv"):
+        text = _format_rows(cells, args.format)
+    elif args.format == "json":
         import json
 
-        lines.append(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "nmax": args.nmax,
-                    "tmax": t_max,
-                    "cells": [[label, n, v] for label, n, v in cells],
-                },
-                sort_keys=True,
-            )
-        )
-    elif fmt == "md":
-        labels = list(dict.fromkeys(label for label, _, _ in cells))
-        by_row = {label: {} for label in labels}
-        for label, n, v in cells:
-            by_row[label][n] = v
-        header = ["t\\n"] + [str(n) for n in range(args.nmax + 1)]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for label in labels:
-            row = [label] + [
-                str(by_row[label].get(n, "")) for n in range(args.nmax + 1)
-            ]
-            lines.append("| " + " | ".join(row) + " |")
+        table = {"kind": args.kind, "nmax": args.nmax, "tmax": t_max, "cells": [[*cell] for cell in cells]}
+        text = json.dumps(table, sort_keys=True) + "\n"
     else:
-        print(f"unknown format {fmt}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK if _write_out("\n".join(lines) + "\n", args.out) else EXIT_USAGE
+        by_row: dict[str, dict[int, int]] = {}
+        for label, n, v in cells:
+            by_row.setdefault(label, {})[n] = v
+        header = ["t\\n"] + [str(n) for n in range(args.nmax + 1)]
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for label, row in by_row.items():
+            lines.append("| " + " | ".join([label] + [str(row.get(n, "")) for n in range(args.nmax + 1)]) + " |")
+        text = "\n".join(lines) + "\n"
+    return EXIT_OK if _write_out(text, args.out) else EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +250,62 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = "required"
-# The options each scan reads, besides --json, --cache-dir and --oracle-cap:
-# option -> None (any value), _REQUIRED, or the values it takes (True is the
-# bare --preset flag).  A scan with modes has one entry per mode: "NAME --OPT"
-# is NAME run with OPT given (_SCAN_MODES), so under --preset identity and
+
+
+def _identity_preset(analytics, args) -> ScanReport:
+    specs = analytics.PRINTED_IDENTITIES
+    return _merge_reports("identity-printed", [analytics.identity_check(s, args.nmax) for s in specs])
+
+
+def _inequality_preset(analytics, args) -> ScanReport:
+    conjectured, proved = analytics.CONJECTURED_INEQUALITIES, analytics.PROVED_C7_INEQUALITIES
+    specs = {"conjectured": conjectured, "proved": proved}.get(args.preset, conjectured + proved)
+    return _merge_reports("inequality-preset", [analytics.inequality_check(s, args.nmax) for s in specs])
+
+
+# Each scan mode, declared once as (module, options, runner).  The runner gets
+# the module, imported when the scan runs, and the parsed arguments, and looks
+# the scan function up in the module at that time.  options maps each option
+# the mode reads, besides --json, --cache-dir and --oracle-cap, to None (any
+# value), _REQUIRED, or the values it takes, the first of them its default
+# (True is the bare --preset flag).  A scan with modes has one entry per mode:
+# "NAME --OPT" is NAME run with OPT given, so under --preset identity and
 # inequality read no spec option, and under --range growth and distribution
 # read no --nmax.  A scan refuses an option it does not read; an option left at
 # its default counts as not given.
 _SCAN_OPTIONS = {
-    "positivity": {"t": _REQUIRED, "nmax": None},
-    "characterization": {"t": _REQUIRED, "nmax": None},
-    "monotonicity": {"family": ("sc-even", "sc-odd", "c", "nsc-odd"), "window": None, "nmax": None},
-    "monotonicity --pair": {"pair": None, "family": ("sc", "c", "nsc"), "nmax": None},
-    "unimodality": {"family": ("pi", "sigma_even", "sigma_odd"), "nlo": None, "nmax": None, "ncap": None},
-    "identity": {"t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED, "a2": _REQUIRED, "b2": _REQUIRED,
-                 "nmax": None},
-    "identity --preset": {"preset": (True,), "nmax": None},
-    "inequality": {"family": ("sc", "c"), "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED,
-                   "alpha": _REQUIRED, "nlo": None, "non_strict": None, "nmax": None},
-    "inequality --preset": {"preset": (True, "all", "conjectured", "proved"), "nmax": None},
-    "growth": {"nmax": None, "workers": None},
-    "growth --range": {"range": None, "workers": None},
-    "distribution": {"nmax": None},
-    "distribution --range": {"range": None},
-    "simultaneous": {"s": _REQUIRED, "t": _REQUIRED},
-    "cross-validate": {"tmax": None, "nmax": None},
+    "positivity": ("analytics", {"t": _REQUIRED, "nmax": None},
+                   lambda m, a: m.positivity_scan(a.t, a.nmax)),
+    "characterization": ("analytics", {"t": _REQUIRED, "nmax": None},
+                         lambda m, a: m.characterization_check(a.t, a.nmax)),
+    "monotonicity": ("analytics", {"family": ("sc-even", "sc-odd", "c", "nsc-odd"), "window": None,
+                                   "nmax": None},
+                     lambda m, a: m.monotonicity_scan(a.family, a.nmax, a.window)),
+    "monotonicity --pair": ("analytics", {"pair": None, "family": ("sc", "c", "nsc"), "nmax": None},
+                            lambda m, a: m.compare_pair(a.pair, a.nmax, a.family)),
+    "unimodality": ("analytics", {"family": ("pi", "sigma_even", "sigma_odd"), "nlo": None, "nmax": None,
+                                  "ncap": None},
+                    lambda m, a: m.unimodality_scan(a.family, a.nlo, a.nmax, a.ncap)),
+    "identity": ("analytics", {"t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED, "a2": _REQUIRED, "b2": _REQUIRED,
+                               "nmax": None},
+                 lambda m, a: m.identity_check((a.t, a.a, a.b, a.a2, a.b2), a.nmax)),
+    "identity --preset": ("analytics", {"preset": (True,), "nmax": None}, _identity_preset),
+    "inequality": ("analytics", {"family": ("sc", "c"), "t": _REQUIRED, "a": _REQUIRED, "b": _REQUIRED,
+                                 "alpha": _REQUIRED, "nlo": None, "non_strict": None, "nmax": None},
+                   lambda m, a: m.inequality_check(m.InequalitySpec(
+                       a.family, a.t, a.a, a.b, a.alpha, a.nlo, strict=not a.non_strict), a.nmax)),
+    "inequality --preset": ("analytics", {"preset": (True, "all", "conjectured", "proved"), "nmax": None},
+                            _inequality_preset),
+    "growth": ("growth", {"nmax": None, "workers": None}, lambda m, a: m.verify_growth(19, a.nmax)),
+    "growth --range": ("growth", {"range": None, "workers": None},
+                       lambda m, a: m.verify_growth(a.range.start, a.range.stop - 1)),
+    "distribution": ("analytics", {"nmax": None}, lambda m, a: m.distribution_scan(a.nmax, a.nmax)),
+    "distribution --range": ("analytics", {"range": None},
+                             lambda m, a: m.distribution_scan(a.range.start, a.range.stop - 1)),
+    "simultaneous": ("analytics", {"s": _REQUIRED, "t": _REQUIRED}, lambda m, a: m.simultaneous_scan(a.s, a.t)),
+    "cross-validate": ("formulas", {"tmax": None, "nmax": None},
+                       lambda m, a: m.cross_validate(12 if a.tmax is None else a.tmax, a.nmax)),
 }
-_SCAN_MODES = {"monotonicity": "pair", "identity": "preset", "inequality": "preset",
-               "growth": "range", "distribution": "range"}
 _SCANS = tuple(name for name in _SCAN_OPTIONS if " " not in name)
 # every option a scan may read, in the order they are checked, with its default
 _SCAN_DEFAULTS = {
@@ -319,11 +315,19 @@ _SCAN_DEFAULTS = {
 }
 
 
-def _scan_usage_error(args) -> str | None:
-    """Why these arguments cannot run the scan, or None."""
+def _scan_mode(args) -> str:
+    """The _SCAN_OPTIONS key these arguments run: "NAME --OPT" when NAME has
+    that mode and OPT is given, else NAME."""
+    for key in _SCAN_OPTIONS:
+        name, _, opt = key.partition(" --")
+        if name == args.name and opt and getattr(args, opt) is not None:
+            return key
+    return args.name
+
+
+def _scan_usage_error(args, reads: dict) -> str | None:
+    """Why these arguments cannot run the scan mode that reads these options, or None."""
     name = args.name
-    mode = _SCAN_MODES.get(name)
-    reads = _SCAN_OPTIONS[f"{name} --{mode}" if mode and getattr(args, mode) is not None else name]
     for opt, default in _SCAN_DEFAULTS.items():
         if opt not in reads and getattr(args, opt) != default:
             return f"scan {name} takes no --{opt.replace('_', '-')}"
@@ -343,84 +347,32 @@ def _scan_usage_error(args) -> str | None:
     return None
 
 
-def _run_scan(args) -> ScanReport:
-    name = args.name
-    if name == "growth":
-        from .growth import verify_growth
+def _merge_reports(name: str, parts: list[ScanReport]) -> ScanReport:
+    """One report over the parts: their witnesses, and each part's verdict keyed by its index and params."""
+    from .reports import ScanReport
 
-        lo, hi = (args.range.start, args.range.stop - 1) if args.range else (19, args.nmax)
-        return verify_growth(lo, hi)
-    if name == "cross-validate":
-        from .formulas import cross_validate
-
-        return cross_validate(12 if args.tmax is None else args.tmax, args.nmax)
-    from . import analytics
-
-    if name == "positivity":
-        return analytics.positivity_scan(args.t, args.nmax)
-    if name == "characterization":
-        return analytics.characterization_check(args.t, args.nmax)
-    if name == "monotonicity":
-        if args.pair is not None:
-            return analytics.compare_pair(args.pair, args.nmax, args.family or "sc")
-        return analytics.monotonicity_scan(args.family or "sc-even", args.nmax, args.window)
-    if name == "unimodality":
-        return analytics.unimodality_scan(args.family or "pi", args.nlo, args.nmax, args.ncap)
-    if name == "identity":
-        if args.preset:
-            reports = [analytics.identity_check(s, args.nmax) for s in analytics.PRINTED_IDENTITIES]
-            return _merge_reports("identity-printed", reports)
-        spec = (args.t, args.a, args.b, args.a2, args.b2)
-        return analytics.identity_check(spec, args.nmax)
-    if name == "inequality":
-        if args.preset:
-            specs = {
-                "conjectured": analytics.CONJECTURED_INEQUALITIES,
-                "proved": analytics.PROVED_C7_INEQUALITIES,
-                "all": analytics.CONJECTURED_INEQUALITIES + analytics.PROVED_C7_INEQUALITIES,
-            }[args.preset if args.preset in ("conjectured", "proved") else "all"]
-            return _merge_reports(
-                "inequality-preset", [analytics.inequality_check(s, args.nmax) for s in specs]
-            )
-        spec = analytics.InequalitySpec(
-            args.family or "sc", args.t, args.a, args.b,
-            args.alpha, args.nlo, strict=not args.non_strict,
-        )
-        return analytics.inequality_check(spec, args.nmax)
-    if name == "distribution":
-        lo, hi = (args.range.start, args.range.stop - 1) if args.range else (args.nmax, args.nmax)
-        return analytics.distribution_scan(lo, hi)
-    if name == "simultaneous":
-        return analytics.simultaneous_scan(args.s, args.t)
-    raise SCCoreError(f"unknown scan {name}")
-
-
-def _merge_reports(name: str, reports: list[ScanReport]) -> ScanReport:
-    from .reports import FAILS, HOLDS, ScanReport
-
-    witnesses = [w for r in reports for w in r.witnesses]
-    data = {f"{i}:{r.params}": r.verdict for i, r in enumerate(reports)}
-    merged = ScanReport(
-        scan=name,
-        params={"parts": len(reports)},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        data={"verdicts": data},
-        elapsed_ms=sum(r.elapsed_ms for r in reports),
-    )
-    return merged.finish()
+    verdicts = {f"{i}:{r.params}": r.verdict for i, r in enumerate(parts)}
+    witnesses = [w for r in parts for w in r.witnesses]
+    return ScanReport(name, {"parts": len(parts)}, witnesses, {"verdicts": verdicts})
 
 
 def cmd_scan(args) -> int:
     if args.name not in _SCANS:
         print(f"unknown scan {args.name!r}; choose from {', '.join(_SCANS)}", file=sys.stderr)
         return EXIT_USAGE
-    problem = _scan_usage_error(args)
+    module, reads, runner = _SCAN_OPTIONS[_scan_mode(args)]
+    problem = _scan_usage_error(args, reads)
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_USAGE
+    if "family" in reads and args.family is None:
+        args.family = reads["family"][0]
+    import importlib
+
+    from .reports import HOLDS, timed
+
     try:
-        report = _run_scan(args)
+        report = timed(runner)(importlib.import_module(f"{__package__}.{module}"), args)
     except SCCoreError as exc:
         print(f"scan error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -428,8 +380,6 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     summary = f"# {report.scan}: {report.verdict} ({len(report.witnesses)} witnesses, {report.elapsed_ms} ms)"
     print(summary, file=sys.stderr)
-    from .reports import HOLDS
-
     return EXIT_OK if report.verdict == HOLDS else EXIT_VIOLATIONS
 
 
@@ -457,24 +407,21 @@ def cmd_cache(args) -> int:
             path = cache.write_cache(cache_dir, family, t, args.nmax, coeffs)
             print(f"wrote {path}")
         return EXIT_OK
-    if args.action == "verify":
-        files = sorted(Path(cache_dir).glob("*.bin"))
-        if not files:
-            print("no cache files")
-            return EXIT_OK
-        ok = True
-        for f in files:
-            try:
-                res = cache.verify_file(f)
-            except SCCoreError as exc:
-                print(f"{f}: corrupt ({exc}); will recompute on next use")
-                continue
-            status = "ok" if res["ok"] else f"MISMATCH {res['mismatches'][:5]}"
-            ok = ok and res["ok"]
-            print(f"{f}: {status} (sampled {res['sampled']})")
-        return EXIT_OK if ok else EXIT_DISAGREE
-    print(f"unknown cache action {args.action}", file=sys.stderr)
-    return EXIT_USAGE
+    files = sorted(Path(cache_dir).glob("*.bin"))
+    if not files:
+        print("no cache files")
+        return EXIT_OK
+    ok = True
+    for f in files:
+        try:
+            res = cache.verify_file(f)
+        except SCCoreError as exc:
+            print(f"{f}: corrupt ({exc}); will recompute on next use")
+            continue
+        status = "ok" if res["ok"] else f"MISMATCH {res['mismatches'][:5]}"
+        ok = ok and res["ok"]
+        print(f"{f}: {status} (sampled {res['sampled']})")
+    return EXIT_OK if ok else EXIT_DISAGREE
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ factor, and the terms are summed by weight into c[w]
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MissingTable, OutOfRange, ResourceLimit
 from .partitions import enumerate_self_conjugate, is_t_core
-from .reports import FAILS, HOLDS, ScanReport
+from .reports import ScanReport, timed
 from .series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
 
@@ -223,6 +222,7 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
     return LargeValue(values.pop(), tuple(tag for tag, _ in candidates))
 
 
+@timed
 def cross_validate(
     t_max: int,
     n_max: int,
@@ -237,7 +237,6 @@ def cross_validate(
     oracle_n_max, default min(n_max, 30)).  Disagreements are witnesses,
     tagged by the pair of paths that differ.
     """
-    start = monotonic()
     if oracle_n_max is None:
         oracle_n_max = min(n_max, 30)
     oracle_n_max = min(oracle_n_max, limits.oracle_cap)
@@ -265,11 +264,5 @@ def cross_validate(
                 oracle = sum(1 for p in sc_counts[n] if is_t_core(p, t))
                 if oracle != reference:
                     witnesses.append((t, n, oracle, reference, "oracle-vs-recursion"))
-    report = ScanReport(
-        scan="cross-validate",
-        params={"t_max": t_max, "n_max": n_max, "oracle_n_max": oracle_n_max},
-        verdict=HOLDS if not witnesses else FAILS,
-        witnesses=witnesses,
-        elapsed_ms=int((monotonic() - start) * 1000),
-    )
-    return report.finish()
+    params = {"t_max": t_max, "n_max": n_max, "oracle_n_max": oracle_n_max}
+    return ScanReport(scan="cross-validate", params=params, witnesses=witnesses)

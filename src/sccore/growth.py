@@ -11,7 +11,6 @@ provided for the public surface and are tested against direct box moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 
 from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
@@ -23,7 +22,7 @@ from .partitions import (
     is_self_conjugate,
     size,
 )
-from .reports import FAILS, HOLDS, ScanReport
+from .reports import ScanReport, timed
 from .series import sc_coeffs
 
 HookSeq = tuple[int, ...]
@@ -259,11 +258,16 @@ def _growth_check_one(
     return {"violations": violations, "stats": stats}
 
 
+@timed
 def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
-    """Run the growth audit for every n in [n_lo, n_hi], in-process; `workers` is ignored."""
-    start = monotonic()
+    """Run the growth audit for every n in [n_lo, n_hi], in-process; `workers` is ignored.
+
+    OutOfDomain when n_lo < 19 or the range is empty.
+    """
     if n_lo < 19:
         raise OutOfDomain("growth audit starts at n = 19")
+    if n_hi < n_lo:
+        raise OutOfDomain(f"growth audit needs n_lo <= n_hi, got {n_lo}..{n_hi}")
     sc = sc_coeffs(n_hi).coeffs
     # each n's sequences are walked once and kept as the n - 2 side of step n + 2
     walked: dict[int, list[HookSeq]] = {}
@@ -287,16 +291,13 @@ def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
             two_hook_ns.append(st["n"])
         if "beta_star_is_argmax" in st and not st["beta_star_is_argmax"]:
             mismatched_argmax.append(st["n"])
-    report = ScanReport(
+    return ScanReport(
         scan="growth",
         params={"n_lo": n_lo, "n_hi": n_hi},
-        verdict=HOLDS if not witnesses else FAILS,
         witnesses=witnesses,
         data={
             "beta_star_argmax_mismatches": mismatched_argmax,
             "g_undefined_at": undefined_ns,
             "two_hook_fallback_at": two_hook_ns,
         },
-        elapsed_ms=int((monotonic() - start) * 1000),
     )
-    return report.finish()

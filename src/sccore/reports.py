@@ -1,11 +1,19 @@
-"""Structured scan outcomes and their canonical JSON form."""
+"""Structured scan outcomes and their canonical JSON form.
+
+A scan function builds its `ScanReport` inside `timed`, which sets the
+report's `elapsed_ms` and puts its witnesses in a total order.  The verdict
+is not stored: it is read off the witnesses, so a report cannot claim to
+hold while it carries a violation.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from time import monotonic
+from typing import Any, Callable
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -15,26 +23,21 @@ FAILS = "fails"
 class ScanReport:
     """Outcome of a conjecture/identity scan.
 
-    witnesses are violation tuples (t, n, lhs, rhs) in deterministic order;
-    verdict is "holds" exactly when witnesses is empty.  data carries scan
-    payloads that are not violations (zero sets, anomaly lists, argmax
-    records, statistics).
+    witnesses are violation tuples (t, n, lhs, rhs), in deterministic order
+    once `timed` has sorted them.  data carries scan payloads that are not
+    violations (zero sets, anomaly lists, argmax records, statistics).
     """
 
     scan: str
     params: dict[str, Any]
-    verdict: str
     witnesses: list[tuple] = field(default_factory=list)
     data: dict[str, Any] = field(default_factory=dict)
     elapsed_ms: int = 0
 
-    def finish(self) -> "ScanReport":
-        self.witnesses = sorted(self.witnesses, key=_witness_key)
-        if self.verdict not in (HOLDS, FAILS):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if (self.verdict == HOLDS) != (not self.witnesses):
-            raise ValueError(f"verdict {self.verdict!r} disagrees with {len(self.witnesses)} witnesses")
-        return self
+    @property
+    def verdict(self) -> str:
+        """"holds" exactly when there is no witness, else "fails"."""
+        return FAILS if self.witnesses else HOLDS
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -48,6 +51,21 @@ class ScanReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+
+
+def timed(scan: Callable[..., ScanReport]) -> Callable[..., ScanReport]:
+    """Wrap a function that builds a ScanReport: the report it returns has
+    its witnesses sorted and the call's wall time as elapsed_ms."""
+
+    @functools.wraps(scan)
+    def run(*args, **kwargs) -> ScanReport:
+        start = monotonic()
+        report = scan(*args, **kwargs)
+        report.witnesses.sort(key=_witness_key)
+        report.elapsed_ms = int((monotonic() - start) * 1000)
+        return report
+
+    return run
 
 
 def _witness_key(w: tuple) -> tuple:

@@ -229,23 +229,6 @@ def _power_steps(a: int, k: int, n: int) -> list[list[tuple[int, int]]]:
     return [shifts] if shifts is not None else [pentagonal_terms(a, n)] * k
 
 
-def _eta_power(c: list[int], a: int, k: int, n: int) -> list[int]:
-    """Return c * E(q^a)^k truncated at n by list passes; c itself when the
-    factor is 1 there."""
-    if k == 0 or a > n:
-        return c
-    if k > 0:
-        for step in _power_steps(a, k, n):
-            c = _shift_add(c, step)
-        return c
-    shifts = _fused_shifts(a, k, n)
-    if shifts is not None:
-        return _shift_add(c, shifts)
-    for _ in range(-k):
-        c = _divide_eta(c, a, n)
-    return c
-
-
 # Packing a row and unpacking it cost about PACK_ROWS list passes over it.  A
 # packed term, whatever its shift, moves the whole (n + 1) * w bit integer at
 # about SLOT_BITS bits for the time of one list element operation, and twice
@@ -327,8 +310,13 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
         for step in steps:
             c = _shift_add(c, step)
     for a, k in factors:
-        if k < 0:
-            c = _eta_power(c, a, k, n)
+        if k < 0 and a <= n:
+            shifts = _fused_shifts(a, k, n)
+            if shifts is not None:
+                c = _shift_add(c, shifts)
+            else:
+                for _ in range(-k):
+                    c = _divide_eta(c, a, n)
     return c
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from sccore import analytics as an
 from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
+from sccore import reports
 from sccore.reports import FAILS, HOLDS, ScanReport, _witness_key
 from sccore.series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -105,10 +106,19 @@ class TestOddPowerSieve:
 
 
 class TestScanReport:
-    @pytest.mark.parametrize("verdict, witnesses", [(HOLDS, [(2, 0, 1, 0)]), (FAILS, [])])
-    def test_verdict_must_match_witnesses(self, verdict, witnesses):
-        with pytest.raises(ValueError):
-            ScanReport(scan="x", params={}, verdict=verdict, witnesses=witnesses).finish()
+    @pytest.mark.parametrize("witnesses, verdict", [([], HOLDS), ([(2, 0, 1, 0)], FAILS)])
+    def test_verdict_is_read_off_the_witnesses(self, witnesses, verdict):
+        rep = ScanReport(scan="x", params={}, witnesses=witnesses)
+        assert rep.verdict == verdict
+        assert rep.to_json_obj()["verdict"] == verdict
+
+    def test_timed_sorts_the_witnesses_and_sets_elapsed_ms(self, monkeypatch):
+        clock = iter((10.0, 10.25))
+        monkeypatch.setattr(reports, "monotonic", lambda: next(clock))
+        scan = reports.timed(lambda: ScanReport(scan="x", params={}, witnesses=[(3, "b"), (1, 2), (3, 0)]))
+        rep = scan()
+        assert rep.witnesses == [(1, 2), (3, 0), (3, "b")]
+        assert rep.elapsed_ms == 250
 
 
 class TestPairComparisons:

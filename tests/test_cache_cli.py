@@ -87,6 +87,25 @@ class TestCountCommand:
         assert main(["count", "sc_t", "--t", "4", "--n", "10", "--method", "all"]) == 0
         assert capsys.readouterr().out == "4 10 2\n"
 
+    @pytest.mark.parametrize("family, t", [("sc", None), ("c", 3), ("p", None), ("phat", 2), ("nsc_t", 3)])
+    def test_method_all_runs_the_methods_the_family_has(self, family, t, capsys):
+        argv = ["count", family, *(["--t", str(t)] if t else []), "--n", "5"]
+        assert main(argv) == 0
+        value = capsys.readouterr().out
+        assert main([*argv, "--method", "all"]) == 0
+        out, err = capsys.readouterr()
+        methods = "series" if family in ("phat", "nsc_t") else "series, oracle"
+        assert (out, err) == (value, f"# methods agree: {methods}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "phat", "--t", "2", "--n", "5", "--method", "oracle"],
+        ["count", "nsc_t", "--t", "3", "--n", "5", "--method", "oracle"],
+        ["count", "sc", "--n", "5", "--method", "recursive"],
+    ])
+    def test_a_method_the_family_lacks_is_one_line(self, argv, capsys):
+        err = _assert_one_line_usage_error(argv, capsys)
+        assert f"has no method {argv[-1]}" in err
+
     def test_method_disagreement_exits_2(self, capsys, monkeypatch):
         from sccore import cli as cli_mod
 
@@ -327,6 +346,8 @@ class TestBadInputs:
         ["scan", "identity", "--t", "5", "--a", "2", "--b", "-3", "--a2", "1", "--b2", "0", "--nmax", "10"],
         ["scan", "inequality", "--t", "9", "--a", "1", "--b", "-5", "--alpha", "1", "--nmax", "20"],
         ["scan", "unimodality", "--family", "pi", "--nmax", "100", "--ncap", "50"],
+        # the growth audit starts at n = 19, so this range is empty
+        ["scan", "growth", "--nmax", "10"],
     ])
     def test_scan_arguments(self, argv, capsys):
         _assert_one_line_usage_error(argv, capsys)

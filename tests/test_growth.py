@@ -256,6 +256,10 @@ class TestVerifyGrowth:
         with pytest.raises(OutOfDomain):
             gr.verify_growth(10, 20)
 
+    def test_refuses_an_empty_range(self):
+        with pytest.raises(OutOfDomain, match="n_lo <= n_hi"):
+            gr.verify_growth(19, 10)
+
     def test_beta_star_table(self):
         assert gr.beta_star_hooks(40) == (21, 19)
         assert gr.beta_star_hooks(29) == (15, 13, 1)

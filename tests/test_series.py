@@ -17,6 +17,16 @@ def _multiply_eta(c: list[int], a: int, n: int) -> list[int]:
     return se._shift_add(c, se.pentagonal_terms(a, n))
 
 
+def _eta_power(c: list[int], a: int, k: int, n: int) -> list[int]:
+    """c * E(q^a)^k truncated at n by list passes alone, positive powers
+    included: the reference the packed rows are compared against."""
+    if k < 0:
+        return se._eta_factors(c, [(a, k)], n)
+    for step in se._power_steps(a, k, n):
+        c = se._shift_add(c, step)
+    return c
+
+
 A000700_PREFIX = [
     1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3,
     3, 4, 5, 5, 5, 6, 7, 8, 8, 9, 11, 12, 12, 14,
@@ -210,7 +220,7 @@ class TestRowKernel:
         n = 2000
         sc = list(se.sc_coeffs(n).coeffs)
         for t in range(2, 25, 2):
-            assert list(se.sc_t_coeffs(t, n).coeffs) == se._eta_power(sc, 2 * t, t // 2, n), t
+            assert list(se.sc_t_coeffs(t, n).coeffs) == _eta_power(sc, 2 * t, t // 2, n), t
 
     def test_triangular_sum_identity(self):
         # sc_2m(n) = sum of c_m(k) over the k >= 0 with n - 4k triangular
@@ -315,7 +325,7 @@ def _list_row(family: str, t: int, n: int) -> list[int]:
     """The row by list passes alone, positive powers first."""
     c = _base_row(family, n)
     for a, k in sorted(_row_factors(family, t), key=lambda f: f[1] < 0):
-        c = se._eta_power(c, a, k, n)
+        c = _eta_power(c, a, k, n)
     return c
 
 
@@ -328,7 +338,7 @@ def _packed_row(family: str, t: int, n: int) -> list[int]:
         c = se._packed_steps(c, steps, n, se._slot_width(c, steps))
     for a, k in factors:
         if k < 0:
-            c = se._eta_power(c, a, k, n)
+            c = _eta_power(c, a, k, n)
     return c
 
 
