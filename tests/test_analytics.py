@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from sccore import analytics as an
-from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
 from sccore import reports
+from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
 from sccore.reports import FAILS, HOLDS, ScanReport, _witness_key
 from sccore.series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
