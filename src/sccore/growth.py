@@ -11,11 +11,14 @@ provided for the public surface and are tested against direct box moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
     DiagonalHooks,
     Partition,
+    _hooks_of,
+    _set_of,
     descending_odd_sequences,
     diagonal_hooks,
     from_diagonal_hooks,
@@ -36,6 +39,20 @@ CLASS_C = "C"
 class ClassifiedSC:
     partition: Partition
     cls: str
+
+
+def _class_of_set(s: int) -> str:
+    """The class rule on a hook set (see `classify_hooks`).
+
+    The first gap is 2 exactly when the two highest bits are adjacent, and
+    the square (2k-1, ..., 3, 1) is the set of bits 0..k-1.
+    """
+    top = s.bit_length()
+    if top < 2:
+        return CLASS_A if s else CLASS_C
+    if s >> (top - 2) != 3:
+        return CLASS_A
+    return CLASS_C if s & (s + 1) == 0 else CLASS_B
 
 
 def _is_square_hooks(delta: HookSeq) -> bool:
@@ -77,6 +94,52 @@ def map_f(p: Partition) -> Partition:
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     return from_diagonal_hooks(map_f_hooks(diagonal_hooks(p).hooks if p else ()))
+
+
+def _g_of_sets(sets: Iterable[int], n: int) -> Iterator[tuple[int | None, str]]:
+    """g on each hook set of a self-conjugate partition of n - 2, in order:
+    (image, branch), or (None, "undefined") for the square input.
+
+    Trusted: each set must be diagonal hooks summing to n - 2, with n >= 27;
+    `map_g_hooks` checks that.  The branches are those of `map_g_hooks`.
+    Write s for the average of the first two hooks delta_1 > delta_2.  The
+    averaged pair is s + 2, s - 2 when s is odd and s + 1, s - 1 when s is
+    even, and its lower hook always lies above the third hook delta_3, so no
+    check is made: s - 2 > delta_3 when s is odd, because delta_1 - delta_2
+    is then a multiple of 4, so s >= delta_2 + 2; and s - 1 > delta_3 when s
+    is even, because s >= delta_2 + 1.  An averaged hook that broke this would
+    share a bit with the tail, so the image would have the wrong hook sum and
+    fail the B test that `verify_growth` makes on every image.
+    """
+    single = _set_of(((n + 1) // 2, (n - 3) // 2, 1) if n % 4 == 1 else ((n - 1) // 2, (n - 5) // 2, 3))
+    two_hook = _set_of(((n - 4) // 2, (n - 8) // 2, 5, 1))
+    for bits in sets:
+        first = bits.bit_length()
+        rest = bits ^ 1 << (first - 1)
+        if not rest:
+            yield single, "single-hook"
+            continue
+        second = rest.bit_length()
+        rest ^= 1 << (second - 1)
+        # the first two hooks 2a + 1 and 2b + 1 average to a + b + 1
+        avg = first + second - 1
+        pair = avg >> 1
+        if avg & 1:
+            # s + 2, s - 2, and the insert at index 0 grows s - 2 to s
+            yield rest | 3 << pair, "insert"
+            continue
+        # s + 1, s - 1: the first tail bit whose next bit up is free moves up
+        image = rest | 3 << (pair - 1)
+        free = rest & ~(image >> 1)
+        if free:
+            yield image + (1 << (free.bit_length() - 1)), "insert"
+        elif not rest:
+            yield two_hook, "two-hook-fallback"
+        elif rest & 1:
+            yield None, "undefined"
+        else:
+            # the averaged pair grows by 2 and the last hook shrinks by 2
+            yield (rest - ((rest & -rest) >> 1)) | 3 << pair, "run-fallback"
 
 
 def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
@@ -147,6 +210,19 @@ def _in_b_hooks(delta: HookSeq, n: int) -> bool:
         and delta[0] - delta[1] == 2
         and not _is_square_hooks(delta)
     )
+
+
+def _in_b_set(s: int, n: int) -> bool:
+    """Is this hook set in the B class of n?  Any int is a valid hook set."""
+    return _class_of_set(s) == CLASS_B and sum(_hooks_of(s)) == n
+
+
+def _h_of_set(s: int) -> int:
+    """h on a hook set in B: the initial run of gap-2 hooks is the top run of
+    adjacent bits, and its lowest bit z + 1 moves down to z (free, as B holds
+    no square)."""
+    z = (((1 << s.bit_length()) - 1) ^ s).bit_length() - 1
+    return s - (1 << z)
 
 
 def map_h_hooks(delta: HookSeq, n: int) -> HookSeq:

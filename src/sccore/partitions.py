@@ -3,6 +3,10 @@
 A partition is a plain tuple of weakly decreasing positive integers; the empty
 tuple is the partition of 0.  Row/column indices in the public functions are
 1-based, matching the usual matrix labelling of Young-diagram cells.
+
+A self-conjugate partition is its diagonal hooks, a strictly decreasing
+sequence of odd parts.  Internally the walk over these sequences yields each
+as a hook set: one int with bit a set for each hook 2a + 1.
 """
 
 from __future__ import annotations
@@ -147,40 +151,62 @@ def character_degree(p: Partition) -> int:
 _TAIL_BOUND = 50
 
 
+def _set_of(hooks: tuple[int, ...]) -> int:
+    """The hook set of strictly decreasing odd hooks: bit a for each hook 2a + 1."""
+    s = 0
+    for h in hooks:
+        s |= 1 << (h >> 1)
+    return s
+
+
+def _hooks_of(s: int) -> tuple[int, ...]:
+    """The descending hook tuple of a hook set; inverse of `_set_of`."""
+    out = []
+    while s:
+        a = s.bit_length() - 1
+        out.append(2 * a + 1)
+        s ^= 1 << a
+    return tuple(out)
+
+
 @cache
-def _tail_table() -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple[tuple[int, ...], ...]]:
-    """For each m <= _TAIL_BOUND, every sequence of distinct odd parts summing to
-    m, in the order `descending_odd_sequences(m)` yields them, and the negated
-    first part of each, ascending, for `bisect`."""
-    tails: list[tuple[tuple[int, ...], ...]] = [((),)]
+def _tail_table() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For each m <= _TAIL_BOUND, the hook set of every sequence of distinct odd
+    parts summing to m, in the order `_hook_sets(m)` yields them, and each
+    set negated, ascending, for `bisect`."""
+    tails: list[tuple[int, ...]] = [(0,)]
     for m in range(1, _TAIL_BOUND + 1):
-        first = m if m % 2 else m - 1
-        tails.append(tuple(
-            (f,) + t for f in range(first, 0, -2) for t in tails[m - f] if not t or t[0] < f
-        ))
-    return tuple(tails), tuple(tuple(-t[0] for t in row if t) for row in tails)
+        row: list[int] = []
+        for f in range(m if m % 2 else m - 1, 0, -2):
+            bit = 1 << (f >> 1)
+            row.extend(bit | t for t in tails[m - f] if t < bit)
+        tails.append(tuple(row))
+    return tuple(tails), tuple(tuple(-t for t in row) for row in tails)
 
 
-def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Strictly decreasing sequences of distinct odd positive integers summing
-    to n, with first part at most max_first (default n).
+def _hook_sets(n: int, max_first: int | None = None) -> Iterator[int]:
+    """The walk behind `descending_odd_sequences`, yielding each sequence as its
+    hook set: one int with bit a set for each part 2a + 1.
 
-    Sequences come in descending lexicographic order.  The walk is an explicit
-    depth-first stack over first parts, pruned by the bound that distinct odd
-    parts below first = 2k + 1 sum to at most k^2.  Once the remainder is at
-    most `_TAIL_BOUND`, the tails are read off `_tail_table`, starting at the
-    first one whose first part fits under the last part placed.
+    Sets compare by value as their descending sequences compare
+    lexicographically (the highest differing bit is the first differing part),
+    so the sets come in descending order.  The walk is an explicit depth-first
+    stack over first parts, pruned by the bound that distinct odd parts below
+    first = 2k + 1 sum to at most k^2.  Once the remainder is at most
+    `_TAIL_BOUND`, the tails are read off `_tail_table`, starting at the first
+    one below the bit of the largest part allowed.
     """
     if n < 0:
         return
     tails, keys = _tail_table()
-    stack = [((), n, n if max_first is None else max_first)]  # (head, remainder, largest part allowed)
+    # (head, remainder, largest part allowed); a cap below -1 allows what -1 does: nothing
+    stack = [(0, n, n if max_first is None else max(max_first, -1))]
     while stack:
         head, rest, cap = stack.pop()
         if rest <= _TAIL_BOUND:
-            row = tails[rest]
-            for k in range(bisect_left(keys[rest], -cap) if rest else 0, len(row)):
-                yield head + row[k]
+            # tails whose parts are all <= cap are the sets below 1 << ((cap + 1) >> 1)
+            k = bisect_left(keys[rest], 1 - (1 << ((cap + 1) >> 1)))
+            yield from map(head.__or__, tails[rest][k:])
             continue
         top = min(cap, rest)
         if top % 2 == 0:
@@ -189,7 +215,17 @@ def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[t
         while low >= 1 and rest - low <= ((low - 1) // 2) ** 2:
             low -= 2
         # pushed smallest first, so the largest first part is walked first
-        stack.extend((head + (f,), rest - f, f - 2) for f in range(low + 2, top + 1, 2))
+        stack.extend((head | 1 << (f >> 1), rest - f, f - 2) for f in range(low + 2, top + 1, 2))
+
+
+def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Strictly decreasing sequences of distinct odd positive integers summing
+    to n, with first part at most max_first (default n).
+
+    Sequences come in descending lexicographic order: this is the tuple view of
+    the walk `_hook_sets`.
+    """
+    yield from map(_hooks_of, _hook_sets(n, max_first))
 
 
 def enumerate_self_conjugate(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Partition]:

@@ -69,8 +69,8 @@ class TestClassify:
         sc = sc_coeffs(150).coeffs
         for n in range(151):
             counts = {"A": 0, "B": 0, "C": 0}
-            for delta in pt.descending_odd_sequences(n):
-                counts[gr.classify_hooks(delta, n)] += 1
+            for s in pt._hook_sets(n):
+                counts[gr._class_of_set(s)] += 1
             assert sum(counts.values()) == sc[n]
             # C holds exactly the square partition, when n is a square;
             # at n = 1 the square is the single-hook partition, class A
@@ -78,23 +78,39 @@ class TestClassify:
 
 
 class TestSquareTest:
-    """The O(1) square test equals the term-by-term comparison with
-    (2d-1, ..., 3, 1) on strictly decreasing odd sequences."""
+    """The class rule, run by the set kernel's O(1) tests, equals the rule
+    written term by term: a single hook or a first gap >= 4 is A, and
+    otherwise the empty sequence and the squares (2d-1, ..., 3, 1), compared
+    hook by hook, are C."""
 
     @staticmethod
     def by_terms(delta):
         d = len(delta)
         return d > 0 and all(delta[i] == 2 * (d - i) - 1 for i in range(d))
 
+    def by_rule(self, delta):
+        if len(delta) == 1 or (delta and delta[0] - delta[1] >= 4):
+            return "A"
+        return "C" if not delta or self.by_terms(delta) else "B"
+
     def test_every_sequence_up_to_100(self):
         for n in range(101):
             for delta in pt.descending_odd_sequences(n):
-                assert gr._is_square_hooks(delta) == self.by_terms(delta), delta
+                assert gr.classify_hooks(delta, n) == self.by_rule(delta), delta
+
+    def test_b_test_matches_the_rule(self):
+        # the B test adds the hook sum to the class rule
+        for n in range(61):
+            for delta in pt.descending_odd_sequences(n):
+                for m in (n - 2, n, n + 2):
+                    want = self.by_rule(delta) == "B" and sum(delta) == m
+                    assert gr._in_b_set(pt._set_of(delta), m) == want, (delta, m)
 
     def test_squares(self):
         for d in range(13):
             square = tuple(range(2 * d - 1, 0, -2))
-            assert gr._is_square_hooks(square) == self.by_terms(square) == (d > 0)
+            assert pt._set_of(square) == (1 << d) - 1
+            assert gr._class_of_set((1 << d) - 1) == self.by_rule(square) == ("A" if d == 1 else "C")
 
 
 class TestMapF:
@@ -163,18 +179,25 @@ class TestMapGH:
             gr.map_g_hooks(delta, n)
 
     def test_g_kernel_matches_the_reference(self):
+        # the kernel runs over each whole row, as the audit runs it; its
+        # "undefined" is the reference's MapGUndefined
         for n in range(27, 131):
-            for delta in pt.descending_odd_sequences(n - 2):
+            deltas = list(pt.descending_odd_sequences(n - 2))
+            for delta, (image, branch) in zip(deltas, gr._g_of_sets(map(pt._set_of, deltas), n), strict=True):
                 want = _outcome(_reference_map_g, delta, n)
-                assert _outcome(gr._map_g_hooks, delta, n) == want, (n, delta)
+                if image is None:
+                    assert (want[0], branch) == (MapGUndefined, "undefined"), (n, delta)
+                else:
+                    assert (pt._hooks_of(image), branch) == want, (n, delta)
                 assert _outcome(gr.map_g_hooks, delta, n) == want, (n, delta)
 
     def test_g_kernel_errors_match_the_reference(self):
-        # wrong sums (ValueError) and n below 27 (OutOfDomain)
+        # wrong sums (ValueError) and n below 27 (OutOfDomain), which the
+        # public map checks before it runs the kernel
         for m in range(16, 41):
             for delta in pt.descending_odd_sequences(m):
                 for n in (m + 1, m + 2, m + 4):
-                    assert _outcome(gr._map_g_hooks, delta, n) == _outcome(_reference_map_g, delta, n)
+                    assert _outcome(gr.map_g_hooks, delta, n) == _outcome(_reference_map_g, delta, n)
 
     def test_h_matches_corner_removal(self):
         # remove the last box of the last row, then of the last column
@@ -187,7 +210,7 @@ class TestMapGH:
 
         for n in range(8, 61):
             for delta in pt.descending_odd_sequences(n):
-                if not gr._in_b_hooks(delta, n):
+                if not gr._in_b_set(pt._set_of(delta), n):
                     continue
                 b = pt.from_diagonal_hooks(delta)
                 direct = pt.conjugate(corner(pt.conjugate(corner(b))))
@@ -196,7 +219,7 @@ class TestMapGH:
     def test_g_h_identity(self):
         for n in range(27, 101):
             for delta in pt.descending_odd_sequences(n):
-                if gr._in_b_hooks(delta, n):
+                if gr._in_b_set(pt._set_of(delta), n):
                     back = gr.map_h_hooks(delta, n)
                     image, _ = gr.map_g_hooks(back, n)
                     assert image == delta, (n, delta)
@@ -268,7 +291,7 @@ class TestVerifyGrowth:
         for n in range(28, 60):
             hooks = gr.beta_star_hooks(n)
             assert sum(hooks) == n
-            assert gr._in_b_hooks(hooks, n)
+            assert gr._in_b_set(pt._set_of(hooks), n)
 
 
 class TestFiberBoundOnTheSeries:

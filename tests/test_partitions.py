@@ -197,21 +197,37 @@ class TestDescendingOddSequences:
     """The iterative walk with its tail table yields what the recursion
     yields, in the same order, on both sides of the table bound."""
 
+    @staticmethod
+    def check(n, m):
+        # the walk yields hook sets; the public walk is their tuple view
+        want = list(_reference_sequences(n, m))
+        assert list(pt._hook_sets(n, m)) == [pt._set_of(seq) for seq in want], (n, m)
+        assert list(pt.descending_odd_sequences(n, m)) == want, (n, m)
+
     def test_matches_recursion_small(self):
         for n in range(81):
             for m in (None, *range(n + 3)):
-                assert list(pt.descending_odd_sequences(n, m)) == list(_reference_sequences(n, m)), (n, m)
+                self.check(n, m)
 
     @pytest.mark.parametrize("n", [100, 118, 130])
     def test_matches_recursion_across_the_table_bound(self, n):
         for m in (None, n, 51, 50, 49, 1):
-            assert list(pt.descending_odd_sequences(n, m)) == list(_reference_sequences(n, m)), (n, m)
+            self.check(n, m)
+
+    def test_sets_order_as_their_sequences(self):
+        # every hook set of size <= 40, sorted as descending tuples, ascends as ints
+        seqs = sorted(seq for n in range(41) for seq in _reference_sequences(n))
+        sets = [pt._set_of(seq) for seq in seqs]
+        assert all(a < b for a, b in zip(sets, sets[1:]))
+        assert [pt._hooks_of(s) for s in sets] == seqs
 
     def test_empty_and_negative(self):
         assert list(pt.descending_odd_sequences(0)) == [()]
         assert list(pt.descending_odd_sequences(0, -3)) == [()]
         assert list(pt.descending_odd_sequences(-4)) == []
         assert list(pt.descending_odd_sequences(60, 0)) == []
+        assert list(pt._hook_sets(0, -3)) == [0]
+        assert list(pt._hook_sets(-4)) == list(pt._hook_sets(60, 0)) == list(pt._hook_sets(30, -3)) == []
 
 
 def _syt_count(p):
