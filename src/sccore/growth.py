@@ -3,13 +3,18 @@ SC(n) into A/B/C, the bijection f onto A, the surjection g onto B with its
 retraction h, fiber bounds, and the resulting cross-multiplied inequality
 n*sc(n) > (n+2)*sc(n-2).
 
-All maps run on diagonal-hook sequences (strictly decreasing positive odds),
-which makes exhaustive per-n verification cheap; partition-level wrappers are
-provided for the public surface and are tested against direct box moves.
+The public maps take diagonal-hook sequences (strictly decreasing positive
+odds), check them, and run one kernel each on the hook set: one int with bit
+a set for each hook 2a + 1.  Sets order by value as their sequences order
+lexicographically, so the audit sorts and breaks ties on ints.  The audit
+walks every self-conjugate partition of n and n - 2 as hook sets and runs the
+g kernel over a whole row at once.  Partition-level wrappers are provided for
+the public surface and are tested against direct box moves.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,9 +22,9 @@ from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
     DiagonalHooks,
     Partition,
+    _hook_sets,
     _hooks_of,
     _set_of,
-    descending_odd_sequences,
     diagonal_hooks,
     from_diagonal_hooks,
     is_self_conjugate,
@@ -55,16 +60,6 @@ def _class_of_set(s: int) -> str:
     return CLASS_C if s & (s + 1) == 0 else CLASS_B
 
 
-def _is_square_hooks(delta: HookSeq) -> bool:
-    """The square partition (k, ..., k) has hooks (2k-1, 2k-3, ..., 1).
-
-    Precondition: delta is strictly decreasing positive odds, as every caller
-    passes (an enumerated sequence, or an image of `map_g_hooks`).  Then the
-    first of d hooks is at least 2d - 1, with equality only for the square.
-    """
-    return len(delta) > 0 and delta[0] == 2 * len(delta) - 1
-
-
 def classify_hooks(delta: HookSeq, n: int) -> str:
     """Class of the self-conjugate partition of n with these diagonal hooks.
 
@@ -72,9 +67,7 @@ def classify_hooks(delta: HookSeq, n: int) -> str:
     B: first gap exactly 2, excluding the square when n is a perfect square.
     C: everything else (exactly the square partitions).
     """
-    if len(delta) == 1 or (delta and delta[0] - delta[1] >= 4):
-        return CLASS_A
-    return CLASS_C if not delta or _is_square_hooks(delta) else CLASS_B
+    return _class_of_set(_set_of(delta))
 
 
 def classify(p: Partition, n: int) -> ClassifiedSC:
@@ -161,55 +154,22 @@ def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
     hook.  (No element of B has that square as its retraction, so the
     surjectivity audit is unaffected; occurrences are counted, not hidden.)
     """
-    return _map_g_hooks(DiagonalHooks(tuple(delta)).hooks, n)
-
-
-def _map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
-    """`map_g_hooks` on a delta already known to be diagonal hooks."""
+    delta = DiagonalHooks(tuple(delta)).hooks
     if n < 27:
         raise OutOfDomain(f"map g is defined for n >= 27, got {n}")
     if sum(delta) != n - 2:
         raise ValueError(f"hooks sum to {sum(delta)}, expected n-2={n - 2}")
-    d = len(delta)
-    if d == 1:
-        if n % 4 == 1:
-            return ((n + 1) // 2, (n - 3) // 2, 1), "single-hook"
-        return ((n - 1) // 2, (n - 5) // 2, 3), "single-hook"
-    s = (delta[0] + delta[1]) // 2
-    first, second = (s + 2, s - 2) if s % 2 == 1 else (s + 1, s - 1)
-    # the tail delta[2:] is valid, so only the two averaged hooks need checking
-    if not (first > second > (delta[2] if d > 2 else 0) and first % 2 == second % 2 == 1):
-        raise AssertionError(f"averaged hooks invalid: {[first, second, *delta[2:]]} from {delta}")
-    if s % 2 == 1:
-        # first - second = 4: the insert is at index 0
-        return (first, second + 2, *delta[2:]), "insert"
-    # first - second = 2, so the search for a gap >= 4 starts at index 1
-    above = second
-    for k in range(2, d):
-        if above >= delta[k] + 4:
-            return (first, second, *delta[2:k], delta[k] + 2, *delta[k + 1:]), "insert"
-        above = delta[k]
-    if d == 2:
-        return ((n - 4) // 2, (n - 8) // 2, 5, 1), "two-hook-fallback"
-    if delta[-1] == 1:
+    [(image, branch)] = _g_of_sets([_set_of(delta)], n)
+    if image is None:
         raise MapGUndefined(f"square input {delta} has no image (n={n})")
-    return (first + 2, second + 2, *delta[2:-1], delta[-1] - 2), "run-fallback"
+    return _hooks_of(image), branch
 
 
 def map_g(p: Partition, n: int) -> Partition:
     if not is_self_conjugate(p) or size(p) != n - 2:
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of n-2")
-    hooks, _ = _map_g_hooks(diagonal_hooks(p).hooks, n)
+    hooks, _ = map_g_hooks(diagonal_hooks(p).hooks, n)
     return from_diagonal_hooks(hooks)
-
-
-def _in_b_hooks(delta: HookSeq, n: int) -> bool:
-    return (
-        len(delta) >= 2
-        and sum(delta) == n
-        and delta[0] - delta[1] == 2
-        and not _is_square_hooks(delta)
-    )
 
 
 def _in_b_set(s: int, n: int) -> bool:
@@ -233,31 +193,24 @@ def map_h_hooks(delta: HookSeq, n: int) -> HookSeq:
     hook).  Raises InvalidHooks unless delta is strictly decreasing positive
     odds, and NotInB unless it is in the B class of n.
     """
-    return _map_h_hooks(DiagonalHooks(tuple(delta)).hooks, n)
-
-
-def _map_h_hooks(delta: HookSeq, n: int) -> HookSeq:
-    """`map_h_hooks` on a delta already known to be diagonal hooks."""
-    if not _in_b_hooks(delta, n):
+    delta = DiagonalHooks(tuple(delta)).hooks
+    s = _set_of(delta)
+    if not _in_b_set(s, n):
         raise NotInB(f"{delta!r} is not in the B class for n={n}")
-    k = 1
-    while k < len(delta) and delta[k] == delta[0] - 2 * k:
-        k += 1
-    out = list(delta)
-    out[k - 1] -= 2
-    assert out[k - 1] >= 1
-    return tuple(out)
+    return _hooks_of(_h_of_set(s))
 
 
 def map_h(b: Partition) -> Partition:
     n = size(b)
     if not is_self_conjugate(b):
         raise NotInB(f"{b!r} is not self-conjugate")
-    return from_diagonal_hooks(_map_h_hooks(diagonal_hooks(b).hooks, n))
+    return from_diagonal_hooks(map_h_hooks(diagonal_hooks(b).hooks, n))
 
 
 def beta_star_hooks(n: int) -> HookSeq:
-    """The fiber-maximizing element of B named by the proof, by n mod 4."""
+    """The element of B that the proof names, by n mod 4, as the one whose
+    fiber under g is largest.  It is not the largest fiber at every n: the
+    audit lists the n where it is not as `beta_star_argmax_mismatches`."""
     return {
         0: ((n + 2) // 2, (n - 2) // 2),
         1: ((n + 1) // 2, (n - 3) // 2, 1),
@@ -266,23 +219,13 @@ def beta_star_hooks(n: int) -> HookSeq:
     }[n % 4]
 
 
-def _growth_check_one(
-    n: int, sc_nm2: int, sc_n: int, here: list[HookSeq], below: list[HookSeq] | None
-) -> dict:
-    """Exhaustive audit at a single n over the hook sequences of n (here) and,
-    from n = 27 on, of n - 2 (below); returns violation list plus statistics."""
+def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: list[int] | None) -> dict:
+    """Exhaustive audit at a single n over the hook sets of n (here) and, from
+    n = 27 on, of n - 2 (below); returns violation list plus statistics."""
     violations: list[tuple] = []
-    count_a = count_b = count_c = 0
-    b_set: set[HookSeq] = set()
-    for delta in here:
-        cls = classify_hooks(delta, n)
-        if cls == CLASS_A:
-            count_a += 1
-        elif cls == CLASS_B:
-            count_b += 1
-            b_set.add(delta)
-        else:
-            count_c += 1
+    classes = list(map(_class_of_set, here))
+    sizes = Counter(classes)
+    count_a, count_b, count_c = sizes[CLASS_A], sizes[CLASS_B], sizes[CLASS_C]
     if count_a + count_b + count_c != sc_n:
         violations.append(("class-total", n, count_a + count_b + count_c, sc_n))
     if count_a != sc_nm2:
@@ -292,41 +235,40 @@ def _growth_check_one(
     if sc_nm2 * (n + 2) >= sc_n * n:
         violations.append(("growth-inequality", n, sc_nm2 * (n + 2), sc_n * n))
 
-    stats: dict = {"n": n, "A": count_a, "B": count_b, "C": count_c}
+    stats: dict = {"n": n}
     if n >= 27:
-        fibers: dict[HookSeq, int] = {}
-        undefined = 0
+        fibers: dict[int, int] = {}
         branches: dict[str, int] = {}
-        for delta in below:
-            try:
-                image, branch = _map_g_hooks(delta, n)
-            except MapGUndefined:
-                undefined += 1
-                continue
-            branches[branch] = branches.get(branch, 0) + 1
-            if not _in_b_hooks(image, n):
-                violations.append(("g-image-not-in-B", n, delta, image))
-                continue
-            fibers[image] = fibers.get(image, 0) + 1
+        for (image, branch), count in Counter(_g_of_sets(below, n)).items():
+            branches[branch] = branches.get(branch, 0) + count
+            fibers[image] = fibers.get(image, 0) + count
+        undefined = branches.pop("undefined", 0)
+        fibers.pop(None, None)
+        # the B test, hook sum included, runs once per image; the inputs are
+        # walked again only to name each one whose image fails it
+        outside = {image for image in fibers if not _in_b_set(image, n)}
+        if outside:
+            for delta, (image, _) in zip(below, _g_of_sets(below, n)):
+                if image in outside:
+                    violations.append(("g-image-not-in-B", n, _hooks_of(delta), _hooks_of(image)))
+            for image in outside:
+                del fibers[image]
+        b_set = {s for s, cls in zip(here, classes) if cls == CLASS_B}
         if fibers.keys() != b_set:
-            missing = sorted(b_set - fibers.keys())[:3]
+            missing = [_hooks_of(s) for s in sorted(b_set - fibers.keys())[:3]]
             violations.append(("g-not-onto-B", n, len(fibers), len(b_set), missing))
-        for beta in sorted(b_set):
-            back = _map_h_hooks(beta, n)
-            image, _ = _map_g_hooks(back, n)
+        in_b = sorted(b_set)
+        for beta, (image, _) in zip(in_b, _g_of_sets(map(_h_of_set, in_b), n)):
             if image != beta:
-                violations.append(("g-h-not-identity", n, beta, image))
+                back = image if image is None else _hooks_of(image)
+                violations.append(("g-h-not-identity", n, _hooks_of(beta), back))
         max_fiber = max(fibers.values(), default=0)
         argmax = min((b for b, c in fibers.items() if c == max_fiber), default=None)
         if 2 * max_fiber >= n:
             violations.append(("fiber-bound", n, max_fiber, n))
         stats.update(
             {
-                "max_fiber": max_fiber,
-                "argmax": argmax,
-                "beta_star": beta_star_hooks(n),
-                "beta_star_is_argmax": argmax == beta_star_hooks(n),
-                "beta_star_fiber": fibers.get(beta_star_hooks(n), 0),
+                "beta_star_is_argmax": argmax == _set_of(beta_star_hooks(n)),
                 "g_undefined_inputs": undefined,
                 "branches": branches,
             }
@@ -345,14 +287,14 @@ def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
     if n_hi < n_lo:
         raise OutOfDomain(f"growth audit needs n_lo <= n_hi, got {n_lo}..{n_hi}")
     sc = sc_coeffs(n_hi).coeffs
-    # each n's sequences are walked once and kept as the n - 2 side of step n + 2
-    walked: dict[int, list[HookSeq]] = {}
+    # each n's hook sets are walked once and kept as the n - 2 side of step n + 2
+    walked: dict[int, list[int]] = {}
     results = []
     for n in range(n_lo, n_hi + 1):
-        walked[n] = list(descending_odd_sequences(n))
+        walked[n] = list(_hook_sets(n))
         below = walked.pop(n - 2, None)
         if below is None and n >= 27:
-            below = list(descending_odd_sequences(n - 2))
+            below = list(_hook_sets(n - 2))
         results.append(_growth_check_one(n, sc[n - 2], sc[n], walked[n], below))
     witnesses: list[tuple] = []
     mismatched_argmax: list[int] = []

@@ -5,6 +5,7 @@ import pytest
 from sccore import growth as gr
 from sccore import partitions as pt
 from sccore.errors import InvalidHooks, MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
+from sccore.reports import _witness_key
 from sccore.series import sc_coeffs
 
 
@@ -40,6 +41,22 @@ def _reference_map_g(delta, n):
     prime[1] += 2
     prime[-1] -= 2
     return tuple(prime), "run-fallback"
+
+
+def _reference_images_outside_b(n_lo, n_hi):
+    """The audit's g-image-not-in-B witnesses, made input by input with the
+    B test written on the hook tuple."""
+    out = []
+    for n in range(max(n_lo, 27), n_hi + 1):
+        for delta in pt.descending_odd_sequences(n - 2):
+            [(image, _)] = gr._g_of_sets([pt._set_of(delta)], n)
+            if image is None:
+                continue
+            hooks = pt._hooks_of(image)
+            if not (len(hooks) >= 2 and sum(hooks) == n and hooks[0] - hooks[1] == 2
+                    and hooks[0] != 2 * len(hooks) - 1):
+                out.append(("g-image-not-in-B", n, delta, hooks))
+    return out
 
 
 def _outcome(fn, delta, n):
@@ -274,6 +291,23 @@ class TestVerifyGrowth:
             "two_hook_fallback_at": list(range(30, 151, 4)),
         }
         assert len(data["beta_star_argmax_mismatches"]) == 58
+
+    def test_images_outside_b_are_named_input_by_input(self, monkeypatch):
+        # no image leaves B with the real kernel, so one branch is broken: the
+        # two-hook fallback loses its unit hook, and all its inputs at one n
+        # share that image; the audit tests each image once, then must name
+        # every input that reached it
+        kernel = gr._g_of_sets
+
+        def skewed(sets, n):
+            for image, branch in kernel(sets, n):
+                yield (image & (image - 1) if branch == "two-hook-fallback" else image), branch
+
+        monkeypatch.setattr(gr, "_g_of_sets", skewed)
+        rep = gr.verify_growth(19, 60)
+        want = _reference_images_outside_b(19, 60)
+        assert len(want) == 84
+        assert [w for w in rep.witnesses if w[0] == "g-image-not-in-B"] == sorted(want, key=_witness_key)
 
     def test_requires_n_at_least_19(self):
         with pytest.raises(OutOfDomain):
