@@ -383,7 +383,8 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     1.  For a single n the report carries its `distribution_table` as data.
 
     Every c_t and sc_t row is fetched once, and each n sums its columns.
-    UndefinedAtN names the first n with sc(n) = 0.
+    UndefinedAtN names the first n with sc(n) = 0, and otherwise refuses
+    n_lo = 0, where every telescoping sum is 0.
     """
     if not 0 <= n_lo <= n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
@@ -392,6 +393,8 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     for n in ns:
         if sc[n] == 0:
             raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    if n_lo == 0:
+        raise UndefinedAtN("at n = 0 every telescoping sum is 0; the distribution is undefined")
     c_rows = [_c_family(t, n_hi) for t in range(1, n_hi + 2)]
     sc_rows = [_sc_family(t, n_hi) for t in range(_sc_col_length(n_hi))]  # the longest column
     witnesses = []

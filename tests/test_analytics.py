@@ -320,15 +320,36 @@ class TestDistributions:
         assert rep.witnesses == witnesses == []
         assert (rep.verdict, rep.params, rep.data) == (HOLDS, {"n_lo": 3, "n_hi": 150}, {})
 
-    def test_range_scan_names_failing_families(self):
-        # at n = 0 every family is empty or sums past 1: pi has no term
-        # against p(0) = 1, and sc_2(0) - sc_0(0) = 0, sc_3(0) - sc_1(0) = 0
-        rep = an.distribution_scan(0, 1)
+    def test_range_scan_names_failing_families(self, monkeypatch):
+        # every n >= 1 sums to 1, so the numerators both checks read are
+        # skewed: pi at n = 4 and sigma_odd at n = 5
+        numerators = an._numerators
+
+        def skewed(c_col, sc_col):
+            pi, even, odd = numerators(c_col, sc_col)
+            n = len(c_col) - 1
+            if n == 4:
+                pi[0] += 1
+            if n == 5:
+                odd[0] += 1
+            return pi, even, odd
+
+        monkeypatch.setattr(an, "_numerators", skewed)
+        rep = an.distribution_scan(3, 6)
         per_n = [(0, n, family, "sum != 1")
-                 for n in (0, 1)
-                 for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 1))
+                 for n in range(3, 7)
+                 for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 6))
                  if not ok]
-        assert rep.witnesses == sorted(per_n, key=_witness_key) != []
+        assert rep.witnesses == sorted(per_n, key=_witness_key) == [(0, 4, "pi", "sum != 1"),
+                                                                    (0, 5, "sigma_odd", "sum != 1")]
+
+    @pytest.mark.parametrize("n_hi", [0, 1])
+    def test_range_scan_refuses_n_0(self, n_hi):
+        # at n = 0 pi has no term against p(0) = 1, and sc_2(0) - sc_0(0) = 0,
+        # sc_3(0) - sc_1(0) = 0: each family sums to 0, so none is a distribution
+        assert an.telescoping_check(0, n_hi) == (False, False, False)
+        with pytest.raises(UndefinedAtN, match=r"^at n = 0 every telescoping sum is 0; the distribution is undefined$"):
+            an.distribution_scan(0, n_hi)
 
     def test_single_n_scan_carries_the_table(self):
         rep = an.distribution_scan(20, 20)

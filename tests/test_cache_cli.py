@@ -276,6 +276,12 @@ class TestScanCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "scan error: sc(2) = 0; sigma families undefined\n")
 
+    def test_distribution_at_n_0(self, capsys):
+        assert main(["scan", "distribution", "--nmax", "0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "scan error: at n = 0 every telescoping sum is 0; the distribution is undefined\n")
+
     def test_unimodality(self, capsys):
         code = main(["scan", "unimodality", "--family", "pi", "--nlo", "63",
                      "--nmax", "100", "--ncap", "100"])
