@@ -184,19 +184,6 @@ def _hook_rows(beads: Sequence[int], t: int) -> list[int]:
     return [k for k, b in enumerate(beads) if b >= t and b - t not in occupied]
 
 
-def t_hook_cells(p: Partition, t: int) -> list[tuple[int, int]]:
-    """Cells of p with hook length t, row-major: row i has one exactly when its
-    bead b_i has b_i - t empty, and its leg counts the beads in between."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    beads = beta_set(p, len(p))
-    cells = []
-    for k in _hook_rows(beads, t):
-        leg = sum(1 for c in beads[k + 1:] if c > beads[k] - t)
-        cells.append((k + 1, p[k] - (t - 1 - leg)))
-    return cells
-
-
 def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
     """One minimal self-conjugacy-preserving removal of t-hooks on the beads of
     a self-conjugate partition (length m >= its first part), or None at the t-core.

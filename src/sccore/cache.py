@@ -1,10 +1,11 @@
 """On-disk coefficient cache: versioned binary files with a trailing checksum.
 
 Layout: MAGIC, then a JSON header line {version, family, t, n, width}, then
-the payload, then sha256(header + payload).  width > 0 stores fixed-width
-little-endian unsigned integers; width = 0 stores length-prefixed big-integer
-records (4-byte LE length + magnitude bytes).  Version or parameter mismatch
-and checksum failure both surface as CacheCorrupt; callers recompute.
+the payload, then sha256(header + payload).  The payload is the n + 1
+coefficients as little-endian unsigned integers of `width` bytes each, the
+fewest bytes (at least 1) that hold the largest of them.  Version or
+parameter mismatch, a malformed header and checksum failure all surface as
+CacheCorrupt; callers recompute.
 """
 
 from __future__ import annotations
@@ -20,39 +21,34 @@ from .errors import CacheCorrupt
 
 MAGIC = b"SCCOREC1"
 VERSION = 1
-# the families `compute_family` builds, and whether each takes a t
+# the families `compute_family` builds, each by series.<family>_coeffs, and
+# whether each takes a t
 _TAKES_T = {"p": False, "sc": False, "sc_t": True, "c_t": True, "phat": True, "nsc_t": True}
+# the share of a file's coefficients `verify_file` recomputes and compares
+SAMPLE_SHARE = 0.01
 
 
 def compute_family(family: str, t: int | None, n: int) -> TruncatedSeries:
     """Dispatch to the series builders; the single source of coefficient truth.
 
-    The builders are imported here, so a cache hit never loads the series.
+    The series is imported here, so a cache hit never loads it.
     """
-    from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, phat_coeffs, sc_coeffs, sc_t_coeffs
+    from . import series
 
-    if family == "sc":
-        return sc_coeffs(n)
-    if family == "p":
-        return p_coeffs(n)
+    if family not in _TAKES_T:
+        raise ValueError(f"unknown family {family!r}")
+    build = getattr(series, f"{family}_coeffs")
+    if not _TAKES_T[family]:
+        return build(n)
     if t is None:
         raise ValueError(f"family {family!r} needs t")
-    if family == "sc_t":
-        return sc_t_coeffs(t, n)
-    if family == "c_t":
-        return c_t_coeffs(t, n)
-    if family == "phat":
-        return phat_coeffs(t, n)
-    if family == "nsc_t":
-        return nsc_t_coeffs(t, n)
-    raise ValueError(f"unknown family {family!r}")
+    return build(t, n)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("SCCORE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "sccore"
+def chosen_dir(flag: str | None) -> Path | None:
+    """The cache directory: --cache-dir, else $SCCORE_CACHE_DIR, else None."""
+    chosen = flag or os.environ.get("SCCORE_CACHE_DIR")
+    return Path(chosen) if chosen else None
 
 
 def cache_path(cache_dir: Path, family: str, t: int | None, n: int) -> Path:
@@ -63,19 +59,12 @@ def cache_path(cache_dir: Path, family: str, t: int | None, n: int) -> Path:
 def _encode(family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> bytes:
     if any(c < 0 for c in coeffs):
         raise ValueError("cache stores non-negative coefficient families only")
-    width = 8 if max(coeffs, default=0) < (1 << 64) else 0
+    width = (max(coeffs, default=0).bit_length() + 7) // 8 or 1
     header = json.dumps(
         {"version": VERSION, "family": family, "t": t, "n": n, "width": width},
         sort_keys=True,
     ).encode() + b"\n"
-    if width:
-        payload = b"".join(c.to_bytes(width, "little") for c in coeffs)
-    else:
-        chunks = []
-        for c in coeffs:
-            raw = c.to_bytes((c.bit_length() + 7) // 8 or 1, "little")
-            chunks.append(len(raw).to_bytes(4, "little") + raw)
-        payload = b"".join(chunks)
+    payload = b"".join(c.to_bytes(width, "little") for c in coeffs)
     body = header + payload
     return MAGIC + body + hashlib.sha256(body).digest()
 
@@ -83,8 +72,8 @@ def _encode(family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> byte
 def _split(blob: bytes) -> tuple[dict, bytes]:
     """(header, payload) of a cache file, after its magic, its checksum and
     its header pass.  The header must be a JSON object of this version with
-    a known family, an int t exactly when the family takes one, and ints n
-    and width >= 0 (no bools)."""
+    a known family, an int t exactly when the family takes one, an int
+    n >= 0 and an int width >= 1 (no bools)."""
     if not blob.startswith(MAGIC):
         raise CacheCorrupt("bad magic")
     body, digest = blob[len(MAGIC):-32], blob[-32:]
@@ -101,7 +90,8 @@ def _split(blob: bytes) -> tuple[dict, bytes]:
         raise CacheCorrupt(f"version {header.get('version')} != {VERSION}")
     family, t, n, width = (header.get(key) for key in ("family", "t", "n", "width"))
     if not (isinstance(family, str) and _TAKES_T.get(family) == (t is not None)
-            and (t is None or type(t) is int) and all(type(v) is int and v >= 0 for v in (n, width))):
+            and (t is None or type(t) is int) and type(n) is int and n >= 0
+            and type(width) is int and width >= 1):
         raise CacheCorrupt("malformed header")
     return header, payload
 
@@ -111,22 +101,9 @@ def _decode(blob: bytes, family: str, t: int | None, n: int) -> tuple[int, ...]:
     if (header.get("family"), header.get("t"), header.get("n")) != (family, t, n):
         raise CacheCorrupt("header does not match requested series")
     width = header["width"]
-    coeffs = []
-    if width:
-        if len(payload) != (n + 1) * width:
-            raise CacheCorrupt("payload length mismatch")
-        for k in range(n + 1):
-            coeffs.append(int.from_bytes(payload[k * width:(k + 1) * width], "little"))
-    else:
-        pos = 0
-        for _ in range(n + 1):
-            ln = int.from_bytes(payload[pos:pos + 4], "little")
-            pos += 4
-            coeffs.append(int.from_bytes(payload[pos:pos + ln], "little"))
-            pos += ln
-        if pos != len(payload):
-            raise CacheCorrupt("payload length mismatch")
-    return tuple(coeffs)
+    if len(payload) != (n + 1) * width:
+        raise CacheCorrupt("payload length mismatch")
+    return tuple(int.from_bytes(payload[i:i + width], "little") for i in range(0, len(payload), width))
 
 
 def write_cache(cache_dir: Path, family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> Path:
@@ -155,27 +132,27 @@ def load_or_compute(cache_dir: Path | None, family: str, t: int | None, n: int) 
     if cache_dir is None:
         return compute_family(family, t, n).coeffs, "computed"
     path = cache_path(Path(cache_dir), family, t, n)
+    source = "computed"
     if path.exists():
         try:
             return _decode(path.read_bytes(), family, t, n), "cache"
         except CacheCorrupt:
-            coeffs = compute_family(family, t, n).coeffs
-            write_cache(cache_dir, family, t, n, coeffs)
-            return coeffs, "recomputed"
+            source = "recomputed"
     coeffs = compute_family(family, t, n).coeffs
     write_cache(cache_dir, family, t, n, coeffs)
-    return coeffs, "computed"
+    return coeffs, source
 
 
-def verify_file(path: Path, sample_fraction: float = 0.01, seed: int = 0) -> dict:
-    """Checksum plus a deterministic random-sample recomputation."""
+def verify_file(path: Path) -> dict:
+    """Checksum plus a recomputation of a SAMPLE_SHARE sample of the
+    coefficients, drawn with a fixed seed so each run samples the same."""
     blob = Path(path).read_bytes()
     header, _ = _split(blob)
     family, t, n = header["family"], header["t"], header["n"]
     coeffs = _decode(blob, family, t, n)
     fresh = compute_family(family, t, n).coeffs
-    rng = random.Random(seed)
-    k = max(1, int((n + 1) * sample_fraction))
+    rng = random.Random(0)
+    k = max(1, int((n + 1) * SAMPLE_SHARE))
     sample = rng.sample(range(n + 1), min(k, n + 1))
     bad = [i for i in sample if coeffs[i] != fresh[i]]
     return {

@@ -17,7 +17,6 @@ formula or enumeration code.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -68,13 +67,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected a rational such as 19/10, got {text!r}") from None
-
-
-def _resolve_cache_dir(args) -> Path | None:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get("SCCORE_CACHE_DIR")
-    return Path(env) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +133,7 @@ def cmd_count(args) -> int:
     if "series" in methods:
         from . import cache
 
-        series, source = cache.load_or_compute(_resolve_cache_dir(args), family, args.t, n_cap)
+        series, source = cache.load_or_compute(cache.chosen_dir(args.cache_dir), family, args.t, n_cap)
         if source == "recomputed":
             print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
     tables = None
@@ -266,8 +258,8 @@ def _inequality_preset(analytics, args) -> ScanReport:
 # Each scan mode, declared once as (module, options, runner).  The runner gets
 # the module, imported when the scan runs, and the parsed arguments, and looks
 # the scan function up in the module at that time.  options maps each option
-# the mode reads, besides --json, --cache-dir and --oracle-cap, to None (any
-# value), _REQUIRED, or the values it takes, the first of them its default
+# the mode reads, besides --json, to None (any value), _REQUIRED, or the
+# values it takes, the first of them its default
 # (True is the bare --preset flag).  A scan with modes has one entry per mode:
 # "NAME --OPT" is NAME run with OPT given, so under --preset identity and
 # inequality read no spec option, and under --range growth and distribution
@@ -390,7 +382,7 @@ def cmd_scan(args) -> int:
 def cmd_cache(args) -> int:
     from . import cache
 
-    cache_dir = _resolve_cache_dir(args) or cache.default_cache_dir()
+    cache_dir = cache.chosen_dir(args.cache_dir) or Path.home() / ".cache" / "sccore"
     if args.action == "purge":
         removed = cache.purge(cache_dir)
         print(f"removed {removed} cache files")
@@ -432,10 +424,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="sccore", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--cache-dir", help="coefficient cache directory (env SCCORE_CACHE_DIR)")
-        sp.add_argument("--oracle-cap", type=int, default=200)
-
     c = sub.add_parser("count", help="exact values of a counting family")
     c.add_argument("family", choices=_COUNT_FAMILIES)
     c.add_argument("--t", type=int)
@@ -444,7 +432,8 @@ def build_parser() -> _Parser:
                    choices=("series", "recursive", "closed", "large", "oracle", "all"))
     c.add_argument("--format", default="text", choices=("text", "csv", "tsv", "json"))
     c.add_argument("--out")
-    common(c)
+    c.add_argument("--oracle-cap", type=int, default=200)
+    c.add_argument("--cache-dir", help="coefficient cache directory (env SCCORE_CACHE_DIR)")
     c.set_defaults(func=cmd_count)
 
     t = sub.add_parser("table", help="regenerate the appendix tables")
@@ -453,7 +442,6 @@ def build_parser() -> _Parser:
     t.add_argument("--tmax", type=int)
     t.add_argument("--format", default="csv", choices=("csv", "tsv", "json", "md"))
     t.add_argument("--out")
-    common(t)
     t.set_defaults(func=cmd_table)
 
     s = sub.add_parser("scan", help="run a verification scan, emit a JSON report")
@@ -477,7 +465,6 @@ def build_parser() -> _Parser:
     s.add_argument("--preset", nargs="?", const=True)
     s.add_argument("--json", help="write the JSON report to this path")
     s.add_argument("--workers", type=int, help="growth: accepted and ignored, the audit runs in-process")
-    common(s)
     s.set_defaults(func=cmd_scan)
 
     k = sub.add_parser("cache", help="build / verify / purge the coefficient cache")
@@ -485,7 +472,7 @@ def build_parser() -> _Parser:
     k.add_argument("--family", default="sc_t", choices=_COUNT_FAMILIES)
     k.add_argument("--t", type=_parse_range, help="single t or range a..b")
     k.add_argument("--nmax", type=_parse_count, default=10000)
-    common(k)
+    k.add_argument("--cache-dir", help="coefficient cache directory (env SCCORE_CACHE_DIR, else ~/.cache/sccore)")
     k.set_defaults(func=cmd_cache)
     return p
 

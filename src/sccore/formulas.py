@@ -223,23 +223,16 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
 
 
 @timed
-def cross_validate(
-    t_max: int,
-    n_max: int,
-    limits: Limits = DEFAULT_LIMITS,
-    oracle_n_max: int | None = None,
-) -> ScanReport:
+def cross_validate(t_max: int, n_max: int, limits: Limits = DEFAULT_LIMITS) -> ScanReport:
     """Every computation path must agree on every cell of the (t, n) grid.
 
     Compares, per cell: series coefficient, recursion value, the literal
     closed form (where the composition budget permits), the large-t formulas
     (where one applies), and the brute-force enumeration oracle (n up to
-    oracle_n_max, default min(n_max, 30)).  Disagreements are witnesses,
+    min(n_max, 30, limits.oracle_cap)).  Disagreements are witnesses,
     tagged by the pair of paths that differ.
     """
-    if oracle_n_max is None:
-        oracle_n_max = min(n_max, 30)
-    oracle_n_max = min(oracle_n_max, limits.oracle_cap)
+    oracle_n_max = min(n_max, 30, limits.oracle_cap)
     tables = RecursionTables(n_max)
     witnesses: list[tuple] = []
     sc_counts: dict[int, list] = {n: enumerate_self_conjugate(n, limits) for n in range(oracle_n_max + 1)}

@@ -66,14 +66,20 @@ def classify_hooks(delta: HookSeq, n: int) -> str:
     A: first gap >= 4, or the single-hook partition (n odd).
     B: first gap exactly 2, excluding the square when n is a perfect square.
     C: everything else (exactly the square partitions).
+
+    Raises InvalidHooks unless delta is diagonal hooks, and ValueError
+    unless it sums to n.
     """
+    delta = DiagonalHooks(tuple(delta)).hooks
+    if sum(delta) != n:
+        raise ValueError(f"hooks sum to {sum(delta)}, expected n={n}")
     return _class_of_set(_set_of(delta))
 
 
 def classify(p: Partition, n: int) -> ClassifiedSC:
     if size(p) != n or not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of {n}")
-    return ClassifiedSC(p, classify_hooks(diagonal_hooks(p).hooks, n))
+    return ClassifiedSC(p, _class_of_set(_set_of(diagonal_hooks(p).hooks)))
 
 
 def map_f_hooks(delta: HookSeq) -> HookSeq:

@@ -66,14 +66,6 @@ class DiagonalHooks:
             if k + 1 < len(self.hooks) and self.hooks[k + 1] >= h:
                 raise InvalidHooks(f"hooks must be strictly decreasing, got {self.hooks!r}")
 
-    @property
-    def d(self) -> int:
-        return len(self.hooks)
-
-    @property
-    def total(self) -> int:
-        return sum(self.hooks)
-
 
 def diagonal_length(p: Partition) -> int:
     """Number of diagonal cells (i, i) of the Young diagram."""

@@ -208,18 +208,17 @@ def _short_power(k: int, m: int) -> list[int]:
 
 
 def _fused_shifts(a: int, k: int, n: int) -> list[tuple[int, int]] | None:
-    """The (shift, coefficient) terms of E(q^a)^k - 1 up to q^n when one fused
-    pass over them is shorter than the k pentagonal passes, else None.
+    """The (shift, coefficient) terms of E(q^a)^k - 1 up to q^n, k > 0, when
+    one fused pass over them is shorter than the k pentagonal passes, else None.
 
-    For a = 1 the short series is as long as the row, and for |k| = 1 it has
-    at least as many terms as the single pass (E(x) has exactly the
-    pentagonal terms, 1/E(x) every term), so only a >= 2, |k| >= 2 is tried.
+    For a = 1 the short series is as long as the row, and for k = 1 it has
+    exactly the pentagonal terms, so only a >= 2, k >= 2 is tried.
     """
-    if a == 1 or abs(k) < 2:
+    if a == 1 or k < 2:
         return None
     short = _short_power(k, n // a)
     shifts = [(a * i, u) for i, u in enumerate(short) if u and i]
-    return shifts if len(shifts) < abs(k) * len(pentagonal_terms(a, n)) else None
+    return shifts if len(shifts) < k * len(pentagonal_terms(a, n)) else None
 
 
 def _power_steps(a: int, k: int, n: int) -> list[list[tuple[int, int]]]:
@@ -300,7 +299,7 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
     The steps and the positive powers go first, so intermediate coefficients
     stay as small as the final answer allows: all of them on one packed
     integer when `_pack_width` finds that cheaper, else by list passes.  Then
-    the negative powers, by list passes.
+    the negative powers, one division by E(q^a) each.
     """
     steps = [*steps, *(step for a, k in factors if k > 0 and a <= n for step in _power_steps(a, k, n))]
     w = _pack_width(c, steps, n)
@@ -311,12 +310,8 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
             c = _shift_add(c, step)
     for a, k in factors:
         if k < 0 and a <= n:
-            shifts = _fused_shifts(a, k, n)
-            if shifts is not None:
-                c = _shift_add(c, shifts)
-            else:
-                for _ in range(-k):
-                    c = _divide_eta(c, a, n)
+            for _ in range(-k):
+                c = _divide_eta(c, a, n)
     return c
 
 

@@ -107,6 +107,10 @@ def _groups() -> dict[str, list[list[str]]]:
         "scan growth --range 19..20 --workers 2",
         *(f"scan monotonicity --pair {pair} --nmax 10{fam}"
           for fam in ("", " --family sc", " --family c", " --family nsc") for pair in ("0", "-2")),
+        # options only `count` (--oracle-cap) or `count` and `cache` (--cache-dir) take
+        "table sc --nmax 4 --cache-dir <TMP>/D",
+        "scan positivity --t 6 --nmax 20 --oracle-cap 5",
+        "cache purge --oracle-cap 5",
     )]
     groups["unread-options"] = [line.split() for line in (
         "scan growth --range 19..20 --t 5 --pair 3 --s 2",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from sccore import cache
-from sccore.cli import main
+from sccore.cli import build_parser, main
 from sccore.errors import CacheCorrupt
-from sccore.series import sc_t_coeffs
+from sccore.series import p_coeffs, sc_t_coeffs
 
 
 def _exit_code(argv: list[str]) -> int:
@@ -31,6 +32,16 @@ def _assert_one_line_usage_error(argv: list[str], capsys) -> str:
     return err
 
 
+def _cache_blob(header: dict, payload: bytes) -> bytes:
+    """A cache file with this header and payload and a valid checksum."""
+    body = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+    return cache.MAGIC + body + hashlib.sha256(body).digest()
+
+
+def _header_width(path: Path) -> int:
+    return json.loads(path.read_bytes()[len(cache.MAGIC):].partition(b"\n")[0])["width"]
+
+
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
         coeffs = sc_t_coeffs(6, 100).coeffs
@@ -44,6 +55,28 @@ class TestCacheFile:
         cache.write_cache(tmp_path, "p", None, n, coeffs)
         loaded, source = cache.load_or_compute(tmp_path, "p", None, n)
         assert loaded == coeffs
+
+    @pytest.mark.parametrize("family, t, n, build, width", [
+        ("sc_t", 6, 100, lambda: sc_t_coeffs(6, 100), 1),
+        ("p", None, 500, lambda: p_coeffs(500), 9),
+    ], ids=["one-byte", "multi-byte"])
+    def test_width_is_the_fewest_bytes_of_the_largest_value(self, family, t, n, build, width, tmp_path):
+        coeffs = build().coeffs
+        assert (max(coeffs).bit_length() + 7) // 8 == width
+        path = cache.write_cache(tmp_path, family, t, n, coeffs)
+        assert _header_width(path) == width
+        magic_and_header = path.read_bytes().partition(b"\n")[0]
+        assert path.stat().st_size == len(magic_and_header) + 1 + (n + 1) * width + 32
+        assert cache.load_or_compute(tmp_path, family, t, n) == (coeffs, "cache")
+
+    def test_a_width_8_file_still_loads(self, tmp_path):
+        # every coefficient in 8 bytes, as files for rows below 2**64 were written before
+        coeffs = sc_t_coeffs(6, 100).coeffs
+        header = {"version": 1, "family": "sc_t", "t": 6, "n": 100, "width": 8}
+        path = cache.cache_path(tmp_path, "sc_t", 6, 100)
+        path.write_bytes(_cache_blob(header, b"".join(c.to_bytes(8, "little") for c in coeffs)))
+        assert cache.load_or_compute(tmp_path, "sc_t", 6, 100) == (coeffs, "cache")
+        assert cache.verify_file(path)["ok"]
 
     def test_corruption_recomputes_with_warning(self, tmp_path):
         coeffs = sc_t_coeffs(4, 50).coeffs
@@ -147,12 +180,15 @@ class TestCountCommand:
         assert out == cold
         assert err.count("\n") == 1 and err.startswith("warning:")
 
-    @pytest.mark.parametrize("head", [
-        b"not json", b"[5]", b'{"family": "sc", "n": 5, "t": null, "version": 1}',
-        b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}',
-        b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}',
-    ], ids=["not-json", "not-an-object", "no-width", "unknown-family", "no-t"])
-    def test_checksum_valid_malformed_header(self, head, tmp_path, capsys):
+    @pytest.mark.parametrize("head, reason", [
+        (b"not json", "header is not a JSON object"),
+        (b"[5]", "header is not a JSON object"),
+        (b'{"family": "sc", "n": 5, "t": null, "version": 1}', "malformed header"),
+        (b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}', "malformed header"),
+        (b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}', "malformed header"),
+        (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 0}', "malformed header"),
+    ], ids=["not-json", "not-an-object", "no-width", "unknown-family", "no-t", "width-0"])
+    def test_checksum_valid_malformed_header(self, head, reason, tmp_path, capsys):
         # the checksum covers the header, so only the header check catches these
         args = ["count", "sc", "--n", "0..5", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
@@ -164,11 +200,11 @@ class TestCountCommand:
         assert main(args) == 0
         out, err = capsys.readouterr()
         assert out == cold
-        assert err.count("\n") == 1 and err.startswith("warning:")
+        assert err == "warning: corrupt cache file for sc t=None n=5 recomputed\n"
         path.write_bytes(blob)
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
         out, err = capsys.readouterr()
-        assert err == "" and out.count("\n") == 1 and out.startswith(f"{path}: corrupt (")
+        assert (out, err) == (f"{path}: corrupt ({reason}); will recompute on next use\n", "")
 
     def test_cache_dir_used_and_values_unchanged(self, tmp_path, capsys):
         args = ["count", "sc_t", "--t", "6", "--n", "73", "--cache-dir", str(tmp_path)]
@@ -503,6 +539,44 @@ class TestCacheCommand:
         main(["count", "sc_t", "--t", "5", "--n", "41", "--cache-dir", str(flag_dir)])
         assert list(env_dir.iterdir()) == []
         assert (flag_dir / "sc_t_t5_n41.bin").exists()
+
+
+class TestOptionSets:
+    """Each command takes exactly the options it reads."""
+
+    OPTIONS = {
+        "count": {"family", "--t", "--n", "--method", "--format", "--out", "--oracle-cap", "--cache-dir"},
+        "table": {"kind", "--nmax", "--tmax", "--format", "--out"},
+        "scan": {"name", "--t", "--s", "--family", "--pair", "--window", "--nmax", "--nlo", "--ncap",
+                 "--tmax", "--range", "--a", "--b", "--a2", "--b2", "--alpha", "--non-strict", "--preset",
+                 "--json", "--workers"},
+        "cache": {"action", "--family", "--t", "--nmax", "--cache-dir"},
+    }
+
+    def test_each_command_has_its_option_set(self):
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {a.option_strings[0] if a.option_strings else a.dest
+                      for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+               for name, sub in commands.choices.items()}
+        assert got == self.OPTIONS
+        assert sum(len(options) for options in got.values()) == 38
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "sc", "--nmax", "4", "--cache-dir", "D"],
+        ["table", "sc", "--nmax", "4", "--oracle-cap", "5"],
+        ["scan", "positivity", "--t", "6", "--nmax", "20", "--cache-dir", "D"],
+        ["scan", "positivity", "--t", "6", "--nmax", "20", "--oracle-cap", "5"],
+        ["scan", "cross-validate", "--nmax", "20", "--oracle-cap", "5"],
+        ["cache", "purge", "--oracle-cap", "5"],
+        ["cache", "verify", "--oracle-cap", "5"],
+    ])
+    def test_a_removed_option_is_one_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCCORE_CACHE_DIR", str(tmp_path))
+        cache.write_cache(tmp_path, "sc_t", 6, 10, sc_t_coeffs(6, 10).coeffs)
+        err = _assert_one_line_usage_error(argv, capsys)
+        assert err == f"sccore: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["sc_t_t6_n10.bin"]
 
 
 class TestImportOnDemand:

@@ -80,6 +80,13 @@ class TestClassify:
         with pytest.raises(NotSelfConjugate):
             gr.classify((3, 3, 2), 9)
 
+    def test_classify_hooks_refuses_non_hooks_and_a_wrong_sum(self):
+        with pytest.raises(InvalidHooks, match="strictly decreasing"):
+            gr.classify_hooks((3, 3), 6)
+        with pytest.raises(ValueError, match="hooks sum to 5, expected n=99"):
+            gr.classify_hooks((5,), 99)
+        assert gr.classify_hooks((5,), 5) == "A"
+
     def test_classes_partition_sc(self):
         from math import isqrt
 
