@@ -24,8 +24,7 @@ _EXPORTS = {
         "remove_hook", "sc_reduction_step", "t_core", "t_quotient",
     ), "abacus"),
     **dict.fromkeys((
-        "TruncatedSeries", "c_t_coeffs", "nsc_t_coeffs", "p_coeffs", "phat_coeffs", "sc_coeffs",
-        "sc_t_coeffs",
+        "c_t_coeffs", "nsc_t_coeffs", "p_coeffs", "phat_coeffs", "sc_coeffs", "sc_t_coeffs",
     ), "series"),
 }
 _SUBMODULES = ("abacus", "analytics", "cache", "cli", "config", "errors", "formulas", "growth",

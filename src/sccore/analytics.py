@@ -9,7 +9,7 @@ thresholds are compared by cross-multiplication, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -26,15 +26,39 @@ from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 def _sc_family(t: int, n_cap: int) -> tuple[int, ...]:
     if t <= 1:
         return (1,) + (0,) * n_cap
-    return sc_t_coeffs(t, n_cap).coeffs
+    return sc_t_coeffs(t, n_cap)
 
 
 def _c_family(t: int, n_cap: int) -> tuple[int, ...]:
-    return c_t_coeffs(t, n_cap).coeffs
+    return c_t_coeffs(t, n_cap)
 
 
 def _nsc_family(t: int, n_cap: int) -> tuple[int, ...]:
-    return nsc_t_coeffs(t, n_cap).coeffs
+    return nsc_t_coeffs(t, n_cap)
+
+
+# family -> (its row at t to n_cap, the step t -> t + step of its differences);
+# the row functions look the series functions up when they are called
+_FAMILIES = {"sc": (_sc_family, 2), "c": (_c_family, 1), "nsc": (_nsc_family, 2)}
+
+
+def _columns(family: str, n_cap: int, windows: dict[int, range]):
+    """(n, ts, col) for each n and its window ts = windows[n] of t, in order:
+    col[i] is the family's row at ts[i] read at n, and col[-1] the row one
+    step past the window; an empty window has an empty column.
+
+    Each window steps as the family does, and the windows of a scan grow
+    with n and overlap, so their union is one progression of t: every row of
+    it, and the one past it, is fetched once, to n_cap.
+    """
+    rows_of, step = _FAMILIES[family]
+    used = [ts for ts in windows.values() if ts]
+    first = min((ts.start for ts in used), default=0)
+    last = max((ts[-1] + step for ts in used), default=-1)
+    rows = [rows_of(t, n_cap) for t in range(first, last + 1, step)]
+    for n, ts in windows.items():
+        i = (ts.start - first) // step
+        yield n, ts, [row[n] for row in rows[i: i + len(ts) + 1]] if ts else []
 
 
 def _index_cap(n_lo: int, n_hi: int, *maps: tuple[int, int]) -> int:
@@ -53,8 +77,7 @@ def _index_cap(n_lo: int, n_hi: int, *maps: tuple[int, int]) -> int:
 
 def zero_set(t: int, n_max: int) -> set[int]:
     """{n <= n_max : sc_t(n) = 0} from the generating function."""
-    row = sc_t_coeffs(t, n_max).coeffs
-    return {n for n, v in enumerate(row) if v == 0}
+    return {n for n, v in enumerate(sc_t_coeffs(t, n_max)) if v == 0}
 
 
 def _odd_power_prime_3_mod_4(m_max: int) -> bytearray:
@@ -172,10 +195,9 @@ def compare_pair(t: int, n_max: int, family: str = "sc") -> ScanReport:
     data lists where the larger-index count fails to strictly exceed:
     the equality set and the strictly-less set over [0, n_max].
     """
-    pairs = {"sc": (_sc_family, 2), "c": (_c_family, 1), "nsc": (_nsc_family, 2)}
-    if family not in pairs:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    rows, step = pairs[family]
+    rows, step = _FAMILIES[family]
     pair = (t, t + step)
     low, high = rows(t, n_max), rows(t + step, n_max)
     equal = [n for n in range(n_max + 1) if high[n] == low[n]]
@@ -223,33 +245,6 @@ def _odd_window(n: int, window: str) -> range:
     return range(lo, hi + 1, 2)
 
 
-def _rows_read(fetch, windows: list[range]) -> list:
-    """fetch(t) at the index t of a list, for every t from the first window
-    start to one step past the last window end, in that step; None elsewhere.
-
-    The windows of a scan grow with n and overlap, so their union is that
-    whole progression and every row is fetched once.
-    """
-    used = [ts for ts in windows if ts]
-    if not used:
-        return []
-    step = used[0].step
-    last = max(ts[-1] for ts in used) + step
-    rows = [None] * (last + 1)
-    for t in range(min(ts.start for ts in used), last + 1, step):
-        rows[t] = fetch(t)
-    return rows
-
-
-def _columns(rows: list, windows: list[range]):
-    """(n, ts, col) for each n with a nonempty window ts = windows[n]: col[i]
-    is rows[ts[i]][n], and col[-1] the row one step past the window, read
-    with one slice of the rows."""
-    for n, ts in enumerate(windows):
-        if ts:
-            yield n, ts, [row[n] for row in rows[ts.start: ts.stop + ts.step: ts.step]]
-
-
 @timed
 def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> ScanReport:
     """Scan the stated (t, n) window of a monotonicity statement.
@@ -263,38 +258,30 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
     Each row is fetched once, and each n reads its window as one column.
     """
     ns = range(n_max + 1)
-    small: list[range] = []
     if family in ("sc-even", "sc-odd"):
         wins = _even_window if family == "sc-even" else _odd_window
-        windows = [wins(n, window) for n in ns]
-        if family == "sc-odd":
-            small = [range(11, n - 17 + 1, 2) for n in range(min(n_max, 47) + 1)]
-        rows = _rows_read(lambda t: _sc_family(t, n_max), windows + small)
+        rows, windows = "sc", {n: wins(n, window) for n in ns}
     elif family == "c":
-        windows = [range(4, min(n - 1, n_max - 1) + 1) for n in ns]
-        rows = _rows_read(lambda t: _c_family(t, n_max), windows)
+        rows, windows = "c", {n: range(4, min(n - 1, n_max - 1) + 1) for n in ns}
     elif family == "nsc-odd":
-        windows = [range(3, n - 2 + 1, 2) for n in ns]  # 5 <= t+2 <= n
-        rows = _rows_read(lambda t: _nsc_family(t, n_max), windows)
+        rows, windows = "nsc", {n: range(3, n - 2 + 1, 2) for n in ns}  # 5 <= t+2 <= n
     else:
         raise ValueError(f"unknown family {family!r}")
+    # no sc-odd window opens before n = 48, so the anomaly windows take n <= 47
+    small = min(n_max, 47) if family == "sc-odd" else -1
+    windows.update((n, range(11, n - 17 + 1, 2)) for n in range(small + 1))
     witnesses: list[tuple] = []
-    for n, ts, col in _columns(rows, windows):
-        if family == "c":  # c_{t+1} >= c_t: only a strict drop fails
+    eq: list[tuple[int, int]] = []
+    lt: list[tuple[int, int]] = []
+    for n, ts, col in _columns(rows, n_max, windows):
+        if n <= small:
+            eq.extend((t, n) for t, lo, hi in zip(ts, col, col[1:]) if hi == lo)
+            lt.extend((t, n) for t, lo, hi in zip(ts, col, col[1:]) if hi < lo)
+        elif family == "c":  # c_{t+1} >= c_t: only a strict drop fails
             witnesses.extend((t, n, hi, lo) for t, lo, hi in zip(ts, col, col[1:]) if hi < lo)
         else:
             witnesses.extend((t, n, hi, lo) for t, lo, hi in zip(ts, col, col[1:]) if hi <= lo)
-    data: dict = {}
-    if family == "sc-odd":
-        eq, lt = [], []
-        for n, ts, col in _columns(rows, small):
-            for t, lo, hi in zip(ts, col, col[1:]):
-                if hi == lo:
-                    eq.append((t, n))
-                elif hi < lo:
-                    lt.append((t, n))
-        data["small_n_equalities"] = eq
-        data["small_n_reversals"] = lt
+    data = {"small_n_equalities": eq, "small_n_reversals": lt} if family == "sc-odd" else {}
     return ScanReport(scan="monotonicity", params={"family": family, "n_max": n_max, "window": window},
                       witnesses=witnesses, data=data)
 
@@ -303,65 +290,46 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
 # distributions, telescoping, unimodality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DistributionRow:
-    """Exact rational distribution values for one n and one family."""
-
-    n: int
-    family: str  # "pi" | "sigma_even" | "sigma_odd"
-    values: dict[int, Fraction] = field(default_factory=dict)
-
-    def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+# each distribution: the family whose differences at n are its numerators,
+# and its window of t at n
+_DISTRIBUTIONS = {
+    "pi": ("c", lambda n: range(1, n + 1)),
+    "sigma_even": ("sc", lambda n: range(0, n + 1, 2)),
+    "sigma_odd": ("sc", lambda n: range(1, n + 2, 2)),
+}
 
 
-def _numerators(c_col: list[int], sc_col: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """The numerators of pi_t at n for t = 1..n, of sigma_t for the even
-    t <= n and of sigma_t for the odd t <= n + 1, from the columns
-    c_col[i] = c_(i+1)(n) for i = 0..n and sc_col[t] = sc_t(n) for
-    t = 0..n + 3 - n % 2, the last t the sigma families read."""
-    return (
-        [b - a for a, b in zip(c_col, c_col[1:])],
-        [b - a for a, b in zip(sc_col[::2], sc_col[2::2])],
-        [b - a for a, b in zip(sc_col[1::2], sc_col[3::2])],
-    )
+def _numerators(n_lo: int, n_hi: int, n_cap: int | None):
+    """(family, n, den, ts, nums) for each family of `distribution_table` and
+    each n_lo <= n <= n_hi, on rows to n_cap (default n_hi): nums[i] is the
+    numerator at t = ts[i] and den the denominator, the limit of the rows as
+    t grows, c_t(n) = p(n) and sc_t(n) = sc(n) for t > n.
 
-
-def _sc_col_length(n: int) -> int:
-    """How many sc_t the sigma families read at n: t = 0..n + 3 - n % 2."""
-    return n + 4 - n % 2
-
-
-def _distribution_numerators(n: int, n_cap: int | None) -> dict[str, tuple[int, dict[int, int]]]:
-    """Each family of `distribution_table` at n as (denominator, {t: numerator}),
-    read off the rows once for it and for `telescoping_check`."""
-    cap = n_cap if n_cap is not None else n
-    if cap < n:
+    The rows are fetched once per family, when the first value is read; an n
+    with sc(n) = 0 is refused here, before any.
+    """
+    cap = n_hi if n_cap is None else n_cap
+    if cap < n_hi:
         raise ValueError("n_cap must be >= n")
-    pn = p_coeffs(cap)[n]
-    scn = sc_coeffs(cap)[n]
-    if scn == 0:
-        raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
-    pi, even, odd = _numerators([_c_family(t, cap)[n] for t in range(1, n + 2)],
-                                [_sc_family(t, cap)[n] for t in range(_sc_col_length(n))])
-    return {
-        "pi": (pn, dict(zip(range(1, n + 1), pi))),
-        "sigma_even": (scn, dict(zip(range(0, n + 1, 2), even))),
-        "sigma_odd": (scn, dict(zip(range(1, n + 2, 2), odd))),
-    }
+    ns = range(n_lo, n_hi + 1)
+    dens = {"c": p_coeffs(cap), "sc": sc_coeffs(cap)}
+    for n in ns:
+        if dens["sc"][n] == 0:
+            raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    return ((family, n, dens[rows][n], ts, [hi - lo for lo, hi in zip(col, col[1:])])
+            for family, (rows, window) in _DISTRIBUTIONS.items()
+            for n, ts, col in _columns(rows, cap, {n: window(n) for n in ns}))
 
 
-def distribution_table(n: int, n_cap: int | None = None) -> dict[str, DistributionRow]:
-    """pi_t(n) and both sigma parity families as exact rationals.
+def distribution_table(n: int, n_cap: int | None = None) -> dict[str, dict[int, Fraction]]:
+    """pi_t(n) and both sigma parity families as exact rationals, {family: {t: value}}.
 
     pi_t = (c_{t+1} - c_t)/p(n) for t >= 1; sigma_t = (sc_{t+2} - sc_t)/sc(n)
     for t >= 0, split by parity of t.  n_cap (>= n) controls the series
     truncation so repeated calls share cached rows.
     """
-    return {
-        family: DistributionRow(n, family, {t: Fraction(num, den) for t, num in nums.items()})
-        for family, (den, nums) in _distribution_numerators(n, n_cap).items()
-    }
+    return {family: {t: Fraction(num, den) for t, num in zip(ts, nums)}
+            for family, _, den, ts, nums in _numerators(n, n, n_cap)}
 
 
 def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, bool]:
@@ -371,8 +339,7 @@ def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, boo
     numerators sum to its denominator: sum (c_{t+1}(n) - c_t(n)) = p(n), and
     sum (sc_{t+2}(n) - sc_t(n)) = sc(n) for each parity.
     """
-    families = _distribution_numerators(n, n_cap).values()
-    pi, even, odd = (sum(nums.values()) == den for den, nums in families)
+    pi, even, odd = (sum(nums) == den for _, _, den, _, nums in _numerators(n, n, n_cap))
     return pi, even, odd
 
 
@@ -388,26 +355,13 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     """
     if not 0 <= n_lo <= n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
-    ns = range(n_lo, n_hi + 1)
-    p, sc = p_coeffs(n_hi).coeffs, sc_coeffs(n_hi).coeffs
-    for n in ns:
-        if sc[n] == 0:
-            raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    numerators = _numerators(n_lo, n_hi, None)
     if n_lo == 0:
         raise UndefinedAtN("at n = 0 every telescoping sum is 0; the distribution is undefined")
-    c_rows = [_c_family(t, n_hi) for t in range(1, n_hi + 2)]
-    sc_rows = [_sc_family(t, n_hi) for t in range(_sc_col_length(n_hi))]  # the longest column
-    witnesses = []
-    for n in ns:
-        families = _numerators([row[n] for row in c_rows[:n + 1]],
-                               [row[n] for row in sc_rows[:_sc_col_length(n)]])
-        for family, den, nums in zip(("pi", "sigma_even", "sigma_odd"), (p[n], sc[n], sc[n]), families):
-            if sum(nums) != den:
-                witnesses.append((0, n, family, "sum != 1"))
+    witnesses = [(0, n, family, "sum != 1") for family, n, den, _, nums in numerators if sum(nums) != den]
     data = {}
     if n_lo == n_hi:
-        data = {family: {str(t): v for t, v in row.values.items()}
-                for family, row in distribution_table(n_lo).items()}
+        data = {family: {str(t): v for t, v in row.items()} for family, row in distribution_table(n_lo).items()}
     return ScanReport(scan="distribution", params={"n_lo": n_lo, "n_hi": n_hi}, witnesses=witnesses, data=data)
 
 
@@ -435,22 +389,19 @@ def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None
     cap = n_cap if n_cap is not None else n_hi
     if cap < n_hi:
         raise MissingTable(f"rows to n_cap = {cap} do not reach n_hi = {n_hi}")
-    # family: (first n, first t, t step, its rows, last t of the window at n)
+    # family: (first n, the window of t at n)
     windows = {
-        "pi": (63, 4, 1, _c_family, lambda n: n - 7),
-        "sigma_even": (139, 8, 2, _sc_family, lambda n: 2 * (n // 4) - 8),
-        "sigma_odd": (213, 9, 2, _sc_family, lambda n: n // 2),
+        "pi": (63, lambda n: range(4, n - 7 + 1)),
+        "sigma_even": (139, lambda n: range(8, 2 * (n // 4) - 8 + 1, 2)),
+        "sigma_odd": (213, lambda n: range(9, n // 2 + 1, 2)),
     }
     if family not in windows:
         raise ValueError(f"unknown family {family!r}")
-    n_first, t_first, step, rows_of, t_last = windows[family]
+    n_first, window = windows[family]
     ns = range(max(n_lo, n_first), n_hi + 1)
-    # windows grow with n: the one at n_hi, one step further, names every row read
-    rows = {t: rows_of(t, cap) for t in range(t_first, t_last(n_hi) + step + 1, step)} if ns else {}
     witnesses: list[tuple] = []
-    for n in ns:
-        ts = range(t_first, t_last(n) + 1, step)
-        seq = [rows[t + step][n] - rows[t][n] for t in ts]
+    for n, ts, col in _columns(_DISTRIBUTIONS[family][0], cap, {n: window(n) for n in ns}):
+        seq = [hi - lo for lo, hi in zip(col, col[1:])]
         ok, bad = _is_unimodal(seq)
         if not ok:
             witnesses.append((ts[bad], n, seq[bad - 1], seq[bad]))
@@ -476,7 +427,7 @@ def identity_check(spec: tuple[int, int, int, int, int], n_max: int) -> ScanRepo
     """Verify sc_t(a n + b) = sc_t(a' n + b') for all 0 <= n <= n_max."""
     t, a, b, a2, b2 = spec
     cap = _index_cap(0, n_max, (a, b), (a2, b2))
-    row = sc_t_coeffs(t, cap).coeffs
+    row = sc_t_coeffs(t, cap)
     witnesses = [
         (t, n, row[a * n + b], row[a2 * n + b2])
         for n in range(n_max + 1)
@@ -516,8 +467,10 @@ def inequality_check(spec: InequalitySpec, n_max: int) -> ScanReport:
 
     Cross-multiplied: den*lhs > num*rhs, so the verdict never touches floats.
     """
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown family {spec.family!r}")
     cap = _index_cap(spec.n_lo, n_max, (spec.a, spec.b), (1, 0))
-    row = _sc_family(spec.t, cap) if spec.family == "sc" else _c_family(spec.t, cap)
+    row = _FAMILIES[spec.family][0](spec.t, cap)
     num, den = spec.alpha.numerator, spec.alpha.denominator
     witnesses = []
     for n in range(spec.n_lo, n_max + 1):

@@ -4,8 +4,8 @@ Layout: MAGIC, then a JSON header line {version, family, t, n, width}, then
 the payload, then sha256(header + payload).  The payload is the n + 1
 coefficients as little-endian unsigned integers of `width` bytes each, the
 fewest bytes (at least 1) that hold the largest of them.  Version or
-parameter mismatch, a malformed header and checksum failure all surface as
-CacheCorrupt; callers recompute.
+parameter mismatch, a malformed header, checksum failure and a file that
+cannot be read all surface as CacheCorrupt; callers recompute.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _TAKES_T = {"p": False, "sc": False, "sc_t": True, "c_t": True, "phat": True, "n
 SAMPLE_SHARE = 0.01
 
 
-def compute_family(family: str, t: int | None, n: int) -> TruncatedSeries:
+def compute_family(family: str, t: int | None, n: int) -> tuple[int, ...]:
     """Dispatch to the series builders; the single source of coefficient truth.
 
     The series is imported here, so a cache hit never loads it.
@@ -106,6 +106,14 @@ def _decode(blob: bytes, family: str, t: int | None, n: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(payload[i:i + width], "little") for i in range(0, len(payload), width))
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of a cache file; one that cannot be read is corrupt."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CacheCorrupt(f"cannot read: {exc.strerror}") from None
+
+
 def write_cache(cache_dir: Path, family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> Path:
     """Atomic write (temp file + rename)."""
     cache_dir = Path(cache_dir)
@@ -126,19 +134,20 @@ def write_cache(cache_dir: Path, family: str, t: int | None, n: int, coeffs: tup
 def load_or_compute(cache_dir: Path | None, family: str, t: int | None, n: int) -> tuple[tuple[int, ...], str]:
     """Returns (coeffs, source) with source in {"cache", "computed", "recomputed"}.
 
-    A corrupt cache file is replaced by a fresh computation with a warning
-    source tag, never an error.
+    A corrupt cache file, one that cannot be read included, is replaced by a
+    fresh computation with a warning source tag, never an error.  A cache
+    that cannot be written raises the OSError of the write.
     """
     if cache_dir is None:
-        return compute_family(family, t, n).coeffs, "computed"
+        return compute_family(family, t, n), "computed"
     path = cache_path(Path(cache_dir), family, t, n)
     source = "computed"
     if path.exists():
         try:
-            return _decode(path.read_bytes(), family, t, n), "cache"
+            return _decode(_read(path), family, t, n), "cache"
         except CacheCorrupt:
             source = "recomputed"
-    coeffs = compute_family(family, t, n).coeffs
+    coeffs = compute_family(family, t, n)
     write_cache(cache_dir, family, t, n, coeffs)
     return coeffs, source
 
@@ -146,11 +155,11 @@ def load_or_compute(cache_dir: Path | None, family: str, t: int | None, n: int) 
 def verify_file(path: Path) -> dict:
     """Checksum plus a recomputation of a SAMPLE_SHARE sample of the
     coefficients, drawn with a fixed seed so each run samples the same."""
-    blob = Path(path).read_bytes()
+    blob = _read(Path(path))
     header, _ = _split(blob)
     family, t, n = header["family"], header["t"], header["n"]
     coeffs = _decode(blob, family, t, n)
-    fresh = compute_family(family, t, n).coeffs
+    fresh = compute_family(family, t, n)
     rng = random.Random(0)
     k = max(1, int((n + 1) * SAMPLE_SHARE))
     sample = rng.sample(range(n + 1), min(k, n + 1))

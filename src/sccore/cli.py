@@ -133,7 +133,13 @@ def cmd_count(args) -> int:
     if "series" in methods:
         from . import cache
 
-        series, source = cache.load_or_compute(cache.chosen_dir(args.cache_dir), family, args.t, n_cap)
+        cache_dir = cache.chosen_dir(args.cache_dir)
+        try:
+            series, source = cache.load_or_compute(cache_dir, family, args.t, n_cap)
+        except OSError as exc:
+            series, source = cache.compute_family(family, args.t, n_cap), "computed"
+            print(f"warning: cache directory {cache_dir} cannot be used ({exc.strerror}); computed without it",
+                  file=sys.stderr)
         if source == "recomputed":
             print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
     tables = None
@@ -395,8 +401,12 @@ def cmd_cache(args) -> int:
             return EXIT_USAGE
         ts = list(args.t) if args.t else [None]
         for t in ts:
-            coeffs = cache.compute_family(family, t, args.nmax).coeffs
-            path = cache.write_cache(cache_dir, family, t, args.nmax, coeffs)
+            coeffs = cache.compute_family(family, t, args.nmax)
+            try:
+                path = cache.write_cache(cache_dir, family, t, args.nmax, coeffs)
+            except OSError as exc:
+                print(f"cannot write cache to {cache_dir}: {exc.strerror}", file=sys.stderr)
+                return EXIT_USAGE
             print(f"wrote {path}")
         return EXIT_OK
     files = sorted(Path(cache_dir).glob("*.bin"))

@@ -37,7 +37,7 @@ class RecursionTables:
 
     def __init__(self, n_max: int):
         self.n_max = n_max
-        self._sc = sc_coeffs(n_max).coeffs
+        self._sc = sc_coeffs(n_max)
         self._rows: dict[int, list[int]] = {}
         self._closed: dict[int, list[int]] = {}
 
@@ -50,7 +50,7 @@ class RecursionTables:
 
     def _phat(self, t_full: int) -> tuple[int, ...]:
         """phat_t(0..n_max // step), t = t_full // 2."""
-        return phat_coeffs(t_full // 2, self.n_max // _step(t_full)).coeffs
+        return phat_coeffs(t_full // 2, self.n_max // _step(t_full))
 
     def row(self, t_full: int) -> list[int]:
         """sc_{t_full}(0..n_max) by the recursion with the kernel of its parity."""
@@ -237,7 +237,7 @@ def cross_validate(t_max: int, n_max: int, limits: Limits = DEFAULT_LIMITS) -> S
     witnesses: list[tuple] = []
     sc_counts: dict[int, list] = {n: enumerate_self_conjugate(n, limits) for n in range(oracle_n_max + 1)}
     for t in range(2, t_max + 1):
-        series_row = sc_t_coeffs(t, n_max).coeffs
+        series_row = sc_t_coeffs(t, n_max)
         for n in range(n_max + 1):
             reference = sc_t_value(t, n, tables)
             if series_row[n] != reference:

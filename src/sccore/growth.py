@@ -225,9 +225,11 @@ def beta_star_hooks(n: int) -> HookSeq:
     }[n % 4]
 
 
-def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: list[int] | None) -> dict:
+def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: list[int] | None,
+                      data: dict[str, list[int]]) -> list[tuple]:
     """Exhaustive audit at a single n over the hook sets of n (here) and, from
-    n = 27 on, of n - 2 (below); returns violation list plus statistics."""
+    n = 27 on, of n - 2 (below); returns the violations, and appends n to
+    each list of the report's data that names it."""
     violations: list[tuple] = []
     classes = list(map(_class_of_set, here))
     sizes = Counter(classes)
@@ -241,7 +243,6 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: li
     if sc_nm2 * (n + 2) >= sc_n * n:
         violations.append(("growth-inequality", n, sc_nm2 * (n + 2), sc_n * n))
 
-    stats: dict = {"n": n}
     if n >= 27:
         fibers: dict[int, int] = {}
         branches: dict[str, int] = {}
@@ -272,14 +273,13 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: li
         argmax = min((b for b, c in fibers.items() if c == max_fiber), default=None)
         if 2 * max_fiber >= n:
             violations.append(("fiber-bound", n, max_fiber, n))
-        stats.update(
-            {
-                "beta_star_is_argmax": argmax == _set_of(beta_star_hooks(n)),
-                "g_undefined_inputs": undefined,
-                "branches": branches,
-            }
-        )
-    return {"violations": violations, "stats": stats}
+        if argmax != _set_of(beta_star_hooks(n)):
+            data["beta_star_argmax_mismatches"].append(n)
+        if undefined:
+            data["g_undefined_at"].append(n)
+        if branches.get("two-hook-fallback"):
+            data["two_hook_fallback_at"].append(n)
+    return violations
 
 
 @timed
@@ -292,36 +292,16 @@ def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
         raise OutOfDomain("growth audit starts at n = 19")
     if n_hi < n_lo:
         raise OutOfDomain(f"growth audit needs n_lo <= n_hi, got {n_lo}..{n_hi}")
-    sc = sc_coeffs(n_hi).coeffs
+    sc = sc_coeffs(n_hi)
     # each n's hook sets are walked once and kept as the n - 2 side of step n + 2
     walked: dict[int, list[int]] = {}
-    results = []
+    witnesses: list[tuple] = []
+    data: dict[str, list[int]] = {key: [] for key in
+                                  ("beta_star_argmax_mismatches", "g_undefined_at", "two_hook_fallback_at")}
     for n in range(n_lo, n_hi + 1):
         walked[n] = list(_hook_sets(n))
         below = walked.pop(n - 2, None)
         if below is None and n >= 27:
             below = list(_hook_sets(n - 2))
-        results.append(_growth_check_one(n, sc[n - 2], sc[n], walked[n], below))
-    witnesses: list[tuple] = []
-    mismatched_argmax: list[int] = []
-    undefined_ns: list[int] = []
-    two_hook_ns: list[int] = []
-    for res in results:
-        witnesses.extend(res["violations"])
-        st = res["stats"]
-        if st.get("g_undefined_inputs"):
-            undefined_ns.append(st["n"])
-        if st.get("branches", {}).get("two-hook-fallback"):
-            two_hook_ns.append(st["n"])
-        if "beta_star_is_argmax" in st and not st["beta_star_is_argmax"]:
-            mismatched_argmax.append(st["n"])
-    return ScanReport(
-        scan="growth",
-        params={"n_lo": n_lo, "n_hi": n_hi},
-        witnesses=witnesses,
-        data={
-            "beta_star_argmax_mismatches": mismatched_argmax,
-            "g_undefined_at": undefined_ns,
-            "two_hook_fallback_at": two_hook_ns,
-        },
-    )
+        witnesses.extend(_growth_check_one(n, sc[n - 2], sc[n], walked[n], below, data))
+    return ScanReport(scan="growth", params={"n_lo": n_lo, "n_hi": n_hi}, witnesses=witnesses, data=data)

@@ -106,8 +106,8 @@ def hook_length(p: Partition, i: int, j: int) -> int:
 
 
 def hook_grid(p: Partition) -> tuple[tuple[int, ...], ...]:
-    """All hook lengths, row by row."""
-    conj = conjugate(p)
+    """All hook lengths, row by row; ValueError unless p is a partition."""
+    conj = conjugate(check_partition(p))
     return tuple(
         tuple((p[i] - 1 - j) + (conj[j] - 1 - i) + 1 for j in range(p[i]))
         for i in range(len(p))

@@ -80,10 +80,10 @@ t and t^3 <= 2 N for even t (`_by_theta`, which quotes where timing both
 routes puts their crossover); every other sc_t row takes the routes above.
 No sc_t row divides.
 
-Every family row is served from one store keyed by (family, t).  A row is
-built once, at the largest N asked for so far, and smaller N are served its
-prefix; the series last served for a key is kept, so the same request twice
-returns the same object.  The rows that others are built on (p and c_m at
+Every family row is a tuple of its coefficients, served from one store
+keyed by (family, t).  A row is built once, at the largest N asked for so
+far, and smaller N are served its prefix; the row last served for a key is
+kept, so the same request twice returns the same object.  The rows that others are built on (p and c_m at
 N // 4, sc at N) are stored rows too.  `clear_series_caches()` empties the
 store.
 """
@@ -92,48 +92,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import UnsupportedT
-
-
-class TruncatedSeries:
-    """Integer coefficients c[0..order]; arithmetic never sees beyond order.
-
-    Immutable; equal, hashed and printed by its coefficient tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.coeffs,)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 def pentagonal_terms(a: int, n: int) -> list[tuple[int, int]]:
@@ -315,10 +273,10 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
     return c
 
 
-def eta_product(n: int, factors: list[tuple[int, int]]) -> list[int]:
+def eta_product(n: int, factors: list[tuple[int, int]]) -> tuple[int, ...]:
     """Coefficients of prod E(q^a)^e truncated at n."""
     _check_ints(n=n)
-    return _eta_factors(_unit(n), factors, n)
+    return tuple(_eta_factors(_unit(n), factors, n))
 
 
 def _triangular(n: int) -> list[int]:
@@ -421,8 +379,8 @@ def _sc_t(t: int, n: int, route: str) -> list[int]:
     if route == "theta":
         return _eta_factors(_unit(n), [], n, _theta_steps(t, n))
     if route == "psi":
-        return _psi_times(_served("c_t", t // 2, n // 4).coeffs, n)
-    sc = _served("sc", 0, n).coeffs
+        return _psi_times(_served("c_t", t // 2, n // 4), n)
+    sc = _served("sc", 0, n)
     if t % 2:
         return _eta_factors(sc, [(2 * t, (t - 3) // 2)], n, [_psi_minus(t, n)])
     return _eta_factors(sc, [(2 * t, t // 2)], n)
@@ -434,33 +392,33 @@ def _build(family: str, t: int, n: int) -> list[int]:
     if family in ("p", "phat"):
         return _eta_factors(_unit(n), [(1, -max(t, 1))], n)
     if family == "c_t":
-        return _eta_factors(_served("p", 0, n).coeffs, [(t, t)], n)
+        return _eta_factors(_served("p", 0, n), [(t, t)], n)
     if family == "sc":
-        return _psi_times(_served("p", 0, n // 4).coeffs, n)
+        return _psi_times(_served("p", 0, n // 4), n)
     return _sc_t(t, n, _route(t, n))
 
 
-# (family, t) -> (the row at the largest n built so far, the series last served)
-_store: dict[tuple[str, int], tuple[TruncatedSeries, TruncatedSeries]] = {}
+# (family, t) -> (the row at the largest n built so far, the row last served)
+_store: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _served(family: str, t: int, n: int) -> TruncatedSeries:
+def _served(family: str, t: int, n: int) -> tuple[int, ...]:
     """Coefficients 0..n of the (family, t) row, from the store.
 
     A row is built once, at the largest n asked for so far, and a smaller n
-    is served its prefix.  The series last served is kept, so asking for the
+    is served its prefix.  The row last served is kept, so asking for the
     same n again returns the same object without slicing.
     """
-    key = (family, t)
-    full, last = _store.get(key, (None, None))
-    if last is not None and len(last.coeffs) == n + 1:
-        return last
     if n < 0:
         raise ValueError("n must be non-negative")
-    if full is None or n > full.order:
-        full = last = TruncatedSeries(tuple(_build(family, t, n)))
+    key = (family, t)
+    full, last = _store.get(key, ((), ()))
+    if len(last) == n + 1:
+        return last
+    if n >= len(full):
+        full = last = tuple(_build(family, t, n))
     else:
-        last = full if n == full.order else TruncatedSeries(full.coeffs[: n + 1])
+        last = full[: n + 1]
     _store[key] = (full, last)
     return last
 
@@ -473,13 +431,13 @@ def _check_ints(**values) -> None:
             raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
-def p_coeffs(n: int) -> TruncatedSeries:
+def p_coeffs(n: int) -> tuple[int, ...]:
     """Unrestricted partition numbers p(0..n)."""
     _check_ints(n=n)
     return _served("p", 0, n)
 
 
-def phat_coeffs(t: int, n: int) -> TruncatedSeries:
+def phat_coeffs(t: int, n: int) -> tuple[int, ...]:
     """Number of t-tuples of partitions with total size 0..n."""
     _check_ints(t=t, n=n)
     if t < 1:
@@ -487,13 +445,13 @@ def phat_coeffs(t: int, n: int) -> TruncatedSeries:
     return _served("phat", t, n)
 
 
-def sc_coeffs(n: int) -> TruncatedSeries:
+def sc_coeffs(n: int) -> tuple[int, ...]:
     """Self-conjugate partition counts sc(0..n)."""
     _check_ints(n=n)
     return _served("sc", 0, n)
 
 
-def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
+def c_t_coeffs(t: int, n: int) -> tuple[int, ...]:
     """t-core partition counts c_t(0..n): p(q) E(q^t)^t, so c_t(n) = p(n) for n < t."""
     _check_ints(t=t, n=n)
     if t < 1:
@@ -501,7 +459,7 @@ def c_t_coeffs(t: int, n: int) -> TruncatedSeries:
     return _served("c_t", t, n)
 
 
-def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
+def sc_t_coeffs(t: int, n: int) -> tuple[int, ...]:
     """Self-conjugate t-core counts sc_t(0..n), t >= 2.
 
     Even t:  sc(q) E(q^2t)^(t/2)  = psi(q) c_(t/2)(q^4)
@@ -527,11 +485,9 @@ def sc_t_coeffs(t: int, n: int) -> TruncatedSeries:
     return _served("sc_t", t, n)
 
 
-def nsc_t_coeffs(t: int, n: int) -> TruncatedSeries:
+def nsc_t_coeffs(t: int, n: int) -> tuple[int, ...]:
     """Non-self-conjugate t-core counts: c_t(n) - sc_t(n)."""
-    ct = c_t_coeffs(t, n)
-    st = sc_t_coeffs(t, n)
-    return TruncatedSeries(tuple(a - b for a, b in zip(ct.coeffs, st.coeffs)))
+    return tuple(a - b for a, b in zip(c_t_coeffs(t, n), sc_t_coeffs(t, n)))
 
 
 def clear_series_caches() -> None:

@@ -245,7 +245,7 @@ class TestAgainstReference:
 class TestTCoreEnumeration:
     def test_counts_match_series(self):
         for t in range(2, 13):
-            row = c_t_coeffs(t, 30).coeffs
+            row = c_t_coeffs(t, 30)
             by_size: dict[int, list] = {n: [] for n in range(31)}
             for size_, p in ab.t_cores_up_to(30, t):
                 assert sum(p) == size_ and pt.is_t_core(p, t)

@@ -93,7 +93,7 @@ def test_c01_table_reproduction(table1_reference, tmp_path):
 
 
 def test_c02_prefix():
-    got = list(sc_coeffs(27).coeffs)
+    got = list(sc_coeffs(27))
     line(2, got == A000700_PREFIX, f"sc(0..27) = published 28-value prefix")
     assert got == A000700_PREFIX
 
@@ -151,7 +151,7 @@ def test_c07_characterizations():
 
 def test_c08_large_t_formulas():
     tables = fm.RecursionTables(1000)
-    sc = sc_coeffs(1000).coeffs
+    sc = sc_coeffs(1000)
     bad = []
     checked = 0
     for t_full in range(2, 1003):
@@ -228,7 +228,7 @@ def test_c09_theorem_windows_and_anomalies():
 
 
 def test_c10_growth(growth_19_150):
-    sc = sc_coeffs(5000).coeffs
+    sc = sc_coeffs(5000)
     bad_ratio = [n for n in range(19, 5001) if sc[n - 2] * (n + 2) >= sc[n] * n]
     bad_ratio += [n for n in range(8, 5001) if sc[n - 4] * (n + 4) >= sc[n] * n]
     rep = growth_19_150
@@ -309,7 +309,7 @@ def test_c12_identities_and_inequalities():
     # brute-force oracle recounts sc_9 and the failures themselves; at n = 1
     # they follow from the prefix alone, since sc_9(m) = sc(m) for m < 9 and
     # sc(5) = sc(1) = 1, sc(8) = 2 < 2.6 sc(1).
-    rec_ok = fm.RecursionTables(8004).row(9) == list(sc_t_coeffs(9, 8004).coeffs)
+    rec_ok = fm.RecursionTables(8004).row(9) == list(sc_t_coeffs(9, 8004))
     oracle_sc9 = {m: sum(pt.is_t_core(p, 9) for p in pt.enumerate_self_conjugate(m))
                   for m in range(85)}
     by_oracle = {}
@@ -356,7 +356,7 @@ def test_c13_telescoping_and_unimodality():
     # as on the series.
     rec = fm.RecursionTables(400)
     rec_ok = all(
-        rec.row(t) == list(sc_t_coeffs(t, 400).coeffs)
+        rec.row(t) == list(sc_t_coeffs(t, 400))
         for t in range(8, 203)
     )
     se_ok = sorted(se.witnesses) == sorted(se_expected)

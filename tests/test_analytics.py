@@ -232,7 +232,7 @@ def _monotonicity_per_cell(family: str, n_max: int, window: str) -> tuple[list, 
             data["small_n_equalities"] = eq
             data["small_n_reversals"] = lt
     elif family == "nsc-odd":
-        rows = {t: nsc_t_coeffs(t, n_max).coeffs for t in range(3, n_max + 3, 2)}
+        rows = {t: nsc_t_coeffs(t, n_max) for t in range(3, n_max + 3, 2)}
         for n in range(n_max + 1):
             for t in range(3, n - 2 + 1, 2):
                 if rows[t + 2][n] <= rows[t][n]:
@@ -264,8 +264,8 @@ class TestMonotonicityColumns:
 
     def test_rows_are_fetched_once_each(self, monkeypatch):
         fetched = []
-        sc_family = an._sc_family
-        monkeypatch.setattr(an, "_sc_family", lambda t, n: fetched.append(t) or sc_family(t, n))
+        sc_family, step = an._FAMILIES["sc"]
+        monkeypatch.setitem(an._FAMILIES, "sc", (lambda t, n: fetched.append(t) or sc_family(t, n), step))
         an.monotonicity_scan("sc-odd", 300, "theorem")
         # the anomaly rows from 11 and the theorem windows up to t + 2 = n - 15, once each
         assert sorted(fetched) == list(range(11, 300 - 15 + 1, 2))
@@ -282,16 +282,16 @@ class TestDistributions:
 
     def test_pi_vanishes_beyond_n(self):
         rows = an.distribution_table(20, 40)
-        pi = rows["pi"].values
+        pi = rows["pi"]
         assert all(pi[t] == 0 for t in pi if t > 20)
-        assert rows["pi"].total() == 1
+        assert sum(pi.values()) == 1
 
     def test_sigma_rows_are_exact(self):
         rows = an.distribution_table(20, 40)
-        assert rows["sigma_even"].total() == Fraction(1)
-        assert rows["sigma_odd"].total() == Fraction(1)
+        assert sum(rows["sigma_even"].values()) == Fraction(1)
+        assert sum(rows["sigma_odd"].values()) == Fraction(1)
         # spot value: sigma_0(20) = (sc_2(20) - sc_0(20))/sc(20) = 0
-        assert rows["sigma_even"].values[0] == Fraction(0, 1)
+        assert rows["sigma_even"][0] == Fraction(0, 1)
 
     def test_integer_sums_equal_the_fraction_sums(self):
         cap = 200
@@ -325,14 +325,11 @@ class TestDistributions:
         # skewed: pi at n = 4 and sigma_odd at n = 5
         numerators = an._numerators
 
-        def skewed(c_col, sc_col):
-            pi, even, odd = numerators(c_col, sc_col)
-            n = len(c_col) - 1
-            if n == 4:
-                pi[0] += 1
-            if n == 5:
-                odd[0] += 1
-            return pi, even, odd
+        def skewed(n_lo, n_hi, n_cap):
+            for family, n, den, ts, nums in numerators(n_lo, n_hi, n_cap):
+                if (family, n) in (("pi", 4), ("sigma_odd", 5)):
+                    nums = [nums[0] + 1, *nums[1:]]
+                yield family, n, den, ts, nums
 
         monkeypatch.setattr(an, "_numerators", skewed)
         rep = an.distribution_scan(3, 6)
@@ -354,7 +351,7 @@ class TestDistributions:
     def test_single_n_scan_carries_the_table(self):
         rep = an.distribution_scan(20, 20)
         table = an.distribution_table(20)
-        assert rep.data == {family: {str(t): v for t, v in row.values.items()} for family, row in table.items()}
+        assert rep.data == {family: {str(t): v for t, v in row.items()} for family, row in table.items()}
 
     @pytest.mark.parametrize("n_lo, n_hi", [(2, 5), (0, 60), (2, 2)])
     def test_range_scan_stops_at_the_first_undefined_n(self, n_lo, n_hi):

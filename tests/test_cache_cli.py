@@ -44,7 +44,7 @@ def _header_width(path: Path) -> int:
 
 class TestCacheFile:
     def test_round_trip(self, tmp_path):
-        coeffs = sc_t_coeffs(6, 100).coeffs
+        coeffs = sc_t_coeffs(6, 100)
         cache.write_cache(tmp_path, "sc_t", 6, 100, coeffs)
         loaded, source = cache.load_or_compute(tmp_path, "sc_t", 6, 100)
         assert loaded == coeffs and source == "cache"
@@ -61,7 +61,7 @@ class TestCacheFile:
         ("p", None, 500, lambda: p_coeffs(500), 9),
     ], ids=["one-byte", "multi-byte"])
     def test_width_is_the_fewest_bytes_of_the_largest_value(self, family, t, n, build, width, tmp_path):
-        coeffs = build().coeffs
+        coeffs = build()
         assert (max(coeffs).bit_length() + 7) // 8 == width
         path = cache.write_cache(tmp_path, family, t, n, coeffs)
         assert _header_width(path) == width
@@ -71,7 +71,7 @@ class TestCacheFile:
 
     def test_a_width_8_file_still_loads(self, tmp_path):
         # every coefficient in 8 bytes, as files for rows below 2**64 were written before
-        coeffs = sc_t_coeffs(6, 100).coeffs
+        coeffs = sc_t_coeffs(6, 100)
         header = {"version": 1, "family": "sc_t", "t": 6, "n": 100, "width": 8}
         path = cache.cache_path(tmp_path, "sc_t", 6, 100)
         path.write_bytes(_cache_blob(header, b"".join(c.to_bytes(8, "little") for c in coeffs)))
@@ -79,7 +79,7 @@ class TestCacheFile:
         assert cache.verify_file(path)["ok"]
 
     def test_corruption_recomputes_with_warning(self, tmp_path):
-        coeffs = sc_t_coeffs(4, 50).coeffs
+        coeffs = sc_t_coeffs(4, 50)
         path = cache.write_cache(tmp_path, "sc_t", 4, 50, coeffs)
         blob = bytearray(path.read_bytes())
         blob[25] ^= 0xFF
@@ -90,13 +90,13 @@ class TestCacheFile:
         assert cache.load_or_compute(tmp_path, "sc_t", 4, 50)[1] == "cache"
 
     def test_parameter_mismatch_rejected(self, tmp_path):
-        coeffs = sc_t_coeffs(4, 50).coeffs
+        coeffs = sc_t_coeffs(4, 50)
         path = cache.write_cache(tmp_path, "sc_t", 4, 50, coeffs)
         with pytest.raises(CacheCorrupt):
             cache._decode(path.read_bytes(), "sc_t", 5, 50)
 
     def test_verify_and_purge(self, tmp_path):
-        cache.write_cache(tmp_path, "sc_t", 6, 80, sc_t_coeffs(6, 80).coeffs)
+        cache.write_cache(tmp_path, "sc_t", 6, 80, sc_t_coeffs(6, 80))
         res = cache.verify_file(cache.cache_path(tmp_path, "sc_t", 6, 80))
         assert res["ok"]
         assert cache.purge(tmp_path) == 1
@@ -541,6 +541,44 @@ class TestCacheCommand:
         assert (flag_dir / "sc_t_t5_n41.bin").exists()
 
 
+class TestUnusableCacheDir:
+    """A cache directory that cannot be used ends in one line, never a traceback:
+    a directory where a cache file belongs, or --cache-dir naming a regular file."""
+
+    # each kind: (the cache directory it makes, the OSError a write meets there)
+    @staticmethod
+    def _unusable(kind: str, tmp_path: Path) -> tuple[Path, str]:
+        if kind == "directory-at-file-path":
+            (tmp_path / "sc_n5.bin").mkdir()
+            return tmp_path, "Is a directory"
+        (tmp_path / "plain").write_text("not a directory")
+        return tmp_path / "plain", "File exists"
+
+    @pytest.mark.parametrize("kind", ["directory-at-file-path", "file-as-cache-dir"])
+    def test_count_prints_its_values_with_one_warning(self, kind, tmp_path, capsys):
+        cache_dir, reason = self._unusable(kind, tmp_path)
+        assert main(["count", "sc", "--n", "0..5"]) == 0
+        cold = capsys.readouterr().out
+        assert main(["count", "sc", "--n", "0..5", "--cache-dir", str(cache_dir)]) == 0
+        out, err = capsys.readouterr()
+        assert out == cold
+        assert err == f"warning: cache directory {cache_dir} cannot be used ({reason}); computed without it\n"
+
+    def test_verify_reports_a_directory_at_the_file_path_as_corrupt(self, tmp_path, capsys):
+        self._unusable("directory-at-file-path", tmp_path)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        path = tmp_path / "sc_n5.bin"
+        assert (out, err) == (f"{path}: corrupt (cannot read: Is a directory); will recompute on next use\n", "")
+
+    @pytest.mark.parametrize("kind", ["directory-at-file-path", "file-as-cache-dir"])
+    def test_build_is_one_line_and_exit_1(self, kind, tmp_path, capsys):
+        cache_dir, reason = self._unusable(kind, tmp_path)
+        assert main(["cache", "build", "--family", "sc", "--nmax", "5", "--cache-dir", str(cache_dir)]) == 1
+        assert capsys.readouterr() == ("", f"cannot write cache to {cache_dir}: {reason}\n")
+        assert len(list(tmp_path.iterdir())) == 1  # no temporary file is left behind
+
+
 class TestOptionSets:
     """Each command takes exactly the options it reads."""
 
@@ -572,7 +610,7 @@ class TestOptionSets:
     ])
     def test_a_removed_option_is_one_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SCCORE_CACHE_DIR", str(tmp_path))
-        cache.write_cache(tmp_path, "sc_t", 6, 10, sc_t_coeffs(6, 10).coeffs)
+        cache.write_cache(tmp_path, "sc_t", 6, 10, sc_t_coeffs(6, 10))
         err = _assert_one_line_usage_error(argv, capsys)
         assert err == f"sccore: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
         assert capsys.readouterr().out == ""

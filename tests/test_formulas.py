@@ -44,14 +44,14 @@ def _weights_term_by_term(t_full: int, cap: int, phat, sc) -> list[int]:
 def _literal_weights(t_full: int, cap: int) -> list[int]:
     """The closed form for core size t_full, every sequence of weight <= cap
     multiplied out once (`_weights_term_by_term`)."""
-    return _weights_term_by_term(t_full, cap, phat_coeffs(t_full // 2, 199).coeffs, sc_coeffs(199).coeffs)
+    return _weights_term_by_term(t_full, cap, phat_coeffs(t_full // 2, 199), sc_coeffs(199))
 
 
 def _closed_term_by_term(t_full: int, n: int) -> int:
     """Reference: the closed form from its literal expansion, each weight w
     taken against sc(n - w step)."""
     step = fm._step(t_full)
-    c, sc = _literal_weights(t_full, n // step), sc_coeffs(199).coeffs
+    c, sc = _literal_weights(t_full, n // step), sc_coeffs(199)
     return sum(c[w] * sc[n - w * step] for w in range(n // step + 1))
 
 
@@ -161,7 +161,7 @@ class TestClosedFormsByWeight:
         # n_max = 960 gives cap 12 for every core size up to 40 (step 80)
         tables = fm.RecursionTables(960)
         for t_full in range(2, 41):
-            phat = phat_coeffs(t_full // 2, 960 // fm._step(t_full)).coeffs
+            phat = phat_coeffs(t_full // 2, 960 // fm._step(t_full))
             assert tables.closed_weights(t_full, 12) == \
                 _weights_term_by_term(t_full, 12, phat, tables._sc), t_full
 
@@ -220,7 +220,7 @@ class TestLargeT:
                 assert large.value == fm.sc_t_value(t_full, n, tables), (t_full, n)
 
     def test_floor_corollary_cases(self, tables):
-        sc = sc_coeffs(600).coeffs
+        sc = sc_coeffs(600)
         for n in range(4, 400):
             q = n // 4
             expected = sc[n] - (q if n % 4 != 2 else 0)
@@ -230,7 +230,7 @@ class TestLargeT:
 
     def test_remark_case_formulas(self, tables):
         # even family: core size 2 floor(n/4) - 12, n >= 52
-        sc = sc_coeffs(600).coeffs
+        sc = sc_coeffs(600)
         for n in range(52, 400):
             q = n // 4
             coeff = {0: 11, 1: 12, 2: 12, 3: 14}[n % 4]

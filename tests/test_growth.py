@@ -90,7 +90,7 @@ class TestClassify:
     def test_classes_partition_sc(self):
         from math import isqrt
 
-        sc = sc_coeffs(150).coeffs
+        sc = sc_coeffs(150)
         for n in range(151):
             counts = {"A": 0, "B": 0, "C": 0}
             for s in pt._hook_sets(n):
@@ -153,7 +153,7 @@ class TestMapF:
                 assert sum(image) == n + 2
 
     def test_bijection_onto_a(self):
-        sc = sc_coeffs(100).coeffs
+        sc = sc_coeffs(100)
         for n in range(21, 101):
             images = {gr.map_f_hooks(d) for d in pt.descending_odd_sequences(n - 2)}
             assert len(images) == sc[n - 2]
@@ -348,13 +348,69 @@ class TestFiberBoundOnTheSeries:
         return sc[n] - sc[n - 2] - (1 if isqrt(n) ** 2 == n else 0)
 
     def test_smallest_largest_fiber_is_below_n_over_2(self):
-        sc = sc_coeffs(2000).coeffs
+        sc = sc_coeffs(2000)
         for n in range(27, 2001):
             b = self.b_size(sc, n)
             assert 2 * -(-sc[n - 2] // b) < n, n
 
     def test_b_size_matches_the_class_split(self):
-        sc = sc_coeffs(60).coeffs
+        sc = sc_coeffs(60)
         for n in (27, 36, 49, 60):
             audited = sum(1 for d in pt.descending_odd_sequences(n) if gr.classify_hooks(d, n) == "B")
             assert audited == self.b_size(sc, n), n
+
+
+def _g_walk(n: int):
+    """(input, image, branch) of g at n, input and image as hook sets, for
+    every self-conjugate partition of n - 2."""
+    below = list(pt._hook_sets(n - 2))
+    for s, (image, branch) in zip(below, gr._g_of_sets(below, n)):
+        yield s, image, branch
+
+
+def _odd_pairs(total: int, floor: int) -> set[tuple[int, int]]:
+    """The odd a > b > floor with a + b = total, for an even total."""
+    return {(total - b, b) for b in range(floor + 2, total, 2) if total - b > b}
+
+
+class TestC10FiberAnatomy:
+    """Why c10's fiber bound fails, pinned from the shapes of the inputs of g.
+
+    At n = 2 (mod 4) a two-hook input (a, b) of n - 2 averages to the even
+    (n - 2) / 2 and has no tail hook to grow, so it takes the two-hook
+    fallback to beta*.  An input (a, b, 3, 1) with a + b = n - 6 averages to
+    the even (n - 6) / 2, and its 3 grows to 5; one (a, b, 5, 1) with
+    a + b = n - 8 averages to the odd (n - 8) / 2, and its lower averaged hook
+    grows back: both give beta* = ((n - 4) / 2, (n - 8) / 2, 5, 1).
+    """
+
+    def test_the_fiber_of_beta_star(self):
+        for n in range(38, 151, 4):
+            two_hook = _odd_pairs(n - 2, -1)
+            insert = {*((a, b, 3, 1) for a, b in _odd_pairs(n - 6, 3)),
+                      *((a, b, 5, 1) for a, b in _odd_pairs(n - 8, 5))}
+            assert (len(two_hook), len(insert)) == ((n - 2) // 4, (n - 18) // 2), n
+            beta = pt._set_of(gr.beta_star_hooks(n))
+            fiber = {pt._hooks_of(s): branch for s, image, branch in _g_walk(n) if image == beta}
+            assert fiber == {**dict.fromkeys(two_hook, "two-hook-fallback"), **dict.fromkeys(insert, "insert")}, n
+            # (3n - 38) / 4 >= n / 2 from n = 38 on: the fiber-bound witness c10 reports
+            assert 4 * len(fiber) == 3 * n - 38 and 2 * len(fiber) >= n
+
+    def test_the_two_hook_fallback_fires_only_at_n_2_mod_4(self):
+        fired = []
+        for n in range(27, 151):
+            fallback = {pt._hooks_of(s) for s, _, branch in _g_walk(n) if branch == "two-hook-fallback"}
+            assert fallback == (_odd_pairs(n - 2, -1) if n % 4 == 2 else set()), n
+            if fallback:
+                fired.append(n)
+        assert fired == list(range(30, 151, 4))
+
+    def test_no_two_hook_input_is_a_retraction_at_n_2_mod_4(self):
+        # two odd hooks two apart sum to 0 (mod 4), so B holds no two-hook
+        # set, and h keeps the number of hooks
+        for n in range(30, 151, 4):
+            b_sets = [s for s in pt._hook_sets(n) if gr._in_b_set(s, n)]
+            assert b_sets and all(s.bit_count() >= 3 for s in b_sets), n
+            retractions = [gr._h_of_set(s) for s in b_sets]
+            assert [r.bit_count() for r in retractions] == [s.bit_count() for s in b_sets], n
+            assert not any(r.bit_count() == 2 for r in retractions), n

@@ -109,6 +109,13 @@ class TestHooks:
                     for j in range(1, p[i - 1] + 1):
                         assert grid[i - 1][j - 1] == pt.hook_length(p, i, j)
 
+    @pytest.mark.parametrize("bad", [(1, 2), (3, 0), (2, -1)])
+    def test_grid_refuses_a_non_partition(self, bad):
+        # checked at entry by check_partition, not an IndexError from inside
+        for kernel in (pt.hook_grid, pt.hook_multiset, pt.character_degree):
+            with pytest.raises(ValueError, match="^parts must be"):
+                kernel(bad)
+
     def test_diagonal_rule_and_off_diagonal_bound(self):
         # on the d x d corner h_ij = (d_i + d_j)/2; beyond it h_ij < d_i / 2
         for n in range(61):
@@ -154,7 +161,7 @@ class TestEnumeration:
         assert pt.enumerate_self_conjugate_t_core(13, 6) == []
 
     def test_counts_match_series(self):
-        sc = sc_coeffs(80).coeffs
+        sc = sc_coeffs(80)
         for n in range(81):
             assert len(pt.enumerate_self_conjugate(n)) == sc[n]
 

@@ -26,8 +26,8 @@ TS = range(2, 102)
 PHAT_TS = (1, 2, 3)
 
 
-def row_digest(row: se.TruncatedSeries) -> str:
-    return hashlib.sha256(",".join(map(str, row.coeffs)).encode()).hexdigest()
+def row_digest(row: tuple[int, ...]) -> str:
+    return hashlib.sha256(",".join(map(str, row)).encode()).hexdigest()
 
 
 def digests(n: int) -> dict[str, str]:

@@ -35,17 +35,17 @@ A000700_PREFIX = [
 
 class TestBuildingBlocks:
     def test_multiply_trivial(self):
-        a = se.TruncatedSeries((1, 1, 0, 0))
-        b = se.TruncatedSeries((1, -1, 0, 0))
-        assert multiply(a, b).coeffs == (1, 0, -1, 0)
+        a = tuple((1, 1, 0, 0))
+        b = tuple((1, -1, 0, 0))
+        assert multiply(a, b) == (1, 0, -1, 0)
 
     def test_multiply_requires_same_order(self):
         with pytest.raises(ValueError):
-            multiply(se.TruncatedSeries((1,)), se.TruncatedSeries((1, 0)))
+            multiply(tuple((1,)), tuple((1, 0)))
 
     def test_binomial_factor_examples(self):
-        assert binomial_factor(-1, 1, 0, -1, 5).coeffs == (1, 1, 2, 3, 5, 7)
-        assert binomial_factor(1, 2, -1, 1, 5).coeffs == (1, 1, 0, 1, 1, 1)
+        assert binomial_factor(-1, 1, 0, -1, 5) == (1, 1, 2, 3, 5, 7)
+        assert binomial_factor(1, 2, -1, 1, 5) == (1, 1, 0, 1, 1, 1)
 
     def test_eta_inverse_is_inverse(self):
         for a in (1, 2, 3, 5):
@@ -58,21 +58,21 @@ class TestBuildingBlocks:
         for a in (1, 2, 4, 10):
             for k in range(-5, 6):
                 via_eta = se.eta_product(60, [(a, k)])
-                via_factors = binomial_factor(-1, a, 0, k, 60).coeffs
+                via_factors = binomial_factor(-1, a, 0, k, 60)
                 assert tuple(via_eta) == via_factors, (a, k)
 
 
 class TestNamedFamilies:
     def test_p_small(self):
-        assert se.p_coeffs(5).coeffs == (1, 1, 2, 3, 5, 7)
+        assert se.p_coeffs(5) == (1, 1, 2, 3, 5, 7)
         assert se.p_coeffs(10)[2] == 2
 
     def test_sc_prefix(self):
-        assert list(se.sc_coeffs(27).coeffs) == A000700_PREFIX
+        assert list(se.sc_coeffs(27)) == A000700_PREFIX
         assert se.sc_coeffs(0)[0] == 1
 
     def test_sc_matches_binomial_route(self):
-        assert se.sc_coeffs(60).coeffs == binomial_factor(1, 2, -1, 1, 60).coeffs
+        assert se.sc_coeffs(60) == binomial_factor(1, 2, -1, 1, 60)
 
     def test_sc_counts_match_oracle(self):
         sc = se.sc_coeffs(60)
@@ -80,13 +80,13 @@ class TestNamedFamilies:
             assert sc[n] == len(pt.enumerate_self_conjugate(n))
 
     def test_c2_is_triangular_indicator(self):
-        row = se.c_t_coeffs(2, 40).coeffs
+        row = se.c_t_coeffs(2, 40)
         triangular = {k * (k + 1) // 2 for k in range(10)}
         for n in range(41):
             assert row[n] == (1 if n in triangular else 0)
 
     def test_c1_counts_only_empty(self):
-        assert se.c_t_coeffs(1, 6).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert se.c_t_coeffs(1, 6) == (1, 0, 0, 0, 0, 0, 0)
 
     def test_phat_values(self):
         for t in (1, 2, 3, 7):
@@ -97,10 +97,10 @@ class TestNamedFamilies:
 
     def test_phat_is_convolution_power(self):
         p = se.p_coeffs(25)
-        acc = se.TruncatedSeries((1,) + (0,) * 25)
+        acc = tuple((1,) + (0,) * 25)
         for t in range(1, 5):
             acc = multiply(acc, p)
-            assert acc.coeffs == se.phat_coeffs(t, 25).coeffs
+            assert acc == se.phat_coeffs(t, 25)
 
     def test_sc_t_spot_values(self):
         assert se.sc_t_coeffs(6, 13)[13] == 0
@@ -154,31 +154,31 @@ class TestStructuralIdentities:
     def test_even_parity_factor_structure(self):
         # prod(1+q^(2m-1)) times the 2t-power factor, checked via binomial route
         for t in (2, 4, 6):
-            direct = se.sc_t_coeffs(t, 25).coeffs
+            direct = se.sc_t_coeffs(t, 25)
             odd_parts = binomial_factor(1, 2, -1, 1, 25)
             power = binomial_factor(-1, 2 * t, 0, t // 2, 25)
-            assert multiply(odd_parts, power).coeffs == direct
+            assert multiply(odd_parts, power) == direct
 
     def test_odd_parity_factor_structure(self):
         for t in (3, 5, 7, 9):
-            direct = se.sc_t_coeffs(t, 25).coeffs
+            direct = se.sc_t_coeffs(t, 25)
             odd_parts = binomial_factor(1, 2, -1, 1, 25)
             power = binomial_factor(-1, 2 * t, 0, (t - 1) // 2, 25)
             divisor = binomial_factor(1, 2 * t, -t, -1, 25)
             combined = multiply(multiply(odd_parts, power), divisor)
-            assert combined.coeffs == direct
+            assert combined == direct
 
 
 class TestGrowthBounds:
     def test_ratio_bounds_cross_multiplied(self):
-        sc = se.sc_coeffs(1200).coeffs
+        sc = se.sc_coeffs(1200)
         for n in range(19, 1201):
             assert sc[n - 2] * (n + 2) < sc[n] * n
         for n in range(8, 1201):
             assert sc[n - 4] * (n + 4) < sc[n] * n
 
     def test_monotone_steps(self):
-        sc = se.sc_coeffs(2000).coeffs
+        sc = se.sc_coeffs(2000)
         for n in range(17, 1999):
             assert sc[n + 2] > sc[n]
         # the published bound n >= 24 for the step exceeding 1 is off by one:
@@ -218,9 +218,9 @@ class TestRowKernel:
 
     def test_even_rows_match_the_eta_power_over_sc(self):
         n = 2000
-        sc = list(se.sc_coeffs(n).coeffs)
+        sc = list(se.sc_coeffs(n))
         for t in range(2, 25, 2):
-            assert list(se.sc_t_coeffs(t, n).coeffs) == _eta_power(sc, 2 * t, t // 2, n), t
+            assert list(se.sc_t_coeffs(t, n)) == _eta_power(sc, 2 * t, t // 2, n), t
 
     def test_triangular_sum_identity(self):
         # sc_2m(n) = sum of c_m(k) over the k >= 0 with n - 4k triangular
@@ -240,10 +240,10 @@ class TestRowKernel:
 
     def test_rows_beyond_the_factor_are_the_base_row(self):
         for t in range(2, 40):
-            assert se.c_t_coeffs(t, t - 1).coeffs == se.p_coeffs(t - 1).coeffs
-            assert se.sc_t_coeffs(t, t - 1).coeffs == se.sc_coeffs(t - 1).coeffs
+            assert se.c_t_coeffs(t, t - 1) == se.p_coeffs(t - 1)
+            assert se.sc_t_coeffs(t, t - 1) == se.sc_coeffs(t - 1)
             if t % 2 == 0:
-                assert se.sc_t_coeffs(t, 2 * t - 1).coeffs == se.sc_coeffs(2 * t - 1).coeffs
+                assert se.sc_t_coeffs(t, 2 * t - 1) == se.sc_coeffs(2 * t - 1)
 
     @pytest.mark.parametrize("order", [(10, 60, 200), (200, 60, 10), (60, 200, 10, 120, 0)])
     def test_rows_in_any_order_are_prefixes(self, order):
@@ -254,7 +254,7 @@ class TestRowKernel:
         longest = rows[max(order)]
         for n, row in rows.items():
             for got, full in zip(row, longest):
-                assert got.coeffs == full.coeffs[: n + 1]
+                assert got == full[: n + 1]
 
     def test_nsc_is_p_minus_sc_below_t(self):
         p, sc = se.p_coeffs(60), se.sc_coeffs(60)
@@ -314,7 +314,7 @@ def _row_factors(family: str, t: int) -> list[tuple[int, int]]:
 
 
 def _base_row(family: str, n: int) -> list[int]:
-    return list((se.p_coeffs if family == "c_t" else se.sc_coeffs)(n).coeffs)
+    return list((se.p_coeffs if family == "c_t" else se.sc_coeffs)(n))
 
 
 def _positive_steps(factors: list[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
@@ -353,12 +353,12 @@ class TestOddRows:
         for a in range(1, 8):
             expected = multiply(multiply(binomial_factor(-1, a, 0, 1, n), binomial_factor(-1, 4 * a, 0, 1, n)),
                                 binomial_factor(-1, 2 * a, 0, -1, n))
-            assert tuple(se._shift_add(se._unit(n), se._psi_minus(a, n))) == expected.coeffs, a
+            assert tuple(se._shift_add(se._unit(n), se._psi_minus(a, n))) == expected, a
 
     @pytest.mark.parametrize("n", [2000, 10_000])
     def test_odd_rows_match_the_three_factor_product(self, n):
         for t in (*range(3, 12, 2), 91, 151, 301):
-            assert list(se.sc_t_coeffs(t, n).coeffs) == _list_row("sc_t", t, n), (t, n)
+            assert list(se.sc_t_coeffs(t, n)) == _list_row("sc_t", t, n), (t, n)
 
     def test_no_sc_t_row_divides(self, monkeypatch):
         se.clear_series_caches()
@@ -435,7 +435,7 @@ class TestPackedKernel:
                 for family, reference in (("sc_t", sc_t_reference), ("c_t", c_t_reference)):
                     packed = _packed_row(family, t, n)
                     assert packed == _list_row(family, t, n), (family, t, n)
-                    assert tuple(packed) == reference(t, n).coeffs, (family, t, n)
+                    assert tuple(packed) == reference(t, n), (family, t, n)
 
     @pytest.mark.parametrize("n", [2000, 5000])
     def test_packed_rows_match_the_list_passes_at_large_n(self, n):
@@ -453,11 +453,11 @@ class TestPackedKernel:
         n, factors = 600, [(1, 2), (2, 3), (3, 1), (5, 2), (2, -1)]
         steps = _positive_steps(factors, n)
         assert se._pack_width(se._unit(n), steps, n) is not None
-        expected = se.TruncatedSeries((1,) + (0,) * n)
+        expected = tuple((1,) + (0,) * n)
         for a, k in factors:
             expected = multiply(binomial_factor(-1, a, 0, k, n), expected)
         got = se.eta_product(n, factors)
-        assert tuple(got) == expected.coeffs
+        assert tuple(got) == expected
         assert min(got) < 0 < max(got)
 
     def test_working_integer_stays_one_row_long(self):
@@ -467,7 +467,7 @@ class TestPackedKernel:
         # 40 row sizes, though every coefficient still comes out exact.  The
         # packed pieces and the output list take about 9 row sizes themselves.
         n, t = 2000, 9
-        c = list(se.p_coeffs(n).coeffs)
+        c = list(se.p_coeffs(n))
         steps = se._power_steps(t, t, n)
         assert len(steps) == t
         w = se._slot_width(c, steps)
