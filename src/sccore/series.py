@@ -83,9 +83,9 @@ No sc_t row divides.
 Every family row is a tuple of its coefficients, served from one store
 keyed by (family, t).  A row is built once, at the largest N asked for so
 far, and smaller N are served its prefix; the row last served for a key is
-kept, so the same request twice returns the same object.  The rows that others are built on (p and c_m at
-N // 4, sc at N) are stored rows too.  `clear_series_caches()` empties the
-store.
+kept, so the same request twice returns the same object.  The rows that
+others are built on (p and c_m at N // 4, sc at N) are stored rows too.
+`clear_series_caches()` empties the store.
 """
 from __future__ import annotations
 

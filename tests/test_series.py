@@ -35,13 +35,13 @@ A000700_PREFIX = [
 
 class TestBuildingBlocks:
     def test_multiply_trivial(self):
-        a = tuple((1, 1, 0, 0))
-        b = tuple((1, -1, 0, 0))
+        a = (1, 1, 0, 0)
+        b = (1, -1, 0, 0)
         assert multiply(a, b) == (1, 0, -1, 0)
 
     def test_multiply_requires_same_order(self):
         with pytest.raises(ValueError):
-            multiply(tuple((1,)), tuple((1, 0)))
+            multiply((1,), (1, 0))
 
     def test_binomial_factor_examples(self):
         assert binomial_factor(-1, 1, 0, -1, 5) == (1, 1, 2, 3, 5, 7)
@@ -97,7 +97,7 @@ class TestNamedFamilies:
 
     def test_phat_is_convolution_power(self):
         p = se.p_coeffs(25)
-        acc = tuple((1,) + (0,) * 25)
+        acc = (1,) + (0,) * 25
         for t in range(1, 5):
             acc = multiply(acc, p)
             assert acc == se.phat_coeffs(t, 25)
@@ -453,7 +453,7 @@ class TestPackedKernel:
         n, factors = 600, [(1, 2), (2, 3), (3, 1), (5, 2), (2, -1)]
         steps = _positive_steps(factors, n)
         assert se._pack_width(se._unit(n), steps, n) is not None
-        expected = tuple((1,) + (0,) * n)
+        expected = (1,) + (0,) * n
         for a, k in factors:
             expected = multiply(binomial_factor(-1, a, 0, k, n), expected)
         got = se.eta_product(n, factors)
