@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the two routes of each sc_t row and print where the theta product stops winning.
 
-For every N and t the script times the theta product (`_sc_t` with route
-"theta") and the series route (`_sc_t` with the route `_route` takes when
+For every N and t the script times the theta product (`_build` with route
+"theta") and the series route (`_build` with the route `_route` takes when
 the theta rule does not hold), best of --repeats runs.  The series route
 runs from its stored base rows: the sc row at N and the p row at N // 4 are
 built once and kept, and for even t the c_(t/2) row at N // 4 is cleared
@@ -10,8 +10,8 @@ before each run, since only that sc_t row needs it.  Each line gives the two
 times and their ratio; the summary gives, per N and parity of t, the cutoff t_c
 that minimises the summed time of the sweep when the product builds the rows
 with t <= t_c and the series the rest, and t^3 / N at t_c and at the next t
-of that parity: the crossover lies between the two.  `series._by_theta` quotes the committed output,
-scripts/calibrate_theta.txt.
+of that parity: the crossover lies between the two.  `series._route` cites
+the committed output, scripts/calibrate_theta.txt.
 
 Usage (from the repository root):
   PYTHONPATH=src python scripts/calibrate_theta.py [--repeats 3] [--n 1000 5000 10000 20000]
@@ -47,8 +47,8 @@ def calibrate(n: int, parity: int, repeats: int) -> int:
     times = []
     for t in range(3 if parity else 2, t_max + 1, 2):
         route = "psi" if not parity and se._even_by_psi(t, n) else "sc"
-        theta = best_ms(lambda: se._sc_t(t, n, "theta"), repeats)
-        series = best_ms(lambda: se._sc_t(t, n, route), repeats,
+        theta = best_ms(lambda: se._build("sc_t", t, n, "theta"), repeats)
+        series = best_ms(lambda: se._build("sc_t", t, n, route), repeats,
                          lambda: se._store.pop(("c_t", t // 2), None) if not parity else None)
         print(f"{n:6d} {t:4d} {theta:9.1f} {series:9.1f} {theta / series:6.2f}", flush=True)
         times.append((t, theta, series))

@@ -34,7 +34,7 @@ from sccore.cli import main as sccore
 def theta_check(n: int, ts: range) -> tuple[str, str, int, int]:
     """A summary row: the t in ts whose theta product differs at n from a
     series route of t's parity (the eta power over sc, and psi for even t)."""
-    differ = [t for t in ts if any(series._sc_t(t, n, "theta") != list(series._sc_t(t, n, route))
+    differ = [t for t in ts if any(series._build("sc_t", t, n, "theta") != list(series._build("sc_t", t, n, route))
                                    for route in (("sc",) if t % 2 else ("psi", "sc")))]
     if differ:
         print(f"theta product and a series route differ at N = {n} for t in {differ}")

@@ -15,7 +15,7 @@ from importlib import import_module
 # re-exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "DiagonalHooks", "Partition", "character_degree", "conjugate", "diagonal_hooks",
+        "Partition", "character_degree", "check_hooks", "conjugate", "diagonal_hooks",
         "enumerate_self_conjugate", "enumerate_self_conjugate_t_core", "from_diagonal_hooks",
         "hook_grid", "hook_length", "is_self_conjugate", "is_t_core",
     ), "partitions"),

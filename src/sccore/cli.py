@@ -99,6 +99,8 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
 
     limits = Limits(oracle_cap=args.oracle_cap)
     if method == "oracle":
+        if n > limits.oracle_cap:
+            raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
         if family in ("sc_t", "c_t") and t < 1:
             raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
         if family == "sc":
@@ -107,8 +109,6 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
             return len(enumerate_self_conjugate_t_core(n, t, limits))
         if family == "c_t":
             return sum(1 for _ in abacus.enumerate_t_cores(n, t))
-        if n > limits.oracle_cap:
-            raise ResourceLimit(f"n={n} above oracle cap")
         return len(partitions_of(n))
     if method == "recursive":
         return formulas.sc_t_value(t, n, tables)
@@ -389,6 +389,9 @@ def cmd_cache(args) -> int:
     from . import cache
 
     cache_dir = cache.chosen_dir(args.cache_dir) or Path.home() / ".cache" / "sccore"
+    if args.action != "build" and cache_dir.exists() and not cache_dir.is_dir():
+        print(f"cannot {args.action} {cache_dir}: not a directory", file=sys.stderr)
+        return EXIT_USAGE
     if args.action == "purge":
         removed = cache.purge(cache_dir)
         print(f"removed {removed} cache files")

@@ -15,16 +15,15 @@ the public surface and are tested against direct box moves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
-    DiagonalHooks,
     Partition,
     _hook_sets,
     _hooks_of,
     _set_of,
+    check_hooks,
     diagonal_hooks,
     from_diagonal_hooks,
     is_self_conjugate,
@@ -38,12 +37,6 @@ HookSeq = tuple[int, ...]
 CLASS_A = "A"
 CLASS_B = "B"
 CLASS_C = "C"
-
-
-@dataclass(frozen=True)
-class ClassifiedSC:
-    partition: Partition
-    cls: str
 
 
 def _class_of_set(s: int) -> str:
@@ -70,16 +63,17 @@ def classify_hooks(delta: HookSeq, n: int) -> str:
     Raises InvalidHooks unless delta is diagonal hooks, and ValueError
     unless it sums to n.
     """
-    delta = DiagonalHooks(tuple(delta)).hooks
+    delta = check_hooks(tuple(delta))
     if sum(delta) != n:
         raise ValueError(f"hooks sum to {sum(delta)}, expected n={n}")
     return _class_of_set(_set_of(delta))
 
 
-def classify(p: Partition, n: int) -> ClassifiedSC:
+def classify(p: Partition, n: int) -> str:
+    """Class of a self-conjugate partition of n (see `classify_hooks`)."""
     if size(p) != n or not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of {n}")
-    return ClassifiedSC(p, _class_of_set(_set_of(diagonal_hooks(p).hooks)))
+    return _class_of_set(_set_of(diagonal_hooks(p)))
 
 
 def map_f_hooks(delta: HookSeq) -> HookSeq:
@@ -92,7 +86,7 @@ def map_f_hooks(delta: HookSeq) -> HookSeq:
 def map_f(p: Partition) -> Partition:
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    return from_diagonal_hooks(map_f_hooks(diagonal_hooks(p).hooks if p else ()))
+    return from_diagonal_hooks(map_f_hooks(diagonal_hooks(p)))
 
 
 def _g_of_sets(sets: Iterable[int], n: int) -> Iterator[tuple[int | None, str]]:
@@ -160,7 +154,7 @@ def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
     hook.  (No element of B has that square as its retraction, so the
     surjectivity audit is unaffected; occurrences are counted, not hidden.)
     """
-    delta = DiagonalHooks(tuple(delta)).hooks
+    delta = check_hooks(tuple(delta))
     if n < 27:
         raise OutOfDomain(f"map g is defined for n >= 27, got {n}")
     if sum(delta) != n - 2:
@@ -174,7 +168,7 @@ def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
 def map_g(p: Partition, n: int) -> Partition:
     if not is_self_conjugate(p) or size(p) != n - 2:
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of n-2")
-    hooks, _ = map_g_hooks(diagonal_hooks(p).hooks, n)
+    hooks, _ = map_g_hooks(diagonal_hooks(p), n)
     return from_diagonal_hooks(hooks)
 
 
@@ -199,7 +193,7 @@ def map_h_hooks(delta: HookSeq, n: int) -> HookSeq:
     hook).  Raises InvalidHooks unless delta is strictly decreasing positive
     odds, and NotInB unless it is in the B class of n.
     """
-    delta = DiagonalHooks(tuple(delta)).hooks
+    delta = check_hooks(tuple(delta))
     s = _set_of(delta)
     if not _in_b_set(s, n):
         raise NotInB(f"{delta!r} is not in the B class for n={n}")
@@ -210,7 +204,7 @@ def map_h(b: Partition) -> Partition:
     n = size(b)
     if not is_self_conjugate(b):
         raise NotInB(f"{b!r} is not self-conjugate")
-    return from_diagonal_hooks(map_h_hooks(diagonal_hooks(b).hooks, n))
+    return from_diagonal_hooks(map_h_hooks(diagonal_hooks(b), n))
 
 
 def beta_star_hooks(n: int) -> HookSeq:

@@ -12,7 +12,6 @@ as a hook set: one int with bit a set for each hook 2a + 1.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Iterator
@@ -51,20 +50,15 @@ def is_self_conjugate(p: Partition) -> bool:
     return p == conjugate(p)
 
 
-@dataclass(frozen=True)
-class DiagonalHooks:
-    """Strictly decreasing distinct odd integers: the diagonal hook lengths
-    h_11 > h_22 > ... of a self-conjugate partition.  Invalid sequences are
-    rejected at construction so corrupt data cannot flow further."""
-
-    hooks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for k, h in enumerate(self.hooks):
-            if h < 1 or h % 2 == 0:
-                raise InvalidHooks(f"hooks must be positive odd integers, got {self.hooks!r}")
-            if k + 1 < len(self.hooks) and self.hooks[k + 1] >= h:
-                raise InvalidHooks(f"hooks must be strictly decreasing, got {self.hooks!r}")
+def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
+    """Validate diagonal hooks, strictly decreasing positive odd integers (the
+    h_11 > h_22 > ... of a self-conjugate partition); returns the tuple unchanged."""
+    for k, h in enumerate(hooks):
+        if h < 1 or h % 2 == 0:
+            raise InvalidHooks(f"hooks must be positive odd integers, got {hooks!r}")
+        if k + 1 < len(hooks) and hooks[k + 1] >= h:
+            raise InvalidHooks(f"hooks must be strictly decreasing, got {hooks!r}")
+    return hooks
 
 
 def diagonal_length(p: Partition) -> int:
@@ -72,20 +66,19 @@ def diagonal_length(p: Partition) -> int:
     return sum(1 for i, part in enumerate(p, start=1) if part >= i)
 
 
-def diagonal_hooks(p: Partition) -> DiagonalHooks:
+def diagonal_hooks(p: Partition) -> tuple[int, ...]:
     """Diagonal hook lengths of a self-conjugate partition (its canonical form)."""
     if not is_self_conjugate(p):
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     d = diagonal_length(p)
     # self-conjugate: arm and leg of a diagonal cell agree, h_ii = 2(p_i - i) + 1
-    return DiagonalHooks(tuple(2 * (p[i - 1] - i) + 1 for i in range(1, d + 1)))
+    return tuple(2 * (p[i - 1] - i) + 1 for i in range(1, d + 1))
 
 
-def from_diagonal_hooks(dh: DiagonalHooks | tuple[int, ...]) -> Partition:
-    """The unique self-conjugate partition with the given diagonal hooks."""
-    if not isinstance(dh, DiagonalHooks):
-        dh = DiagonalHooks(tuple(dh))
-    hooks = dh.hooks
+def from_diagonal_hooks(hooks: tuple[int, ...]) -> Partition:
+    """The unique self-conjugate partition with the given diagonal hooks;
+    InvalidHooks unless they pass `check_hooks`."""
+    hooks = check_hooks(tuple(hooks))
     d = len(hooks)
     if d == 0:
         return ()
@@ -176,7 +169,7 @@ def _tail_table() -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
     return tuple(tails), tuple(tuple(-t for t in row) for row in tails)
 
 
-def _hook_sets(n: int, max_first: int | None = None) -> Iterator[int]:
+def _hook_sets(n: int) -> Iterator[int]:
     """The walk behind `descending_odd_sequences`, yielding each sequence as its
     hook set: one int with bit a set for each part 2a + 1.
 
@@ -191,8 +184,8 @@ def _hook_sets(n: int, max_first: int | None = None) -> Iterator[int]:
     if n < 0:
         return
     tails, keys = _tail_table()
-    # (head, remainder, largest part allowed); a cap below -1 allows what -1 does: nothing
-    stack = [(0, n, n if max_first is None else max(max_first, -1))]
+    # (head, remainder, largest part allowed)
+    stack = [(0, n, n)]
     while stack:
         head, rest, cap = stack.pop()
         if rest <= _TAIL_BOUND:
@@ -210,14 +203,14 @@ def _hook_sets(n: int, max_first: int | None = None) -> Iterator[int]:
         stack.extend((head | 1 << (f >> 1), rest - f, f - 2) for f in range(low + 2, top + 1, 2))
 
 
-def descending_odd_sequences(n: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
+def descending_odd_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Strictly decreasing sequences of distinct odd positive integers summing
-    to n, with first part at most max_first (default n).
+    to n.
 
     Sequences come in descending lexicographic order: this is the tuple view of
     the walk `_hook_sets`.
     """
-    yield from map(_hooks_of, _hook_sets(n, max_first))
+    yield from map(_hooks_of, _hook_sets(n))
 
 
 def enumerate_self_conjugate(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Partition]:
@@ -226,7 +219,7 @@ def enumerate_self_conjugate(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Pa
         raise ValueError("n must be non-negative")
     if n > limits.oracle_cap:
         raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
-    found = [from_diagonal_hooks(DiagonalHooks(seq)) for seq in descending_odd_sequences(n)]
+    found = [from_diagonal_hooks(seq) for seq in descending_odd_sequences(n)]
     return sorted(found)
 
 
@@ -235,7 +228,6 @@ def enumerate_self_conjugate_t_core(n: int, t: int, limits: Limits = DEFAULT_LIM
     return [p for p in enumerate_self_conjugate(n, limits) if is_t_core(p, t)]
 
 
-@cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n (plain enumeration; used as a brute-force oracle)."""
     if n < 0:

@@ -25,12 +25,13 @@ The packed integer is exact: the map q -> 2^w takes series truncated at N
 to integers mod 2^((N+1) w), and w >= bitlen(max |c| times the product of
 the passes' l1 norms) + 1 holds every final coefficient below 2^(w-1) in
 magnitude, so the slots decode with a bias of 2^(w-1) each (`_slot_width`).
-Packing and unpacking cost about 8 list passes, and a packed term moves the
-whole integer whatever its shift, so the steps are packed when their list
-passes cost more than that: at least 8 row lengths of element operations
-plus w / 1000 of a row per term (`_pack_width`).  The small-t rows at large
-N qualify; the large-t rows, whose few terms are short list passes, and the
-c_t rows with long fused passes of big coefficients do not.  Negative
+Packing and unpacking cost about PACK_ROWS = 8 list passes, so the steps
+are packed when their list passes cost at least that many row lengths of
+element operations (`_packs`).  The small-t rows at large N qualify; the
+large-t rows, whose few terms are short list passes, do not.  The rule does
+not see the slot width, and a packed term moves the whole integer: the c_t
+rows at N = 10^4 with t >= 14, whose fused passes need slots of about 400
+bits, pack and take 1.5 to 2.5 times as long as by list passes.  Negative
 powers, left only in the p and phat rows, always use list passes.
 
 The base rows are p and sc.  Gauss's psi(q) = sum_{k >= 0} q^(k(k+1)/2)
@@ -51,19 +52,27 @@ T <= N, r added into the stride-4 slice of the row from T.  Families:
     sc_t(n)    = [q^n] sc(q) times an eta product in q^t, by parity of t
 
 The sc row is always psi(q) p(q^4), on the stored p row at N // 4.  Each
-sc_t row takes one of three routes, "theta" (below), "psi" or "sc", which
-`_route` reads off (t, N) and `_sc_t` builds.  An even row is psi(q) c_(t/2)(q^4), on the stored c_(t/2)
-row at N // 4, when 32 t^3 <= N^2 (`_even_by_psi`), which timing both
-routes put at their crossover; else it is E(q^2t)^(t/2) over the sc row at
-N, which wins for the large t, where that power has only a few terms.  An
-odd row over the sc row is psi(-q^t) E(q^2t)^((t-3)/2): Gauss's
-psi(-q) = E(q) E(q^4) / E(q^2) = sum_{k >= 0} (-1)^(k(k+1)/2) q^(k(k+1)/2),
-and psi(-q^t) - 1 is one sparse step of +-1 terms, taken with the positive
-powers, so sc_3 = sc(q) psi(-q^3) needs no division.
+sc_t row takes one of three routes, which `_route` reads off (t, N) and
+`_build` runs; `_build` also takes a route to force:
+
+    theta  t^3 <= 7 N for odd t, t^3 <= 2 N for even t: the product of
+           floor(t/2) theta series below, on the series 1
+    psi    even t past theta with 32 t^3 <= N^2 (`_even_by_psi`):
+           psi(q) c_(t/2)(q^4), on the stored c_(t/2) row at N // 4
+    sc     every other row: the stored sc row at N times
+           psi(-q^t)^(t mod 2) E(q^2t)^(floor(t/2) - t mod 2)
+
+The bounds come from timing the routes against each other; the current
+theta crossovers are in `scripts/calibrate_theta.txt`.  The eta power over
+sc wins for the large t, where it has only a few terms.  For odd
+t it follows Gauss's psi(-q) = E(q) E(q^4) / E(q^2) = sum_{k >= 0}
+(-1)^(k(k+1)/2) q^(k(k+1)/2), and psi(-q^t) - 1 is one sparse step of +-1
+terms, taken with the positive powers, so sc_3 = sc(q) psi(-q^3) needs no
+division.
 
 Those routes carry coefficients of the size of sc(n), about 10^55 at
-N = 10^4, and cancel them down to small counts.  For small t the sc_t row
-is built from no base row.  In the coordinates of Garvan, Kim and Stanton
+N = 10^4, and cancel them down to small counts.  The theta route builds
+the row from no base row.  In the coordinates of Garvan, Kim and Stanton
 (Cranks and t-cores, Invent. Math. 101, 1990) a self-conjugate t-core is a
 vector d in Z^floor(t/2) of runner offsets, of size
 sum_r (t d_r^2 - (t-1-2r) d_r), so
@@ -75,10 +84,8 @@ exponent would make t - 1 - 2r a multiple of t).  `_theta_steps` lists each
 factor as one step, and the steps run on the series 1 through the same
 kernel and slot width as every eta product; on the series 1 and 0/1 steps
 the width's bound is the product of the factors' term counts.  The
-product's packed terms grow with t, so it is taken when t^3 <= 7 N for odd
-t and t^3 <= 2 N for even t (`_by_theta`, which quotes where timing both
-routes puts their crossover); every other sc_t row takes the routes above.
-No sc_t row divides.
+product's packed terms grow with t, hence its bound on t.  No sc_t row
+divides.
 
 Every family row is a tuple of its coefficients, served from one store
 keyed by (family, t).  A row is built once, at the largest N asked for so
@@ -186,12 +193,8 @@ def _power_steps(a: int, k: int, n: int) -> list[list[tuple[int, int]]]:
     return [shifts] if shifts is not None else [pentagonal_terms(a, n)] * k
 
 
-# Packing a row and unpacking it cost about PACK_ROWS list passes over it.  A
-# packed term, whatever its shift, moves the whole (n + 1) * w bit integer at
-# about SLOT_BITS bits for the time of one list element operation, and twice
-# that when it multiplies by a coefficient other than +-1.
+# Packing a row and unpacking it cost about PACK_ROWS list passes over it.
 PACK_ROWS = 8
-SLOT_BITS = 1000
 
 
 def _slot_width(c: list[int], steps: list[list[tuple[int, int]]]) -> int:
@@ -206,16 +209,10 @@ def _slot_width(c: list[int], steps: list[list[tuple[int, int]]]) -> int:
     return -(-(bound.bit_length() + 1) // 8) * 8
 
 
-def _pack_width(c: list[int], steps: list[list[tuple[int, int]]], n: int) -> int | None:
-    """The slot width for `_packed_steps` when that is cheaper than the list
-    passes, else None: their element operations against PACK_ROWS rows plus
-    w / SLOT_BITS of a row per term (2 w / SLOT_BITS when |u| > 1)."""
-    passes = sum(n + 1 - g for step in steps for g, _ in step)
-    if passes < PACK_ROWS * (n + 1):
-        return None
-    w = _slot_width(c, steps)
-    terms = sum(1 if abs(u) == 1 else 2 for step in steps for _, u in step)
-    return w if passes * SLOT_BITS >= (n + 1) * (PACK_ROWS * SLOT_BITS + terms * w) else None
+def _packs(steps: list[list[tuple[int, int]]], n: int) -> bool:
+    """Whether the steps run on one packed integer: when their list passes
+    cost at least PACK_ROWS row lengths of element operations."""
+    return sum(n + 1 - g for step in steps for g, _ in step) >= PACK_ROWS * (n + 1)
 
 
 def _packed_steps(c: list[int], steps: list[list[tuple[int, int]]], n: int, w: int) -> list[int]:
@@ -256,13 +253,12 @@ def _eta_factors(c: list[int], factors: list[tuple[int, int]], n: int,
 
     The steps and the positive powers go first, so intermediate coefficients
     stay as small as the final answer allows: all of them on one packed
-    integer when `_pack_width` finds that cheaper, else by list passes.  Then
-    the negative powers, one division by E(q^a) each.
+    integer when `_packs`, else by list passes.  Then the negative powers,
+    one division by E(q^a) each.
     """
     steps = [*steps, *(step for a, k in factors if k > 0 and a <= n for step in _power_steps(a, k, n))]
-    w = _pack_width(c, steps, n)
-    if w is not None:
-        c = _packed_steps(c, steps, n, w)
+    if _packs(steps, n):
+        c = _packed_steps(c, steps, n, _slot_width(c, steps))
     else:
         for step in steps:
             c = _shift_add(c, step)
@@ -300,11 +296,11 @@ def _psi_times(r: list[int] | tuple[int, ...], n: int) -> list[int]:
 
 
 def _even_by_psi(t: int, n: int) -> bool:
-    """Whether the even sc_t row to n is psi(q) c_(t/2)(q^4): when 32 t^3 <= n^2.
+    """Whether an even sc_t row past the theta bound takes the psi route.
 
-    The other route is E(q^2t)^(t/2) over the sc row at n.  Timing both, each
-    from its stored base rows, for every even t put the crossover at about
-    t = 0.31 n^(2/3) for n from 400 to 2 * 10^4.
+    Timing it against the eta power over sc, each from its stored base rows,
+    for every even t put the crossover at about t = 0.31 n^(2/3) for n from
+    400 to 2 * 10^4.
     """
     return 32 * t ** 3 <= n * n
 
@@ -335,67 +331,36 @@ def _theta_steps(t: int, n: int) -> list[list[tuple[int, int]]]:
     return steps
 
 
-def _by_theta(t: int, n: int) -> bool:
-    """Whether the sc_t row to n is the theta product: when t^3 <= 7 n for
-    odd t and t^3 <= 2 n for even t.
-
-    The product's packed terms grow like (t n)^(1/2) and its slots like
-    t log(n / t), while the eta passes of the other routes cost about the
-    same at every t.  `scripts/calibrate_theta.py` timed both routes for
-    every t to about twice the crossover, the series route from its stored
-    base rows (the c_(t/2) row at n // 4 built cold for even t), and found
-    the cutoff that minimises the summed time of each sweep between these
-    values of t^3 / n (scripts/calibrate_theta.txt, 2 CPUs, best of 3):
-
-        n        odd t         even t
-        1000     4.9 - 6.9     2.7 - 4.1
-        5000     4.9 - 6.0     1.2 - 1.6
-        10^4     5.1 - 5.9     1.1 - 1.4
-        2 10^4   6.6 - 7.4     1.6 - 2.0
-
-    The rule was fitted when the product had a packed kernel of its own,
-    with no packing pass and no bias, and it now lies above these bands for
-    odd t at n <= 10^4 and for even t at n >= 5000, and below the even band
-    at n = 1000.  Summed over the rows it gives the product at each n and
-    parity, the product took 0.40-0.79 of the series route's time; at t = 3,
-    where it is one 0/1 series, 0.11-0.57.
-    """
-    return t ** 3 <= (7 if t % 2 else 2) * n
-
-
 def _route(t: int, n: int) -> str:
-    """How `_build` makes the sc_t row to n: "theta" when `_by_theta`, else
-    "psi" for even t when `_even_by_psi`, else "sc"."""
-    if _by_theta(t, n):
+    """The route of the sc_t row to n, by the rules of the module docstring:
+    "theta", "psi" or "sc".
+
+    The theta bounds were fitted on an older kernel; the crossovers that
+    `scripts/calibrate_theta.py` measures now are in its committed output,
+    scripts/calibrate_theta.txt.
+    """
+    if t ** 3 <= (7 if t % 2 else 2) * n:
         return "theta"
     return "psi" if t % 2 == 0 and _even_by_psi(t, n) else "sc"
 
 
-def _sc_t(t: int, n: int, route: str) -> list[int]:
-    """The sc_t row to n by the given route, which need not be the one
-    `_route` picks: "theta", the theta steps over the series 1; "psi" (even t
-    only), psi(q) times the stored c_(t/2) row at n // 4; "sc", the eta power
-    over the stored sc row, after the step psi(-q^t) for odd t."""
-    if route == "theta":
-        return _eta_factors(_unit(n), [], n, _theta_steps(t, n))
-    if route == "psi":
-        return _psi_times(_served("c_t", t // 2, n // 4), n)
-    sc = _served("sc", 0, n)
-    if t % 2:
-        return _eta_factors(sc, [(2 * t, (t - 3) // 2)], n, [_psi_minus(t, n)])
-    return _eta_factors(sc, [(2 * t, t // 2)], n)
-
-
-def _build(family: str, t: int, n: int) -> list[int]:
-    """The (family, t) row to n: p as phat_1, c_t on the stored p row, sc
-    and sc_t by the routes of the module docstring."""
+def _build(family: str, t: int, n: int, route: str | None = None) -> list[int]:
+    """The (family, t) row to n: p as phat_1, c_t on the stored p row, sc on
+    the stored p row at n // 4, and sc_t by the given route, else by
+    `_route` (see the module docstring)."""
     if family in ("p", "phat"):
         return _eta_factors(_unit(n), [(1, -max(t, 1))], n)
     if family == "c_t":
         return _eta_factors(_served("p", 0, n), [(t, t)], n)
     if family == "sc":
         return _psi_times(_served("p", 0, n // 4), n)
-    return _sc_t(t, n, _route(t, n))
+    route = route or _route(t, n)
+    if route == "theta":
+        return _eta_factors(_unit(n), [], n, _theta_steps(t, n))
+    if route == "psi":
+        return _psi_times(_served("c_t", t // 2, n // 4), n)
+    odd = t % 2
+    return _eta_factors(_served("sc", 0, n), [(2 * t, t // 2 - odd)], n, [_psi_minus(t, n)] * odd)
 
 
 # (family, t) -> (the row at the largest n built so far, the row last served)
@@ -466,16 +431,10 @@ def sc_t_coeffs(t: int, n: int) -> tuple[int, ...]:
     Odd t:   sc(q) E(q^2t)^((t-1)/2) / prod(1 + q^(t(2m-1)))
              = sc(q) psi(-q^t) E(q^2t)^((t-3)/2)
     Both t:  prod_{r < floor(t/2)} sum_{d in Z} q^(t d^2 - (t-1-2r) d)
-    The row is the last line, 0/1 theta series on the kernel and slot width
-    of every eta product, when t^3 <= 7 n for odd t and t^3 <= 2 n for even
-    t.  Else an even row is psi times the stored c_(t/2) row at n // 4 when
-    32 t^3 <= n^2, and otherwise, like every odd row past the theta rule,
-    the sc row times the eta power, after psi(-q^t) as one step of +-1
-    terms for odd t, by list passes or on one packed integer (`_route`,
-    `_sc_t` and the module docstring), so no sc_t row divides.  A factor in q^a with a > n is 1,
-    so sc_t(n) = sc(n) for n < 2t when t is even and for n < t when t is
-    odd, and those rows are the stored sc prefix.  Like every family, the
-    row is built once per t at the largest n asked for and served to
+    The module docstring gives the route each (t, n) takes; no route
+    divides.  A factor in q^a with a > n is 1, so sc_t(n) = sc(n) for
+    n < 2t when t is even and for n < t when t is odd.  Like every family,
+    the row is built once per t at the largest n asked for and served to
     smaller n as a prefix.  A t or n that is not an int, a bool included,
     raises TypeError.
     """

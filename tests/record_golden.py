@@ -111,6 +111,12 @@ def _groups() -> dict[str, list[list[str]]]:
         "table sc --nmax 4 --cache-dir <TMP>/D",
         "scan positivity --t 6 --nmax 20 --oracle-cap 5",
         "cache purge --oracle-cap 5",
+        # one oracle cap, one wording, for every family
+        *(f"count {fam} --n 260 --method oracle" for fam in ("sc", "p", "c_t --t 5", "sc_t --t 5")),
+        # --cache-dir naming a regular file, which the first command writes
+        "count sc --n 5 --out <TMP>/plain",
+        "cache verify --cache-dir <TMP>/plain",
+        "cache purge --cache-dir <TMP>/plain",
     )]
     groups["unread-options"] = [line.split() for line in (
         "scan growth --range 19..20 --t 5 --pair 3 --s 2",

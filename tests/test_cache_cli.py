@@ -360,6 +360,17 @@ class TestScanCommand:
         assert main(["count", "sc", "--n", "50", "--method", "oracle",
                      "--oracle-cap", "10"]) == 1
 
+    @pytest.mark.parametrize("family", ["sc", "p", "c_t", "sc_t"])
+    def test_oracle_cap_is_one_check_for_every_family(self, family, capsys):
+        t = ["--t", "5"] if family in ("c_t", "sc_t") else []
+        assert main(["count", family, *t, "--n", "260", "--method", "oracle"]) == 1
+        assert capsys.readouterr() == ("", "error: n=260 exceeds oracle cap 200\n")
+        # --method all skips the oracle past the cap and prints the series
+        assert main(["count", family, *t, "--n", "12", "--method", "series"]) == 0
+        series = capsys.readouterr().out
+        assert main(["count", family, *t, "--n", "12", "--method", "all", "--oracle-cap", "10"]) == 0
+        assert capsys.readouterr().out == series
+
     def test_count_json_format(self, capsys):
         assert main(["count", "sc_t", "--t", "6", "--n", "12..13",
                      "--format", "json"]) == 0
@@ -570,6 +581,13 @@ class TestUnusableCacheDir:
         out, err = capsys.readouterr()
         path = tmp_path / "sc_n5.bin"
         assert (out, err) == (f"{path}: corrupt (cannot read: Is a directory); will recompute on next use\n", "")
+
+    @pytest.mark.parametrize("action", ["verify", "purge"])
+    def test_verify_and_purge_refuse_a_regular_file(self, action, tmp_path, capsys):
+        cache_dir, _ = self._unusable("file-as-cache-dir", tmp_path)
+        assert main(["cache", action, "--cache-dir", str(cache_dir)]) == 1
+        assert capsys.readouterr() == ("", f"cannot {action} {cache_dir}: not a directory\n")
+        assert cache_dir.read_text() == "not a directory"
 
     @pytest.mark.parametrize("kind", ["directory-at-file-path", "file-as-cache-dir"])
     def test_build_is_one_line_and_exit_1(self, kind, tmp_path, capsys):

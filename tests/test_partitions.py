@@ -49,9 +49,10 @@ class TestSelfConjugate:
         assert pt.is_self_conjugate(())
 
     def test_diagonal_hooks_examples(self):
-        assert pt.diagonal_hooks((3, 2, 1)).hooks == (5, 1)
-        assert pt.diagonal_hooks((4, 2, 1, 1)).hooks == (7, 1)
-        assert pt.diagonal_hooks((1,)).hooks == (1,)
+        assert pt.diagonal_hooks((3, 2, 1)) == (5, 1)
+        assert pt.diagonal_hooks((4, 2, 1, 1)) == (7, 1)
+        assert pt.diagonal_hooks((1,)) == (1,)
+        assert pt.diagonal_hooks(()) == ()
 
     def test_diagonal_hooks_rejects_non_sc(self):
         with pytest.raises(NotSelfConjugate):
@@ -64,21 +65,32 @@ class TestSelfConjugate:
         )
         assert pt.from_diagonal_hooks((1,)) == (1,)
 
+    INVALID_HOOKS = {
+        (4, 2): "hooks must be positive odd integers, got (4, 2)",
+        (-1,): "hooks must be positive odd integers, got (-1,)",
+        (3, 3): "hooks must be strictly decreasing, got (3, 3)",
+        (1, 3): "hooks must be strictly decreasing, got (1, 3)",
+    }
+
     def test_invalid_hooks_rejected(self):
-        with pytest.raises(InvalidHooks):
-            pt.DiagonalHooks((4, 2))
-        with pytest.raises(InvalidHooks):
-            pt.DiagonalHooks((3, 3))
-        with pytest.raises(InvalidHooks):
-            pt.DiagonalHooks((1, 3))
+        # check_hooks and from_diagonal_hooks refuse with the same one line
+        for bad, message in self.INVALID_HOOKS.items():
+            for check in (pt.check_hooks, pt.from_diagonal_hooks):
+                with pytest.raises(InvalidHooks) as info:
+                    check(bad)
+                assert str(info.value) == message
+
+    def test_check_hooks_returns_its_tuple(self):
+        hooks = (9, 5, 1)
+        assert pt.check_hooks(hooks) is hooks
+        assert pt.check_hooks(()) == ()
 
     def test_round_trip_exhaustive(self):
         for n in range(51):
             for p in pt.enumerate_self_conjugate(n):
                 dh = pt.diagonal_hooks(p)
-                assert all(h % 2 == 1 for h in dh.hooks)
-                assert len(set(dh.hooks)) == len(dh.hooks)
-                assert sum(dh.hooks) == n
+                assert pt.check_hooks(dh) == dh
+                assert sum(dh) == n
                 assert pt.from_diagonal_hooks(dh) == p
 
     @given(sc_hooks())
@@ -86,7 +98,7 @@ class TestSelfConjugate:
     def test_round_trip_random_hooks(self, hooks):
         p = pt.from_diagonal_hooks(hooks)
         assert pt.is_self_conjugate(p)
-        assert pt.diagonal_hooks(p).hooks == hooks
+        assert pt.diagonal_hooks(p) == hooks
 
 
 class TestHooks:
@@ -120,7 +132,7 @@ class TestHooks:
         # on the d x d corner h_ij = (d_i + d_j)/2; beyond it h_ij < d_i / 2
         for n in range(61):
             for p in pt.enumerate_self_conjugate(n):
-                hooks = pt.diagonal_hooks(p).hooks
+                hooks = pt.diagonal_hooks(p)
                 d = len(hooks)
                 grid = pt.hook_grid(p)
                 for i in range(1, d + 1):
@@ -205,21 +217,19 @@ class TestDescendingOddSequences:
     yields, in the same order, on both sides of the table bound."""
 
     @staticmethod
-    def check(n, m):
+    def check(n):
         # the walk yields hook sets; the public walk is their tuple view
-        want = list(_reference_sequences(n, m))
-        assert list(pt._hook_sets(n, m)) == [pt._set_of(seq) for seq in want], (n, m)
-        assert list(pt.descending_odd_sequences(n, m)) == want, (n, m)
+        want = list(_reference_sequences(n))
+        assert list(pt._hook_sets(n)) == [pt._set_of(seq) for seq in want], n
+        assert list(pt.descending_odd_sequences(n)) == want, n
 
     def test_matches_recursion_small(self):
         for n in range(81):
-            for m in (None, *range(n + 3)):
-                self.check(n, m)
+            self.check(n)
 
     @pytest.mark.parametrize("n", [100, 118, 130])
     def test_matches_recursion_across_the_table_bound(self, n):
-        for m in (None, n, 51, 50, 49, 1):
-            self.check(n, m)
+        self.check(n)
 
     def test_sets_order_as_their_sequences(self):
         # every hook set of size <= 40, sorted as descending tuples, ascends as ints
@@ -230,11 +240,9 @@ class TestDescendingOddSequences:
 
     def test_empty_and_negative(self):
         assert list(pt.descending_odd_sequences(0)) == [()]
-        assert list(pt.descending_odd_sequences(0, -3)) == [()]
         assert list(pt.descending_odd_sequences(-4)) == []
-        assert list(pt.descending_odd_sequences(60, 0)) == []
-        assert list(pt._hook_sets(0, -3)) == [0]
-        assert list(pt._hook_sets(-4)) == list(pt._hook_sets(60, 0)) == list(pt._hook_sets(30, -3)) == []
+        assert list(pt._hook_sets(0)) == [0]
+        assert list(pt._hook_sets(-4)) == []
 
 
 def _syt_count(p):

@@ -380,9 +380,9 @@ class TestThetaRows:
     @pytest.mark.parametrize("n", [7, 300, 1000, 3000])
     def test_theta_product_equals_the_series_route(self, n):
         for t in range(2, 102):
-            theta = se._sc_t(t, n, "theta")
+            theta = se._build("sc_t", t, n, "theta")
             for route in ("sc",) if t % 2 else ("psi", "sc"):
-                assert theta == list(se._sc_t(t, n, route)), (t, n, route)
+                assert theta == list(se._build("sc_t", t, n, route)), (t, n, route)
 
     def test_grid_takes_both_sides_of_the_theta_rule(self):
         # so TestRowKernel's check against series_reference covers the product
@@ -402,7 +402,7 @@ class TestThetaRows:
                 assert len({g for g, _ in step}) == len(step), (t, n)
                 c = se._shift_add(c, step)
                 assert 0 <= min(c) and max(c) < bound, (t, n)
-            assert se._sc_t(t, n, "theta") == c, (t, n)
+            assert se._build("sc_t", t, n, "theta") == c, (t, n)
 
     def test_no_small_sc_t_row_divides(self, monkeypatch):
         # below the theta rule's n the t = 3 row takes the other routes
@@ -444,15 +444,14 @@ class TestPackedKernel:
                 assert _packed_row(family, t, n) == _list_row(family, t, n), (family, t, n)
 
     def test_grid_takes_both_kernel_routes(self):
-        packs = {se._pack_width(_base_row(family, n), _positive_steps(_row_factors(family, t), n), n)
-                 is not None
+        packs = {se._packs(_positive_steps(_row_factors(family, t), n), n)
                  for n in (*self.NS, 2000, 5000) for t in range(2, 81) for family in ("sc_t", "c_t")}
         assert packs == {True, False}
 
     def test_signed_coefficients_through_eta_product(self):
         n, factors = 600, [(1, 2), (2, 3), (3, 1), (5, 2), (2, -1)]
         steps = _positive_steps(factors, n)
-        assert se._pack_width(se._unit(n), steps, n) is not None
+        assert se._packs(steps, n)
         expected = (1,) + (0,) * n
         for a, k in factors:
             expected = multiply(binomial_factor(-1, a, 0, k, n), expected)
