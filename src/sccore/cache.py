@@ -3,9 +3,11 @@
 Layout: MAGIC, then a JSON header line {version, family, t, n, width}, then
 the payload, then sha256(header + payload).  The payload is the n + 1
 coefficients as little-endian unsigned integers of `width` bytes each, the
-fewest bytes (at least 1) that hold the largest of them.  Version or
-parameter mismatch, a malformed header, checksum failure and a file that
-cannot be read all surface as CacheCorrupt; callers recompute.
+fewest bytes (at least 1) that hold the largest of them.  `_decode` is the
+one reader: it hashes and parses each file once.  A version mismatch, a
+malformed header, a checksum failure and a file that cannot be read all
+surface as CacheCorrupt; `load_or_compute` recomputes those, and a file
+whose header names another request.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ def _encode(family: str, t: int | None, n: int, coeffs: tuple[int, ...]) -> byte
     return MAGIC + body + hashlib.sha256(body).digest()
 
 
-def _split(blob: bytes) -> tuple[dict, bytes]:
-    """(header, payload) of a cache file, after its magic, its checksum and
-    its header pass.  The header must be a JSON object of this version with
-    a known family, an int t exactly when the family takes one, an int
-    n >= 0 and an int width >= 1 (no bools)."""
+def _decode(blob: bytes) -> tuple[dict, tuple[int, ...]]:
+    """(header, coefficients) of a cache file, after its magic, its checksum,
+    its header and its payload length pass.  The header must be a JSON
+    object of this version with a known family, an int t exactly when the
+    family takes one, an int n >= 0 and an int width >= 1 (no bools)."""
     if not blob.startswith(MAGIC):
         raise CacheCorrupt("bad magic")
     body, digest = blob[len(MAGIC):-32], blob[-32:]
@@ -93,17 +95,9 @@ def _split(blob: bytes) -> tuple[dict, bytes]:
             and (t is None or type(t) is int) and type(n) is int and n >= 0
             and type(width) is int and width >= 1):
         raise CacheCorrupt("malformed header")
-    return header, payload
-
-
-def _decode(blob: bytes, family: str, t: int | None, n: int) -> tuple[int, ...]:
-    header, payload = _split(blob)
-    if (header.get("family"), header.get("t"), header.get("n")) != (family, t, n):
-        raise CacheCorrupt("header does not match requested series")
-    width = header["width"]
     if len(payload) != (n + 1) * width:
         raise CacheCorrupt("payload length mismatch")
-    return tuple(int.from_bytes(payload[i:i + width], "little") for i in range(0, len(payload), width))
+    return header, tuple(int.from_bytes(payload[i:i + width], "little") for i in range(0, len(payload), width))
 
 
 def _read(path: Path) -> bytes:
@@ -144,35 +138,28 @@ def load_or_compute(cache_dir: Path | None, family: str, t: int | None, n: int) 
     source = "computed"
     if path.exists():
         try:
-            return _decode(_read(path), family, t, n), "cache"
+            header, coeffs = _decode(_read(path))
+            if (header["family"], header["t"], header["n"]) == (family, t, n):
+                return coeffs, "cache"
         except CacheCorrupt:
-            source = "recomputed"
+            pass
+        source = "recomputed"
     coeffs = compute_family(family, t, n)
     write_cache(cache_dir, family, t, n, coeffs)
     return coeffs, source
 
 
-def verify_file(path: Path) -> dict:
-    """Checksum plus a recomputation of a SAMPLE_SHARE sample of the
-    coefficients, drawn with a fixed seed so each run samples the same."""
-    blob = _read(Path(path))
-    header, _ = _split(blob)
-    family, t, n = header["family"], header["t"], header["n"]
-    coeffs = _decode(blob, family, t, n)
-    fresh = compute_family(family, t, n)
+def verify_file(path: Path) -> tuple[int, list[int]]:
+    """(sampled, mismatches) of a cache file: its checksum, then a
+    recomputation of a SAMPLE_SHARE sample of its coefficients, drawn with a
+    fixed seed so each run samples the same, and the indices that differ."""
+    header, coeffs = _decode(_read(Path(path)))
+    n = header["n"]
+    fresh = compute_family(header["family"], header["t"], n)
     rng = random.Random(0)
     k = max(1, int((n + 1) * SAMPLE_SHARE))
     sample = rng.sample(range(n + 1), min(k, n + 1))
-    bad = [i for i in sample if coeffs[i] != fresh[i]]
-    return {
-        "path": str(path),
-        "family": family,
-        "t": t,
-        "n": n,
-        "sampled": len(sample),
-        "mismatches": bad,
-        "ok": not bad,
-    }
+    return len(sample), [i for i in sample if coeffs[i] != fresh[i]]
 
 
 def purge(cache_dir: Path) -> int:

@@ -5,9 +5,10 @@ Exit codes: 0 success / scan holds; 1 usage error; 2 internal method
 disagreement; 3 scan found violations (data, not a crash).
 
 `count --method all` runs the series and every method `_METHODS` gives the
-family.  Each scan mode is one `_SCAN_OPTIONS` entry: the module that runs
-it, the options it reads and a runner; `cmd_scan` picks the mode once,
-checks the options against it and times the runner's report.
+family, and its `# methods agree:` line names the methods that gave a value
+at some n of the request.  Each scan mode is one `_SCAN_OPTIONS` entry: the
+module that runs it, the options it reads and a runner; `cmd_scan` picks
+the mode once, checks the options against it and times the runner's report.
 
 Each command imports the layers it runs inside its handler, so a `count`
 served from the cache, a `table` or a `cache purge` loads no scan,
@@ -81,12 +82,13 @@ _METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (),
             "sc_t": ("recursive", "closed", "large", "oracle")}
 
 
-def _t_usage_error(family: str, t) -> str | None:
-    """Why --t does not fit this family, or None."""
-    if family in _T_FAMILIES and t is None:
-        return "this family requires --t"
-    if family not in _T_FAMILIES and t is not None:
-        return f"family {family} takes no --t"
+def _family(args) -> str | None:
+    """The family that args name, "c" read as c_t; None, after one line on
+    stderr, when --t does not fit it."""
+    family = {"c": "c_t"}.get(args.family, args.family)
+    if (family in _T_FAMILIES) == (args.t is not None):
+        return family
+    print("this family requires --t" if args.t is None else f"family {family} takes no --t", file=sys.stderr)
     return None
 
 
@@ -118,10 +120,8 @@ def _count_by_method(family: str, t: int | None, n: int, method: str,
 
 
 def cmd_count(args) -> int:
-    family = {"c": "c_t"}.get(args.family, args.family)
-    problem = _t_usage_error(family, args.t)
-    if problem:
-        print(problem, file=sys.stderr)
+    family = _family(args)
+    if family is None:
         return EXIT_USAGE
     ns = args.n
     n_cap = ns[-1]
@@ -147,7 +147,7 @@ def cmd_count(args) -> int:
         from .formulas import RecursionTables
 
         tables = RecursionTables(n_cap)
-    rows = []
+    rows, ran = [], set()
     for n in ns:
         values: dict[str, int] = {}
         for method in methods:
@@ -159,6 +159,7 @@ def cmd_count(args) -> int:
             except (OutOfRange, ResourceLimit):
                 if args.method != "all":
                     raise
+        ran.update(values)
         if len(set(values.values())) > 1:
             print(f"method disagreement at n={n}: {values}", file=sys.stderr)
             return EXIT_DISAGREE
@@ -166,7 +167,7 @@ def cmd_count(args) -> int:
     if not _write_out(_format_rows(rows, args.format), args.out):
         return EXIT_USAGE
     if args.method == "all":
-        print(f"# methods agree: {', '.join(methods)}", file=sys.stderr)
+        print(f"# methods agree: {', '.join(m for m in methods if m in ran)}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -397,10 +398,8 @@ def cmd_cache(args) -> int:
         print(f"removed {removed} cache files")
         return EXIT_OK
     if args.action == "build":
-        family = {"c": "c_t"}.get(args.family, args.family)
-        problem = _t_usage_error(family, args.t)
-        if problem:
-            print(problem, file=sys.stderr)
+        family = _family(args)
+        if family is None:
             return EXIT_USAGE
         ts = list(args.t) if args.t else [None]
         for t in ts:
@@ -419,13 +418,13 @@ def cmd_cache(args) -> int:
     ok = True
     for f in files:
         try:
-            res = cache.verify_file(f)
+            sampled, bad = cache.verify_file(f)
         except SCCoreError as exc:
             print(f"{f}: corrupt ({exc}); will recompute on next use")
             continue
-        status = "ok" if res["ok"] else f"MISMATCH {res['mismatches'][:5]}"
-        ok = ok and res["ok"]
-        print(f"{f}: {status} (sampled {res['sampled']})")
+        status = f"MISMATCH {bad[:5]}" if bad else "ok"
+        ok = ok and not bad
+        print(f"{f}: {status} (sampled {sampled})")
     return EXIT_OK if ok else EXIT_DISAGREE
 
 

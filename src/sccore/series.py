@@ -87,12 +87,11 @@ the width's bound is the product of the factors' term counts.  The
 product's packed terms grow with t, hence its bound on t.  No sc_t row
 divides.
 
-Every family row is a tuple of its coefficients, served from one store
+Every family row is a tuple of its coefficients, kept once in a store
 keyed by (family, t).  A row is built once, at the largest N asked for so
-far, and smaller N are served its prefix; the row last served for a key is
-kept, so the same request twice returns the same object.  The rows that
-others are built on (p and c_m at N // 4, sc at N) are stored rows too.
-`clear_series_caches()` empties the store.
+far: a request at that N gets the stored tuple, and a smaller N a fresh
+prefix of it.  The rows that others are built on (p and c_m at N // 4, sc
+at N) are stored rows too.  `clear_series_caches()` empties the store.
 """
 from __future__ import annotations
 
@@ -363,29 +362,22 @@ def _build(family: str, t: int, n: int, route: str | None = None) -> list[int]:
     return _eta_factors(_served("sc", 0, n), [(2 * t, t // 2 - odd)], n, [_psi_minus(t, n)] * odd)
 
 
-# (family, t) -> (the row at the largest n built so far, the row last served)
-_store: dict[tuple[str, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# (family, t) -> the row at the largest n built so far
+_store: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
 def _served(family: str, t: int, n: int) -> tuple[int, ...]:
     """Coefficients 0..n of the (family, t) row, from the store.
 
-    A row is built once, at the largest n asked for so far, and a smaller n
-    is served its prefix.  The row last served is kept, so asking for the
-    same n again returns the same object without slicing.
+    A row is built once, at the largest n asked for so far; that n is served
+    the stored row and a smaller n a prefix of it.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    key = (family, t)
-    full, last = _store.get(key, ((), ()))
-    if len(last) == n + 1:
-        return last
-    if n >= len(full):
-        full = last = tuple(_build(family, t, n))
-    else:
-        last = full[: n + 1]
-    _store[key] = (full, last)
-    return last
+    row = _store.get((family, t), ())
+    if n >= len(row):
+        row = _store[family, t] = tuple(_build(family, t, n))
+    return row if len(row) == n + 1 else row[: n + 1]
 
 
 def _check_ints(**values) -> None:
@@ -445,7 +437,10 @@ def sc_t_coeffs(t: int, n: int) -> tuple[int, ...]:
 
 
 def nsc_t_coeffs(t: int, n: int) -> tuple[int, ...]:
-    """Non-self-conjugate t-core counts: c_t(n) - sc_t(n)."""
+    """Non-self-conjugate t-core counts: c_t(n) - sc_t(n), t >= 2."""
+    _check_ints(t=t, n=n)
+    if t < 2:
+        raise UnsupportedT(f"nsc_t series defined for t >= 2, got {t}")
     return tuple(a - b for a, b in zip(c_t_coeffs(t, n), sc_t_coeffs(t, n)))
 
 

@@ -117,6 +117,7 @@ def _groups() -> dict[str, list[list[str]]]:
         "count sc --n 5 --out <TMP>/plain",
         "cache verify --cache-dir <TMP>/plain",
         "cache purge --cache-dir <TMP>/plain",
+        "count nsc_t --t 1 --n 3",
     )]
     groups["unread-options"] = [line.split() for line in (
         "scan growth --range 19..20 --t 5 --pair 3 --s 2",
@@ -140,6 +141,13 @@ def _groups() -> dict[str, list[list[str]]]:
     )]
     groups["method-all"] = [["count", "sc_t", "--t", str(t), "--n", "0..60", "--method", "all"]
                             for t in range(2, 26)]
+    # the agree line names only the methods that gave a value: past the oracle
+    # cap, the closed form's budget or the large-t range a method gives none
+    groups["method-all"] += [line.split() for line in (
+        "count sc --n 12 --method all --oracle-cap 10",
+        "count sc_t --t 4 --n 104 --method all",
+        "count sc_t --t 2 --n 60 --method all",
+    )]
     groups["table-formats"] = [["table", kind, "--nmax", "30", "--format", fmt]
                                for kind in ("sc", "sc-diff-even", "sc-diff-odd")
                                for fmt in ("csv", "tsv", "json", "md")]

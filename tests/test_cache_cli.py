@@ -32,14 +32,32 @@ def _assert_one_line_usage_error(argv: list[str], capsys) -> str:
     return err
 
 
-def _cache_blob(header: dict, payload: bytes) -> bytes:
-    """A cache file with this header and payload and a valid checksum."""
-    body = json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+def _cache_blob(head: bytes, payload: bytes) -> bytes:
+    """A cache file with this header line and payload and a valid checksum."""
+    body = head + b"\n" + payload
     return cache.MAGIC + body + hashlib.sha256(body).digest()
+
+
+def _payload(blob: bytes) -> bytes:
+    return blob[len(cache.MAGIC):-32].partition(b"\n")[2]
 
 
 def _header_width(path: Path) -> int:
     return json.loads(path.read_bytes()[len(cache.MAGIC):].partition(b"\n")[0])["width"]
+
+
+# checksum-valid headers that the reader must refuse, each with its reason; the
+# last is well formed but does not fit a payload of one-byte coefficients 0..5
+MALFORMED_HEADERS = [
+    (b"not json", "header is not a JSON object"),
+    (b"[5]", "header is not a JSON object"),
+    (b'{"family": "sc", "n": 5, "t": null, "version": 1}', "malformed header"),
+    (b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}', "malformed header"),
+    (b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}', "malformed header"),
+    (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 0}', "malformed header"),
+    (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 2}', "payload length mismatch"),
+]
+MALFORMED_IDS = ["not-json", "not-an-object", "no-width", "unknown-family", "no-t", "width-0", "width-2"]
 
 
 class TestCacheFile:
@@ -74,9 +92,10 @@ class TestCacheFile:
         coeffs = sc_t_coeffs(6, 100)
         header = {"version": 1, "family": "sc_t", "t": 6, "n": 100, "width": 8}
         path = cache.cache_path(tmp_path, "sc_t", 6, 100)
-        path.write_bytes(_cache_blob(header, b"".join(c.to_bytes(8, "little") for c in coeffs)))
+        head = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(_cache_blob(head, b"".join(c.to_bytes(8, "little") for c in coeffs)))
         assert cache.load_or_compute(tmp_path, "sc_t", 6, 100) == (coeffs, "cache")
-        assert cache.verify_file(path)["ok"]
+        assert cache.verify_file(path) == (1, [])
 
     def test_corruption_recomputes_with_warning(self, tmp_path):
         coeffs = sc_t_coeffs(4, 50)
@@ -90,17 +109,69 @@ class TestCacheFile:
         assert cache.load_or_compute(tmp_path, "sc_t", 4, 50)[1] == "cache"
 
     def test_parameter_mismatch_rejected(self, tmp_path):
-        coeffs = sc_t_coeffs(4, 50)
-        path = cache.write_cache(tmp_path, "sc_t", 4, 50, coeffs)
-        with pytest.raises(CacheCorrupt):
-            cache._decode(path.read_bytes(), "sc_t", 5, 50)
+        # a valid file for sc_4 at the path of sc_5 is recomputed, not served
+        path = cache.write_cache(tmp_path, "sc_t", 4, 50, sc_t_coeffs(4, 50))
+        path.rename(cache.cache_path(tmp_path, "sc_t", 5, 50))
+        assert cache.load_or_compute(tmp_path, "sc_t", 5, 50) == (sc_t_coeffs(5, 50), "recomputed")
+        assert cache.load_or_compute(tmp_path, "sc_t", 5, 50)[1] == "cache"
 
     def test_verify_and_purge(self, tmp_path):
         cache.write_cache(tmp_path, "sc_t", 6, 80, sc_t_coeffs(6, 80))
-        res = cache.verify_file(cache.cache_path(tmp_path, "sc_t", 6, 80))
-        assert res["ok"]
+        assert cache.verify_file(cache.cache_path(tmp_path, "sc_t", 6, 80)) == (1, [])
         assert cache.purge(tmp_path) == 1
         assert cache.purge(tmp_path) == 0
+
+
+# the two small files of the corruption sweep: sc_6 at N = 100 is one byte wide, p at N = 500 nine
+SMALL_FILES = [("sc_t", 6, 100, "6 100"), ("p", None, 500, "500")]
+
+
+class TestCorruptionOfAnyShape:
+    """Every corruption of a cache file is CacheCorrupt from the one reader, `_decode`."""
+
+    @pytest.mark.parametrize("family, t, n, _", SMALL_FILES, ids=["one-byte", "multi-byte"])
+    def test_every_truncation_flip_and_malformed_header_is_corrupt(self, family, t, n, _, tmp_path):
+        coeffs = cache.compute_family(family, t, n)
+        blob = cache.write_cache(tmp_path, family, t, n, coeffs).read_bytes()
+        header, decoded = cache._decode(blob)
+        assert (header["family"], header["t"], header["n"], decoded) == (family, t, n, coeffs)
+        cases = [("truncated", i, blob[:i]) for i in range(len(blob))]
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0xFF
+            cases.append(("flipped", i, bytes(flipped)))
+        cases += [("malformed", head, _cache_blob(head, _payload(blob))) for head, _ in MALFORMED_HEADERS]
+        undetected = []
+        for kind, where, bad in cases:
+            try:
+                cache._decode(bad)
+            except CacheCorrupt:
+                continue
+            undetected.append((kind, where))
+        assert undetected == []
+
+    @pytest.mark.parametrize("kind", ["truncated", "flipped"])
+    @pytest.mark.parametrize("family, t, n, row", SMALL_FILES, ids=["one-byte", "multi-byte"])
+    def test_count_warns_once_and_verify_prints_one_line(self, family, t, n, row, kind, tmp_path, capsys):
+        # the malformed headers go through the CLI in TestCountCommand.test_checksum_valid_malformed_header
+        count = ["count", family, *(["--t", str(t)] if t else []), "--n", str(n), "--cache-dir", str(tmp_path)]
+        assert main(count) == 0
+        cold = capsys.readouterr().out
+        assert cold.startswith(f"{row} ")
+        path = cache.cache_path(tmp_path, family, t, n)
+        blob = bytearray(path.read_bytes())
+        if kind == "truncated":
+            del blob[len(blob) // 2:]
+        else:
+            blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert main(count) == 0
+        assert capsys.readouterr() == (cold, f"warning: corrupt cache file for {family} t={t} n={n} recomputed\n")
+        path.write_bytes(bytes(blob))
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert out.startswith(f"{path}: corrupt (") and out.endswith("); will recompute on next use\n")
 
 
 class TestCountCommand:
@@ -129,6 +200,19 @@ class TestCountCommand:
         out, err = capsys.readouterr()
         methods = "series" if family in ("phat", "nsc_t") else "series, oracle"
         assert (out, err) == (value, f"# methods agree: {methods}\n")
+
+    @pytest.mark.parametrize("argv, methods", [
+        ("count sc --n 12 --method all --oracle-cap 10", "series"),
+        ("count sc_t --t 4 --n 104 --method all", "series, recursive, oracle"),
+        ("count sc_t --t 2 --n 60 --method all", "series, recursive, oracle"),
+    ])
+    def test_agree_line_names_the_methods_that_ran(self, argv, methods, capsys):
+        # past the oracle cap, the closed form's budget or the large-t range a method gives no value
+        argv = argv.split()
+        assert main(argv[:argv.index("--method")]) == 0
+        value = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr() == (value, f"# methods agree: {methods}\n")
 
     @pytest.mark.parametrize("argv", [
         ["count", "phat", "--t", "2", "--n", "5", "--method", "oracle"],
@@ -180,22 +264,14 @@ class TestCountCommand:
         assert out == cold
         assert err.count("\n") == 1 and err.startswith("warning:")
 
-    @pytest.mark.parametrize("head, reason", [
-        (b"not json", "header is not a JSON object"),
-        (b"[5]", "header is not a JSON object"),
-        (b'{"family": "sc", "n": 5, "t": null, "version": 1}', "malformed header"),
-        (b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}', "malformed header"),
-        (b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}', "malformed header"),
-        (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 0}', "malformed header"),
-    ], ids=["not-json", "not-an-object", "no-width", "unknown-family", "no-t", "width-0"])
+    @pytest.mark.parametrize("head, reason", MALFORMED_HEADERS, ids=MALFORMED_IDS)
     def test_checksum_valid_malformed_header(self, head, reason, tmp_path, capsys):
         # the checksum covers the header, so only the header check catches these
         args = ["count", "sc", "--n", "0..5", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         cold = capsys.readouterr().out
         path = tmp_path / "sc_n5.bin"
-        body = head + b"\n" + path.read_bytes()[len(cache.MAGIC):-32].partition(b"\n")[2]
-        blob = cache.MAGIC + body + hashlib.sha256(body).digest()
+        blob = _cache_blob(head, _payload(path.read_bytes()))
         path.write_bytes(blob)
         assert main(args) == 0
         out, err = capsys.readouterr()
@@ -381,6 +457,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("argv", [
         ["count", "phat", "--t", "0", "--n", "5"],
         ["count", "c_t", "--t", "0", "--n", "5"],
+        ["count", "nsc_t", "--t", "1", "--n", "3"],
         ["scan", "positivity", "--t", "6", "--nmax", "-5"],
         ["table", "sc", "--nmax", "-5"],
     ])

@@ -277,9 +277,24 @@ class TestRowKernel:
     def test_same_request_returns_the_same_series(self, build, t):
         args = () if t is None else (t,)
         se.clear_series_caches()
-        for n in (120, 40):
-            first = build(*args, n)
-            assert build(*args, n) is first, n
+        full = build(*args, 120)
+        assert build(*args, 120) is full
+        # the store keeps only the row at its built length; a shorter request is a fresh, equal prefix
+        assert build(*args, 40) == full[:41]
+
+    def test_the_store_keeps_one_row_per_key(self):
+        se.clear_series_caches()
+        full = se.sc_t_coeffs(7, 120)
+        assert se.sc_t_coeffs(7, 40) == full[:41]
+        se.sc_t_coeffs(6, 90)
+        assert se._store[("sc_t", 7)] is full
+        for key, row in se._store.items():
+            assert type(row) is tuple and all(type(c) is int for c in row), key
+
+    @pytest.mark.parametrize("t", [1, 0, -3])
+    def test_nsc_t_below_2_names_itself(self, t):
+        with pytest.raises(UnsupportedT, match=f"^nsc_t series defined for t >= 2, got {t}$"):
+            se.nsc_t_coeffs(t, 3)
 
     @pytest.mark.parametrize("build", [se.c_t_coeffs, se.phat_coeffs])
     def test_t_below_one_is_unsupported(self, build):
