@@ -5,6 +5,9 @@ certification.
 
 Every verdict is reached in exact integer or rational arithmetic; rational
 thresholds are compared by cross-multiplication, never floats.
+
+Every window of t that a scan reads is declared once, in `_WINDOWS`, and
+read through `_windows`; a window that a family does not have is OutOfDomain.
 """
 
 from __future__ import annotations
@@ -41,6 +44,39 @@ def _nsc_family(t: int, n_cap: int) -> tuple[int, ...]:
 # the row functions look the series functions up when they are called
 _FAMILIES = {"sc": (_sc_family, 2), "c": (_c_family, 1), "nsc": (_nsc_family, 2)}
 
+# Every window of t that a scan reads, each stated in its comment: (family,
+# window) -> (the _FAMILIES rows it reads, the first n it opens at, its range
+# of T at each n from there).  The monotonicity scans compare row T with row
+# T + step there, and the distributions take the same differences.
+_WINDOWS = {
+    (family, window): (rows, n_first, ts)
+    for family, rows, windows in (
+        # sc_{T+2}(n) > sc_T(n), T even: conjectured for 6 <= T <= 2 floor(n/4) - 4,
+        # proved for n/4 < T <= 2 floor(n/4) - 4 (the least even T > n/4 is 2 floor(n/8) + 2)
+        ("sc-even", "sc", {"conjecture": (0, lambda n: range(6, 2 * (n // 4) - 4 + 1, 2)),
+                           "theorem": (0, lambda n: range(n // 8 * 2 + 2, 2 * (n // 4) - 4 + 1, 2))}),
+        # sc_{T+2}(n) > sc_T(n), T odd: conjectured for 9 <= T <= n - 17, n >= 56,
+        # proved for n/3 < T <= n - 17, n >= 48 (the least odd T > n/3 is 2 floor((n-3)/6) + 3)
+        ("sc-odd", "sc", {"conjecture": (56, lambda n: range(9, n - 17 + 1, 2)),
+                          "theorem": (48, lambda n: range((n - 3) // 6 * 2 + 3, n - 17 + 1, 2))}),
+        # c_{t+1}(n) >= c_t(n) for 4 <= t <= n - 1
+        ("c", "c", {"conjecture": (0, lambda n: range(4, n - 1 + 1))}),
+        # nsc_{T+2}(n) > nsc_T(n), T odd, for 5 <= T + 2 <= n
+        ("nsc-odd", "nsc", {"conjecture": (0, lambda n: range(3, n - 2 + 1, 2))}),
+        # pi_t(n) = (c_{t+1}(n) - c_t(n)) / p(n): unimodal for 4 <= t <= n - 7, n >= 63
+        ("pi", "c", {"unimodal": (63, lambda n: range(4, n - 7 + 1)),
+                     "support": (0, lambda n: range(1, n + 1))}),
+        # sigma_T(n) = (sc_{T+2}(n) - sc_T(n)) / sc(n), T even: unimodal for
+        # 8 <= T <= 2 floor(n/4) - 8, n >= 139
+        ("sigma_even", "sc", {"unimodal": (139, lambda n: range(8, 2 * (n // 4) - 8 + 1, 2)),
+                              "support": (0, lambda n: range(0, n + 1, 2))}),
+        # the same, T odd: unimodal for 9 <= T <= floor(n/2), n >= 213
+        ("sigma_odd", "sc", {"unimodal": (213, lambda n: range(9, n // 2 + 1, 2)),
+                             "support": (0, lambda n: range(1, n + 2, 2))}),
+    )
+    for window, (n_first, ts) in windows.items()
+}
+
 
 def _columns(family: str, n_cap: int, windows: dict[int, range]):
     """(n, ts, col) for each n and its window ts = windows[n] of t, in order:
@@ -59,6 +95,16 @@ def _columns(family: str, n_cap: int, windows: dict[int, range]):
     for n, ts in windows.items():
         i = (ts.start - first) // step
         yield n, ts, [row[n] for row in rows[i: i + len(ts) + 1]] if ts else []
+
+
+def _windows(family: str, window: str, ns: range) -> tuple[str, dict[int, range]]:
+    """The rows that this window of the family reads, and its window of t at
+    each n of ns from its first n on; OutOfDomain if the family has no such
+    window."""
+    if (family, window) not in _WINDOWS:
+        raise OutOfDomain(f"family {family} has no {window} window")
+    rows, n_first, ts = _WINDOWS[family, window]
+    return rows, {n: ts(n) for n in ns if n >= n_first}
 
 
 def _index_cap(n_lo: int, n_hi: int, *maps: tuple[int, int]) -> int:
@@ -217,56 +263,18 @@ def compare_pair(t: int, n_max: int, family: str = "sc") -> ScanReport:
                       data={"equal": equal, "less": less, "residue_82_mod_128": residue})
 
 
-def _even_window(n: int, window: str) -> range:
-    """Valid 2t values for sc_{2t+2} > sc_{2t} at this n."""
-    if window == "conjecture":
-        if n < 20:
-            return range(0)
-        return range(6, 2 * (n // 4) - 4 + 1, 2)
-    # theorem: n/4 < 2t <= 2 floor(n/4) - 4
-    lo = n // 4 + 1
-    if lo % 2 == 1:
-        lo += 1
-    return range(lo, 2 * (n // 4) - 4 + 1, 2)
-
-
-def _odd_window(n: int, window: str) -> range:
-    """Valid 2t+1 values for sc_{2t+3} > sc_{2t+1} at this n."""
-    if window == "conjecture":
-        if n < 56:
-            return range(0)
-        lo, hi = 9, n - 17
-    else:
-        if n < 48:
-            return range(0)
-        lo, hi = n // 3 + 1, n - 17
-    if lo % 2 == 0:
-        lo += 1
-    return range(lo, hi + 1, 2)
-
-
 @timed
 def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> ScanReport:
-    """Scan the stated (t, n) window of a monotonicity statement.
-
-    families: sc-even (sc_{2t+2} > sc_{2t}), sc-odd (sc_{2t+3} > sc_{2t+1}),
-    c (all-cores family: c_{t+1} >= c_t for 4 <= t <= n-1), nsc-odd
-    (nsc_{2t+3} > nsc_{2t+1} for 5 <= 2t+3 <= n).  window selects the
-    conjectured range or the proved-theorem range for the sc families.
+    """Scan the stated (t, n) window of a monotonicity statement, as _WINDOWS
+    states it: family sc-even, sc-odd, c or nsc-odd, and window "conjecture"
+    or, for sc-even and sc-odd, "theorem"; any other is OutOfDomain.
     For sc-odd the report also carries the small-n anomaly sets (T odd,
     11 <= T <= n-17, n <= 47), split into equalities and strict reversals.
     Each row is fetched once, and each n reads its window as one column.
     """
-    ns = range(n_max + 1)
-    if family in ("sc-even", "sc-odd"):
-        wins = _even_window if family == "sc-even" else _odd_window
-        rows, windows = "sc", {n: wins(n, window) for n in ns}
-    elif family == "c":
-        rows, windows = "c", {n: range(4, min(n - 1, n_max - 1) + 1) for n in ns}
-    elif family == "nsc-odd":
-        rows, windows = "nsc", {n: range(3, n - 2 + 1, 2) for n in ns}  # 5 <= t+2 <= n
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    if (family, "conjecture") not in _WINDOWS:
+        raise OutOfDomain(f"{family!r} is not a monotonicity family")
+    rows, windows = _windows(family, window, range(n_max + 1))
     # no sc-odd window opens before n = 48, so the anomaly windows take n <= 47
     small = min(n_max, 47) if family == "sc-odd" else -1
     windows.update((n, range(11, n - 17 + 1, 2)) for n in range(small + 1))
@@ -290,20 +298,12 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
 # distributions, telescoping, unimodality
 # ---------------------------------------------------------------------------
 
-# each distribution: the family whose differences at n are its numerators,
-# and its window of t at n
-_DISTRIBUTIONS = {
-    "pi": ("c", lambda n: range(1, n + 1)),
-    "sigma_even": ("sc", lambda n: range(0, n + 1, 2)),
-    "sigma_odd": ("sc", lambda n: range(1, n + 2, 2)),
-}
-
-
 def _numerators(n_lo: int, n_hi: int, n_cap: int | None):
     """(family, n, den, ts, nums) for each family of `distribution_table` and
-    each n_lo <= n <= n_hi, on rows to n_cap (default n_hi): nums[i] is the
-    numerator at t = ts[i] and den the denominator, the limit of the rows as
-    t grows, c_t(n) = p(n) and sc_t(n) = sc(n) for t > n.
+    each n_lo <= n <= n_hi, on rows to n_cap (default n_hi): ts is the
+    family's support window, nums[i] the numerator at t = ts[i] and den the
+    denominator, the limit of the rows as t grows, c_t(n) = p(n) and
+    sc_t(n) = sc(n) for t > n.
 
     The rows are fetched once per family, when the first value is read; an n
     with sc(n) = 0 is refused here, before any.
@@ -316,9 +316,10 @@ def _numerators(n_lo: int, n_hi: int, n_cap: int | None):
     for n in ns:
         if dens["sc"][n] == 0:
             raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
+    supports = [(family, *_windows(family, window, ns)) for family, window in _WINDOWS if window == "support"]
     return ((family, n, dens[rows][n], ts, [hi - lo for lo, hi in zip(col, col[1:])])
-            for family, (rows, window) in _DISTRIBUTIONS.items()
-            for n, ts, col in _columns(rows, cap, {n: window(n) for n in ns}))
+            for family, rows, windows in supports
+            for n, ts, col in _columns(rows, cap, windows))
 
 
 def distribution_table(n: int, n_cap: int | None = None) -> dict[str, dict[int, Fraction]]:
@@ -379,34 +380,23 @@ def _is_unimodal(xs: list) -> tuple[bool, int]:
 
 @timed
 def unimodality_scan(family: str, n_lo: int, n_hi: int, n_cap: int | None = None) -> ScanReport:
-    """Single-peak check over the conjectured window for each n in range.
-
-    Windows: pi with 4 <= t <= n-7 for n >= 63; sigma_even with
-    8 <= 2t <= 2 floor(n/4) - 8 for n >= 139; sigma_odd with
-    9 <= 2t+1 <= floor(n/2) for n >= 213.  Comparisons are on integer
-    numerators (shared denominators), so no rationals are materialized.
+    """Single-peak check over the conjectured window for each n in range: the
+    family's unimodal window of _WINDOWS, pi, sigma_even or sigma_odd; any
+    other family is OutOfDomain.  Comparisons are on integer numerators
+    (shared denominators), so no rationals are materialized.
     """
     cap = n_cap if n_cap is not None else n_hi
     if cap < n_hi:
         raise MissingTable(f"rows to n_cap = {cap} do not reach n_hi = {n_hi}")
-    # family: (first n, the window of t at n)
-    windows = {
-        "pi": (63, lambda n: range(4, n - 7 + 1)),
-        "sigma_even": (139, lambda n: range(8, 2 * (n // 4) - 8 + 1, 2)),
-        "sigma_odd": (213, lambda n: range(9, n // 2 + 1, 2)),
-    }
-    if family not in windows:
-        raise ValueError(f"unknown family {family!r}")
-    n_first, window = windows[family]
-    ns = range(max(n_lo, n_first), n_hi + 1)
+    rows, windows = _windows(family, "unimodal", range(n_lo, n_hi + 1))
     witnesses: list[tuple] = []
-    for n, ts, col in _columns(_DISTRIBUTIONS[family][0], cap, {n: window(n) for n in ns}):
+    for n, ts, col in _columns(rows, cap, windows):
         seq = [hi - lo for lo, hi in zip(col, col[1:])]
         ok, bad = _is_unimodal(seq)
         if not ok:
             witnesses.append((ts[bad], n, seq[bad - 1], seq[bad]))
     return ScanReport(scan="unimodality", params={"family": family, "n_lo": n_lo, "n_hi": n_hi},
-                      witnesses=witnesses, data={"windows_checked": len(ns)})
+                      witnesses=witnesses, data={"windows_checked": len(windows)})
 
 
 # ---------------------------------------------------------------------------

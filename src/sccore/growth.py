@@ -71,21 +71,21 @@ def classify_hooks(delta: HookSeq, n: int) -> str:
 
 def classify(p: Partition, n: int) -> str:
     """Class of a self-conjugate partition of n (see `classify_hooks`)."""
-    if size(p) != n or not is_self_conjugate(p):
+    if not is_self_conjugate(p) or size(p) != n:
         raise NotSelfConjugate(f"{p!r} is not a self-conjugate partition of {n}")
     return _class_of_set(_set_of(diagonal_hooks(p)))
 
 
 def map_f_hooks(delta: HookSeq) -> HookSeq:
-    """Add one box to the first row and first column: first hook grows by 2."""
+    """Add one box to the first row and first column: first hook grows by 2.
+    Raises InvalidHooks unless delta is diagonal hooks."""
+    delta = check_hooks(tuple(delta))
     if not delta:
         return (1,)
     return (delta[0] + 2,) + delta[1:]
 
 
 def map_f(p: Partition) -> Partition:
-    if not is_self_conjugate(p):
-        raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     return from_diagonal_hooks(map_f_hooks(diagonal_hooks(p)))
 
 

@@ -37,8 +37,8 @@ def size(p: Partition) -> int:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose the Young diagram: part k of the result counts boxes in column k."""
-    if not p:
+    """Transpose the Young diagram (part k counts column k's boxes); ValueError unless p is a partition."""
+    if not check_partition(p):
         return ()
     out = []
     for j in range(1, p[0] + 1):
@@ -100,7 +100,7 @@ def hook_length(p: Partition, i: int, j: int) -> int:
 
 def hook_grid(p: Partition) -> tuple[tuple[int, ...], ...]:
     """All hook lengths, row by row; ValueError unless p is a partition."""
-    conj = conjugate(check_partition(p))
+    conj = conjugate(p)
     return tuple(
         tuple((p[i] - 1 - j) + (conj[j] - 1 - i) + 1 for j in range(p[i]))
         for i in range(len(p))

@@ -138,6 +138,9 @@ def _groups() -> dict[str, list[list[str]]]:
         "scan distribution --nmax 20",
         "scan cross-validate --tmax 6 --nmax 30",
         "scan monotonicity --family c --nmax 60",
+        # c and nsc-odd have one window each, so a theorem window is refused
+        "scan monotonicity --family c --window theorem --nmax 60",
+        "scan monotonicity --family nsc-odd --window theorem --nmax 60",
     )]
     groups["method-all"] = [["count", "sc_t", "--t", str(t), "--n", "0..60", "--method", "all"]
                             for t in range(2, 26)]

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sccore import analytics as an
-from sccore import reports
-from sccore.errors import NoKnownCharacterization, NotCoprime, UndefinedAtN
+from sccore import cli, reports
+from sccore.errors import NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN
 from sccore.reports import FAILS, HOLDS, ScanReport, _witness_key
 from sccore.series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -19,6 +20,41 @@ REMARK_REVERSALS = {(11, 29), (13, 31)}
 # windows for n >= 49; only (13, 30) and (15, 34) are unrelated
 EXTRA_EQUALITIES = {(13, 30), (15, 34), (19, 37), (21, 39), (23, 41),
                     (25, 43), (27, 45), (29, 47)}
+
+# Each window of t as the comments of `analytics._WINDOWS` state it, keyed as
+# that table keys it: the inequality on (T, n) that admits a cell, in integers,
+# with each floor cross-multiplied (for even T, T <= 2 floor(n/4) - 4 is
+# 2T + 8 <= n).  Written for numpy arrays of T and n, and so with & for "and".
+STATED_WINDOWS = {
+    ("sc-even", "conjecture"): lambda T, n: (T % 2 == 0) & (6 <= T) & (2 * T + 8 <= n),
+    ("sc-even", "theorem"): lambda T, n: (T % 2 == 0) & (n < 4 * T) & (2 * T + 8 <= n),
+    ("sc-odd", "conjecture"): lambda T, n: (T % 2 == 1) & (9 <= T) & (T + 17 <= n) & (n >= 56),
+    ("sc-odd", "theorem"): lambda T, n: (T % 2 == 1) & (n < 3 * T) & (T + 17 <= n) & (n >= 48),
+    ("c", "conjecture"): lambda t, n: (4 <= t) & (t + 1 <= n),
+    ("nsc-odd", "conjecture"): lambda T, n: (T % 2 == 1) & (5 <= T + 2) & (T + 2 <= n),
+    ("pi", "unimodal"): lambda t, n: (4 <= t) & (t + 7 <= n) & (n >= 63),
+    ("pi", "support"): lambda t, n: (1 <= t) & (t <= n),
+    ("sigma_even", "unimodal"): lambda T, n: (T % 2 == 0) & (8 <= T) & (2 * T + 16 <= n) & (n >= 139),
+    ("sigma_even", "support"): lambda T, n: (T % 2 == 0) & (T <= n),
+    ("sigma_odd", "unimodal"): lambda T, n: (T % 2 == 1) & (9 <= T) & (2 * T <= n) & (n >= 213),
+    ("sigma_odd", "support"): lambda T, n: (T % 2 == 1) & (T <= n + 1),
+}
+# the first n at which each window holds a cell
+FIRST_OPEN = {
+    ("sc-even", "conjecture"): 20, ("sc-even", "theorem"): 20,
+    ("sc-odd", "conjecture"): 56, ("sc-odd", "theorem"): 48,
+    ("c", "conjecture"): 5, ("nsc-odd", "conjecture"): 5,
+    ("pi", "unimodal"): 63, ("pi", "support"): 1,
+    ("sigma_even", "unimodal"): 139, ("sigma_even", "support"): 0,
+    ("sigma_odd", "unimodal"): 213, ("sigma_odd", "support"): 0,
+}
+
+
+def _stated(family: str, window: str, n_max: int) -> np.ndarray:
+    """mask[T, n] for T <= n_max + 2 and n <= n_max: does the window's stated
+    inequality admit the cell?  Brute force: every cell is tested."""
+    T, n = np.ogrid[:n_max + 3, :n_max + 1]
+    return STATED_WINDOWS[family, window](T, n)
 
 
 class TestZeroSets:
@@ -204,39 +240,34 @@ class TestMonotonicity:
 
 
 def _monotonicity_per_cell(family: str, n_max: int, window: str) -> tuple[list, dict]:
-    """The witnesses and data of `monotonicity_scan`, one row lookup per (t, n)
-    cell: the scan as it read its rows before the column reads."""
+    """The witnesses and data of `monotonicity_scan` for the sc and nsc
+    families, one row lookup per (t, n) cell of the stated window: the scan as
+    it read its rows before the column reads and the window table."""
     witnesses: list[tuple] = []
     data: dict = {}
-    if family in ("sc-even", "sc-odd"):
-        rows: dict[int, tuple[int, ...]] = {}
+    rows: dict[int, tuple[int, ...]] = {}
+    family_row = nsc_t_coeffs if family == "nsc-odd" else an._sc_family
 
-        def row(t: int) -> tuple[int, ...]:
-            if t not in rows:
-                rows[t] = an._sc_family(t, n_max)
-            return rows[t]
+    def row(t: int) -> tuple[int, ...]:
+        if t not in rows:
+            rows[t] = family_row(t, n_max)
+        return rows[t]
 
-        wins = an._even_window if family == "sc-even" else an._odd_window
-        for n in range(n_max + 1):
-            for t in wins(n, window):
-                if row(t + 2)[n] <= row(t)[n]:
-                    witnesses.append((t, n, row(t + 2)[n], row(t)[n]))
-        if family == "sc-odd":
-            eq, lt = [], []
-            for n in range(min(n_max, 47) + 1):
-                for t in range(11, n - 17 + 1, 2):
-                    if row(t + 2)[n] == row(t)[n]:
-                        eq.append((t, n))
-                    elif row(t + 2)[n] < row(t)[n]:
-                        lt.append((t, n))
-            data["small_n_equalities"] = eq
-            data["small_n_reversals"] = lt
-    elif family == "nsc-odd":
-        rows = {t: nsc_t_coeffs(t, n_max) for t in range(3, n_max + 3, 2)}
-        for n in range(n_max + 1):
-            for t in range(3, n - 2 + 1, 2):
-                if rows[t + 2][n] <= rows[t][n]:
-                    witnesses.append((t, n, rows[t + 2][n], rows[t][n]))
+    stated = _stated(family, window, n_max)
+    for n in range(n_max + 1):
+        for t in np.flatnonzero(stated[:, n]).tolist():
+            if row(t + 2)[n] <= row(t)[n]:
+                witnesses.append((t, n, row(t + 2)[n], row(t)[n]))
+    if family == "sc-odd":
+        eq, lt = [], []
+        for n in range(min(n_max, 47) + 1):
+            for t in range(11, n - 17 + 1, 2):
+                if row(t + 2)[n] == row(t)[n]:
+                    eq.append((t, n))
+                elif row(t + 2)[n] < row(t)[n]:
+                    lt.append((t, n))
+        data["small_n_equalities"] = eq
+        data["small_n_reversals"] = lt
     return sorted(witnesses, key=_witness_key), data
 
 
@@ -258,7 +289,7 @@ class TestMonotonicityColumns:
     @pytest.mark.parametrize("family", ["sc-even", "sc-odd", "nsc-odd"])
     def test_small_n_max(self, family):
         for n_max in range(0, 60):
-            for window in ("conjecture", "theorem"):
+            for window in [w for f, w in STATED_WINDOWS if f == family]:
                 rep = an.monotonicity_scan(family, n_max, window)
                 assert (rep.witnesses, rep.data) == _monotonicity_per_cell(family, n_max, window), n_max
 
@@ -269,6 +300,43 @@ class TestMonotonicityColumns:
         an.monotonicity_scan("sc-odd", 300, "theorem")
         # the anomaly rows from 11 and the theorem windows up to t + 2 = n - 15, once each
         assert sorted(fetched) == list(range(11, 300 - 15 + 1, 2))
+
+
+class TestWindows:
+    """Every window of `analytics._WINDOWS` is the one its statement gives."""
+
+    def test_every_window_is_its_stated_inequality(self):
+        assert list(an._WINDOWS) == list(STATED_WINDOWS)
+        for key in STATED_WINDOWS:
+            stated = _stated(*key, 2000)
+            table = np.zeros_like(stated)
+            _, windows = an._windows(*key, range(2001))
+            for n, ts in windows.items():
+                table[np.arange(ts.start, ts.stop, ts.step), n] = True
+            assert np.array_equal(table, stated), key
+            assert int(stated.any(axis=0).argmax()) == FIRST_OPEN[key], key
+
+    def test_scan_families_are_the_window_families(self):
+        # cli lists each scan's families, default first, without loading analytics
+        assert cli._SCAN_OPTIONS["monotonicity"][1]["family"] == \
+            tuple(f for f, w in an._WINDOWS if w == "conjecture")
+        assert cli._SCAN_OPTIONS["unimodality"][1]["family"] == \
+            tuple(f for f, w in an._WINDOWS if w == "unimodal")
+        assert {f for f, _ in an._WINDOWS} == {*cli._SCAN_OPTIONS["monotonicity"][1]["family"],
+                                               *cli._SCAN_OPTIONS["unimodality"][1]["family"]}
+
+    @pytest.mark.parametrize("family, window", [
+        ("sc-even", "foo"), ("c", "theorem"), ("nsc-odd", "theorem"),
+        ("pi", "unimodal"), ("bogus", "conjecture"),
+    ])
+    def test_monotonicity_refuses_a_window_the_family_lacks(self, family, window):
+        with pytest.raises(OutOfDomain):
+            an.monotonicity_scan(family, 300, window)
+
+    @pytest.mark.parametrize("family", ["c", "sc-even", "bogus"])
+    def test_unimodality_refuses_a_family_without_a_unimodal_window(self, family):
+        with pytest.raises(OutOfDomain, match=f"family {family} has no unimodal window"):
+            an.unimodality_scan(family, 63, 100)
 
 
 class TestDistributions:

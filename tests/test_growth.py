@@ -152,6 +152,20 @@ class TestMapF:
                 assert image == direct
                 assert sum(image) == n + 2
 
+    @pytest.mark.parametrize("delta", [(1, 3), (3, 3), (4,), (5, -1)])
+    def test_f_rejects_sequences_that_are_not_diagonal_hooks(self, delta):
+        # (1, 3) once grew to (3, 3)
+        with pytest.raises(InvalidHooks):
+            gr.map_f_hooks(delta)
+
+    @pytest.mark.parametrize("bad", [(1, 2), (3, 0), (1, 3)])
+    def test_partition_maps_refuse_a_non_partition(self, bad):
+        n = sum(bad)
+        maps = (gr.map_f, gr.map_h, lambda p: gr.classify(p, n), lambda p: gr.map_g(p, n + 2))
+        for partition_map in maps:
+            with pytest.raises(ValueError, match="^parts must be"):
+                partition_map(bad)
+
     def test_bijection_onto_a(self):
         sc = sc_coeffs(100)
         for n in range(21, 101):

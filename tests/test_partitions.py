@@ -41,6 +41,14 @@ class TestConjugate:
     def test_involution(self, p):
         assert pt.conjugate(pt.conjugate(p)) == p
 
+    @pytest.mark.parametrize("bad", [(1, 2), (3, 0), (2, -1)])
+    def test_refuses_a_non_partition(self, bad):
+        # (1, 2) once transposed to (2,) and (3, 0) to (1, 1, 1), so
+        # is_self_conjugate((1, 2)) was a quiet False
+        for kernel in (pt.conjugate, pt.is_self_conjugate, pt.diagonal_hooks):
+            with pytest.raises(ValueError, match="^parts must be"):
+                kernel(bad)
+
 
 class TestSelfConjugate:
     def test_examples(self):
