@@ -19,10 +19,11 @@ kept in a bounded LRU cache (`_core`, `_core_counts`).  This convention
 reproduces the worked 5-core/5-quotient of the partition with diagonal hooks
 (29, 15) in runner order, and is frozen by tests.
 
-Validation.  `beta_set` checks its length, `partition_of` checks that its
-beads are distinct and non-negative, and `assemble` checks that its core and
-every quotient component are partitions (`ValueError`) and that the core is
-a t-core (`NotACore`).  The other functions trust their partition arguments.
+Validation.  `beta_set` checks that its input is a partition (`ValueError`)
+and its length, `partition_of` checks that its beads are distinct and
+non-negative, and `assemble` checks that its core and every quotient
+component are partitions (`ValueError`) and that the core is a t-core
+(`NotACore`).  The other functions trust their partition arguments.
 The kernels produce their beads sorted and read them back with the trusted
 `_parts`, which checks nothing.
 
@@ -60,6 +61,7 @@ Quotient = tuple[Partition, ...]
 
 def beta_set(p: Partition, m: int) -> BetaSet:
     """First-column hook lengths of p, padded to length m."""
+    check_partition(p)
     if m < len(p):
         raise LengthTooSmall(f"m={m} < {len(p)} parts")
     beads = [p[k] + (m - k) - 1 for k in range(len(p))]

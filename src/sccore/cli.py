@@ -4,11 +4,12 @@ conjecture scans, and the on-disk coefficient cache.
 Exit codes: 0 success / scan holds; 1 usage error; 2 internal method
 disagreement; 3 scan found violations (data, not a crash).
 
-`count --method all` runs the series and every method `_METHODS` gives the
-family, and its `# methods agree:` line names the methods that gave a value
-at some n of the request.  Each scan mode is one `_SCAN_OPTIONS` entry: the
-module that runs it, the options it reads and a runner; `cmd_scan` picks
-the mode once, checks the options against it and times the runner's report.
+`count --method all` runs the series and every method `formulas.METHODS`
+gives the family, and its `# methods agree:` line names the methods that
+gave a value at some n of the request.  Each scan mode is one
+`_SCAN_OPTIONS` entry: the module that runs it, the options it reads and a
+runner; `cmd_scan` picks the mode once, checks the options against it and
+times the runner's report.
 
 Each command imports the layers it runs inside its handler, so a `count`
 served from the cache, a `table` or a `cache purge` loads no scan,
@@ -77,9 +78,6 @@ def _parse_fraction(text: str) -> Fraction:
 _COUNT_FAMILIES = ("sc", "c", "sc_t", "c_t", "phat", "p", "nsc_t")
 # the families (after "c" -> "c_t") that take --t; the others refuse it
 _T_FAMILIES = ("sc_t", "c_t", "phat", "nsc_t")
-# the methods each family has besides the series; --method all runs the series and these
-_METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), "nsc_t": (),
-            "sc_t": ("recursive", "closed", "large", "oracle")}
 
 
 def _family(args) -> str | None:
@@ -92,43 +90,23 @@ def _family(args) -> str | None:
     return None
 
 
-def _count_by_method(family: str, t: int | None, n: int, method: str,
-                     tables: formulas.RecursionTables | None, args) -> int:
-    """One value by a method of _METHODS[family]; tables serve the sc_t formulas."""
-    from . import abacus, formulas
-    from .config import Limits
-    from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
-
-    limits = Limits(oracle_cap=args.oracle_cap)
-    if method == "oracle":
-        if n > limits.oracle_cap:
-            raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
-        if family in ("sc_t", "c_t") and t < 1:
-            raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
-        if family == "sc":
-            return len(enumerate_self_conjugate(n, limits))
-        if family == "sc_t":
-            return len(enumerate_self_conjugate_t_core(n, t, limits))
-        if family == "c_t":
-            return sum(1 for _ in abacus.enumerate_t_cores(n, t))
-        return len(partitions_of(n))
-    if method == "recursive":
-        return formulas.sc_t_value(t, n, tables)
-    if method == "closed":
-        return formulas.sc_t_closed(t, n, tables, limits)
-    return formulas.sc_large(t, n, tables).value
-
-
 def cmd_count(args) -> int:
     family = _family(args)
     if family is None:
         return EXIT_USAGE
     ns = args.n
     n_cap = ns[-1]
-    has = ("series", *_METHODS[family])
-    if args.method not in ("all", *has):
-        raise SCCoreError(f"family {args.family} has no method {args.method}; it has {', '.join(has)}")
-    methods = has if args.method == "all" else [args.method]
+    methods = ("series",)
+    if args.method != "series":
+        from . import formulas
+        from .config import Limits
+
+        has = ("series", *formulas.METHODS[family])
+        if args.method not in ("all", *has):
+            raise SCCoreError(f"family {args.family} has no method {args.method}; it has {', '.join(has)}")
+        methods = has if args.method == "all" else (args.method,)
+        limits = Limits(oracle_cap=args.oracle_cap)
+        tables = formulas.RecursionTables(n_cap) if set(methods) - {"series", "oracle"} else None
     series = None
     if "series" in methods:
         from . import cache
@@ -142,11 +120,6 @@ def cmd_count(args) -> int:
                   file=sys.stderr)
         if source == "recomputed":
             print(f"warning: corrupt cache file for {family} t={args.t} n={n_cap} recomputed", file=sys.stderr)
-    tables = None
-    if {"recursive", "closed", "large"} & set(methods):
-        from .formulas import RecursionTables
-
-        tables = RecursionTables(n_cap)
     rows, ran = [], set()
     for n in ns:
         values: dict[str, int] = {}
@@ -154,7 +127,7 @@ def cmd_count(args) -> int:
             try:
                 values[method] = (
                     series[n] if method == "series"
-                    else _count_by_method(family, args.t, n, method, tables, args)
+                    else formulas.method_value(method, family, args.t, n, tables, limits)
                 )
             except (OutOfRange, ResourceLimit):
                 if args.method != "all":

@@ -1,7 +1,10 @@
 """Counting formulas for self-conjugate t-cores: the recursions, the
 signed-composition closed forms, and the large-t shortcuts, all expressed in
 terms of sc(m) for m <= n.  The series rows are the production path; these
-formulas validate them (`cross_validate`, `count --method`).
+formulas and the brute-force oracles validate them.  `METHODS` declares the
+methods of each count family once, and `method_value` gives a method's value
+or raises `OutOfRange` / `ResourceLimit` where it does not reach; both
+`count --method` and `cross_validate` read them.
 
 Recursion (one DP row per core size T, `RecursionTables.row`):
 
@@ -13,31 +16,40 @@ Recursion (one DP row per core size T, `RecursionTables.row`):
 Closed forms are literal signed sums over (pairs of) integer sequences and are
 budget-gated because their term count grows exponentially.  A term is
 (-1)^len sc(n - w step) times a product that does not depend on n, where w is
-the sequence's total weight and step is the recursion's.  So each closed form
-is expanded once per core size by one depth-first walk on an explicit stack:
-each sequence is visited once, its term is its parent's times one signed
-factor, and the terms are summed by weight into c[w]
-(`RecursionTables.closed_weights`).  A value is then sum_w c[w] sc(n - w step).
+the sequence's total weight (2i + j for a pair (i, j)).  Summed over the pairs
+of each weight, it is (-1)^len prod K[w_k] over the weight sequences, so the
+kernel, built once per core size (`RecursionTables.kernel`), serves the
+recursion and the closed form alike.  Each closed form is expanded once per
+core size by one depth-first walk on an explicit stack: each weight sequence
+is visited once, its term is its parent's times -K[w], and the terms are
+summed by weight into c[w] (`RecursionTables.closed_weights`).  A value is
+then sum_w c[w] sc(n - w step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from .abacus import enumerate_t_cores
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MissingTable, OutOfRange, ResourceLimit
-from .partitions import enumerate_self_conjugate, is_t_core
+from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
 from .reports import ScanReport, timed
 from .series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
+# count family -> its methods besides the series; sc_t's first is cross_validate's reference
+METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), "nsc_t": (),
+           "sc_t": ("recursive", "closed", "large", "oracle")}
+
 
 class RecursionTables:
-    """Shared lookup state: the sc row, and memoized rows per core size."""
+    """Shared lookup state: the sc row, and memoized kernels and rows per core size."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         self._sc = sc_coeffs(n_max)
+        self._kernels: dict[int, Sequence[int]] = {}
         self._rows: dict[int, list[int]] = {}
         self._closed: dict[int, list[int]] = {}
 
@@ -48,19 +60,23 @@ class RecursionTables:
             raise MissingTable(f"sc table covers n <= {self.n_max}, asked {n}")
         return self._sc[n]
 
-    def _phat(self, t_full: int) -> tuple[int, ...]:
-        """phat_t(0..n_max // step), t = t_full // 2."""
-        return phat_coeffs(t_full // 2, self.n_max // _step(t_full))
+    def kernel(self, t_full: int) -> Sequence[int]:
+        """K[0..n_max // step] for core size t_full, t = t_full // 2: phat_t(w)
+        for even t_full, sum_{2i+j=w} phat_t(i) sc(j) for odd."""
+        kernel = self._kernels.get(t_full)
+        if kernel is None:
+            phat, sc = phat_coeffs(t_full // 2, self.n_max // _step(t_full)), self._sc
+            kernel = self._kernels[t_full] = phat if t_full % 2 == 0 else [
+                sum(phat[i] * sc[w - 2 * i] for i in range(w // 2 + 1)) for w in range(len(phat))
+            ]
+        return kernel
 
     def row(self, t_full: int) -> list[int]:
-        """sc_{t_full}(0..n_max) by the recursion with the kernel of its parity."""
+        """sc_{t_full}(0..n_max) by the recursion with its kernel."""
         _check_core_size(t_full)
         row = self._rows.get(t_full)
         if row is None:
-            step, phat, sc = _step(t_full), self._phat(t_full), self._sc
-            kernel = phat if t_full % 2 == 0 else [
-                sum(phat[i] * sc[w - 2 * i] for i in range(w // 2 + 1)) for w in range(len(phat))
-            ]
+            step, kernel, sc = _step(t_full), self.kernel(t_full), self._sc
             row = []
             for n in range(self.n_max + 1):
                 acc = sc[n]
@@ -73,43 +89,34 @@ class RecursionTables:
     def closed_weights(self, t_full: int, budget: int) -> list[int]:
         """c[0..cap] for core size t_full, cap = min(budget, n_max // step).
 
-        c[w] sums (-1)^len times the sc-free product over the closed form's
-        sequences of total weight w, from one stack walk that visits each
-        sequence once (`_expand_closed`).  Expanded again only for a larger cap.
+        c[w] sums (-1)^len prod K[w_k] over the weight sequences of total
+        weight w, from one stack walk that visits each sequence once
+        (`_expand_closed`).  Expanded again only for a larger cap.
         """
         _check_core_size(t_full)
         cap = min(budget, self.n_max // _step(t_full))
         c = self._closed.get(t_full)
         if c is None or len(c) <= cap:
-            c = self._closed[t_full] = _expand_closed(t_full, cap, self._phat(t_full), self._sc)
+            c = self._closed[t_full] = _expand_closed(self.kernel(t_full), cap)
         return c
 
 
-def _expand_closed(t_full: int, cap: int, phat, sc) -> list[int]:
-    """The closed form's signed products for core size t_full, summed by weight.
+def _expand_closed(kernel: Sequence[int], cap: int) -> list[int]:
+    """c[0..cap]: (-1)^len prod kernel[w_k] over the sequences of positive
+    weights w_k, summed by their total weight.
 
     One depth-first walk on an explicit stack of (weight, term) visits every
     sequence of total weight <= cap once; each pop is one sequence.  A child
-    appends one element of weight w to its parent's sequence, and its term is
-    the parent's times that element's signed factor:
-      even core size: a positive integer w, factor -phat_t(w);
-      odd core size:  a pair (i, w - 2i), 0 <= i <= w/2, factor -phat_t(i) sc(w - 2i).
+    appends one weight w to its parent's sequence, and its term is the
+    parent's times -kernel[w].
     """
-    # (weight, factor) of every element that fits, in increasing weight;
-    # ends[r] counts the elements of weight <= r
-    elements, ends = [], [0]
-    for w in range(1, cap + 1):
-        if t_full % 2 == 0:
-            elements.append((w, -phat[w]))
-        else:
-            elements.extend((w, -phat[i] * sc[w - 2 * i]) for i in range(w // 2 + 1))
-        ends.append(len(elements))
+    factors = [(w, -kernel[w]) for w in range(1, cap + 1)]
     c = [0] * (cap + 1)
     stack = [(0, 1)]
     while stack:
         weight, term = stack.pop()
         c[weight] += term
-        stack.extend([(weight + w, term * f) for w, f in elements[: ends[cap - weight]]])
+        stack.extend([(weight + w, term * f) for w, f in factors[: cap - weight]])
     return c
 
 
@@ -127,8 +134,8 @@ def _compositions(total_max: int) -> Iterator[tuple[int, ...]]:
     """Every sequence of positive integers with sum <= total_max (incl. empty).
 
     With `_weighted_pair_sequences`, the closed forms' sequences listed one by
-    one: the reference that `_expand_closed` is tested against.  Both are named
-    by perfbench's per-layer tracer.
+    one, pairs not summed by weight: the reference that `_expand_closed` is
+    tested against.  Both are named by perfbench's per-layer tracer.
     """
     yield ()
     for first in range(1, total_max + 1):
@@ -222,40 +229,56 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
     return LargeValue(values.pop(), tuple(tag for tag, _ in candidates))
 
 
+def method_value(method: str, family: str, t: int | None, n: int,
+                 tables: RecursionTables | None, limits: Limits = DEFAULT_LIMITS) -> int:
+    """The count of family at (t, n) by one of METHODS[family]; OutOfRange or
+    ResourceLimit where the method does not reach.  tables serve the sc_t formulas."""
+    if method == "recursive":
+        return sc_t_value(t, n, tables)
+    if method == "closed":
+        return sc_t_closed(t, n, tables, limits)
+    if method == "large":
+        return sc_large(t, n, tables).value
+    if n > limits.oracle_cap:
+        raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
+    if family in ("sc_t", "c_t") and t < 1:
+        raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
+    if family == "sc":
+        return len(enumerate_self_conjugate(n, limits))
+    if family == "sc_t":
+        return len(enumerate_self_conjugate_t_core(n, t, limits))
+    if family == "c_t":
+        return sum(1 for _ in enumerate_t_cores(n, t))
+    return len(partitions_of(n))
+
+
 @timed
-def cross_validate(t_max: int, n_max: int, limits: Limits = DEFAULT_LIMITS) -> ScanReport:
+def cross_validate(t_max: int, n_max: int) -> ScanReport:
     """Every computation path must agree on every cell of the (t, n) grid.
 
-    Compares, per cell: series coefficient, recursion value, the literal
-    closed form (where the composition budget permits), the large-t formulas
-    (where one applies), and the brute-force enumeration oracle (n up to
-    min(n_max, 30, limits.oracle_cap)).  Disagreements are witnesses,
-    tagged by the pair of paths that differ.
+    Compares, per cell, the series coefficient with the recursion value, then
+    the recursion with each other sc_t method wherever it reaches: the closed
+    form within the composition budget, the large-t formulas where one
+    applies, the oracle for n <= min(n_max, 30).  Disagreements are
+    witnesses, tagged by the pair of paths that differ.
     """
-    oracle_n_max = min(n_max, 30, limits.oracle_cap)
-    tables = RecursionTables(n_max)
+    oracle_n_max = min(n_max, 30)
+    tables, limits = RecursionTables(n_max), Limits(oracle_cap=oracle_n_max)
+    reference_method, *checked = METHODS["sc_t"]
     witnesses: list[tuple] = []
-    sc_counts: dict[int, list] = {n: enumerate_self_conjugate(n, limits) for n in range(oracle_n_max + 1)}
     for t in range(2, t_max + 1):
         series_row = sc_t_coeffs(t, n_max)
         for n in range(n_max + 1):
-            reference = sc_t_value(t, n, tables)
+            reference = method_value(reference_method, "sc_t", t, n, tables, limits)
             if series_row[n] != reference:
                 witnesses.append((t, n, series_row[n], reference, "series-vs-recursion"))
                 continue
-            if n // _step(t) <= limits.composition_budget:
-                closed = sc_t_closed(t, n, tables, limits)
-                if closed != reference:
-                    witnesses.append((t, n, closed, reference, "closed-vs-recursion"))
-            try:
-                large = sc_large(t, n, tables)
-                if large.value != reference:
-                    witnesses.append((t, n, large.value, reference, "large-vs-recursion"))
-            except OutOfRange:
-                pass
-            if n <= oracle_n_max:
-                oracle = sum(1 for p in sc_counts[n] if is_t_core(p, t))
-                if oracle != reference:
-                    witnesses.append((t, n, oracle, reference, "oracle-vs-recursion"))
+            for method in checked:
+                try:
+                    value = method_value(method, "sc_t", t, n, tables, limits)
+                except (OutOfRange, ResourceLimit):
+                    continue
+                if value != reference:
+                    witnesses.append((t, n, value, reference, f"{method}-vs-recursion"))
     params = {"t_max": t_max, "n_max": n_max, "oracle_n_max": oracle_n_max}
     return ScanReport(scan="cross-validate", params=params, witnesses=witnesses)

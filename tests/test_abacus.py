@@ -31,6 +31,18 @@ class TestBetaSet:
         with pytest.raises(LengthTooSmall):
             ab.beta_set((3, 2, 1), 2)
 
+    @pytest.mark.parametrize("p", [(1, 2), (2, 0), (0,), (2, -1), (3, 2, 2, 3)])
+    def test_a_non_partition_is_refused(self, p):
+        # (1, 2) would give (3, 3, 0) and (2, 0) would give (4, 1, 0)
+        with pytest.raises(ValueError):
+            ab.beta_set(p, 3 if len(p) < 3 else len(p))
+
+    @pytest.mark.parametrize("beads", [[3, 3, 1], [5, 3, 3], [4, 4], [2, 1, 1, 0], [0, 3, 0]])
+    def test_repeated_beads_are_refused(self, beads):
+        # repeats sit next to each other once the beads are sorted
+        with pytest.raises(ValueError):
+            ab.partition_of(beads)
+
     @given(small_partitions(), st.integers(0, 6))
     def test_round_trip_any_length(self, p, extra):
         m = len(p) + extra

@@ -224,15 +224,15 @@ class TestCountCommand:
         assert f"has no method {argv[-1]}" in err
 
     def test_method_disagreement_exits_2(self, capsys, monkeypatch):
-        from sccore import cli as cli_mod
+        from sccore import formulas
 
-        real = cli_mod._count_by_method
+        real = formulas.method_value
 
-        def broken(family, t, n, method, tables, args):
-            v = real(family, t, n, method, tables, args)
+        def broken(method, *args):
+            v = real(method, *args)
             return v + 1 if method == "oracle" else v
 
-        monkeypatch.setattr(cli_mod, "_count_by_method", broken)
+        monkeypatch.setattr(formulas, "method_value", broken)
         assert main(["count", "sc_t", "--t", "4", "--n", "10", "--method", "all"]) == 2
 
     def test_missing_t_is_usage_error(self):
@@ -693,6 +693,15 @@ class TestOptionSets:
                for name, sub in commands.choices.items()}
         assert got == self.OPTIONS
         assert sum(len(options) for options in got.values()) == 38
+
+    def test_count_methods_are_the_formulas_method_table(self):
+        from sccore import cli, formulas
+
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        [method] = [a for a in commands.choices["count"]._actions if a.dest == "method"]
+        declared = {m for methods in formulas.METHODS.values() for m in methods}
+        assert set(method.choices) == {"series", "all"} | declared
+        assert {{"c": "c_t"}.get(f, f) for f in cli._COUNT_FAMILIES} == set(formulas.METHODS)
 
     @pytest.mark.parametrize("argv", [
         ["table", "sc", "--nmax", "4", "--cache-dir", "D"],

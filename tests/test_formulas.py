@@ -166,23 +166,26 @@ class TestClosedFormsByWeight:
                 _weights_term_by_term(t_full, 12, phat, tables._sc), t_full
 
     def test_walk_pops_each_sequence_once(self):
-        # with every factor +1, c[w] counts the pops at weight w, which must be
-        # the number of sequences of weight w
-        minus_ones, ones = [-1] * 9, [1] * 9
-        for t_full in (4, 5):
-            odd = t_full % 2 == 1
-            by_weight = Counter(sum(2 * i + j for i, j in seq) if odd else sum(seq)
-                                for seq in _sequences(odd, 8))
-            assert fm._expand_closed(t_full, 8, minus_ones, ones) == [by_weight[w] for w in range(9)]
+        # with kernel -1, every factor is +1 and c[w] counts the pops at weight
+        # w, which must be the number of weight sequences of total weight w
+        by_weight = Counter(sum(seq) for seq in _sequences(False, 8))
+        assert fm._expand_closed([-1] * 9, 8) == [by_weight[w] for w in range(9)]
 
     def test_cross_validate_expands_once_per_core_size(self, monkeypatch):
-        expanded = Counter()
-        real = fm._expand_closed
+        # each kernel is built once and stored, so its identity names its core size
+        core_size, expanded = {}, Counter()
+        kernel, expand = fm.RecursionTables.kernel, fm._expand_closed
 
-        def counted(t_full, *args):
-            expanded[t_full] += 1
-            return real(t_full, *args)
+        def named(tables, t_full):
+            k = kernel(tables, t_full)
+            core_size[id(k)] = t_full
+            return k
 
+        def counted(k, cap):
+            expanded[core_size[id(k)]] += 1
+            return expand(k, cap)
+
+        monkeypatch.setattr(fm.RecursionTables, "kernel", named)
         monkeypatch.setattr(fm, "_expand_closed", counted)
         assert fm.cross_validate(12, 48).verdict == "holds"
         assert expanded == Counter(range(2, 13))
@@ -255,3 +258,35 @@ class TestCrossValidate:
     def test_trivial_range(self):
         rep = fm.cross_validate(2, 3)
         assert rep.verdict == "holds"
+
+    @pytest.mark.parametrize("method", ["closed", "large", "oracle"])
+    def test_a_broken_method_is_tagged_on_every_cell_it_reaches(self, method, monkeypatch):
+        # the method gives one more than the true count wherever it gives a
+        # value, so every cell it reaches, and no other, is a witness
+        tables = fm.RecursionTables(48)
+
+        def reaches(t_full, n):
+            if method == "closed":
+                return n // fm._step(t_full) <= 12
+            if method == "oracle":
+                return n <= 30
+            try:
+                fm.sc_large(t_full, n, tables)
+            except OutOfRange:
+                return False
+            return True
+
+        expected = {(t_full, n) for t_full in range(2, 13) for n in range(49) if reaches(t_full, n)}
+        if method == "closed":
+            closed = fm.sc_t_closed
+            monkeypatch.setattr(fm, "sc_t_closed", lambda *args: closed(*args) + 1)
+        elif method == "large":
+            large = fm.sc_large
+            monkeypatch.setattr(fm, "sc_large", lambda *args: fm.LargeValue(large(*args).value + 1, ()))
+        else:
+            value = fm.method_value
+            monkeypatch.setattr(fm, "method_value", lambda m, *args: value(m, *args) + (m == "oracle"))
+        witnesses = fm.cross_validate(12, 48).witnesses
+        assert len(witnesses) == len(expected)
+        assert {(t_full, n) for t_full, n, *_ in witnesses} == expected
+        assert {(got - reference, tag) for _, _, got, reference, tag in witnesses} == {(1, f"{method}-vs-recursion")}

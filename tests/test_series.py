@@ -474,6 +474,20 @@ class TestPackedKernel:
         assert tuple(got) == expected
         assert min(got) < 0 < max(got)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_in_the_top_quarter_of_the_slot(self, sign):
+        # [1, 0] times 1 + u q is [1, u].  With |u| = 2**k + 1 the slot bound
+        # 1 + |u| and its sign bit take k + 2 bits, so for k = 8j - 2 the slot
+        # is w = k + 2 bits and 2**(w - 2) < |u| < 2**(w - 1): the top quarter
+        # of its range, where a negative u decodes right only with the full
+        # bias 2**(w - 1)
+        for k in (6, 14, 22, 30):
+            u = sign * (2 ** k + 1)
+            c, steps = [1, 0], [[(1, u)]]
+            w = se._slot_width(c, steps)
+            assert w == k + 2 and 1 << (w - 2) < abs(u) < 1 << (w - 1)
+            assert se._packed_steps(c, steps, 1, w) == se._shift_add(c, steps[0]) == [1, u]
+
     def test_working_integer_stays_one_row_long(self):
         # E(q^9)^9 at n = 2000 is nine pentagonal passes.  Reducing after each
         # pass mod 2**((n + 1) w) keeps the working integer within two rows;
