@@ -14,10 +14,11 @@ Usage:
   python scripts/run_all_scans.py [--outdir reports] [--deep]
 
 --deep raises the n ranges to the levels used by the acceptance gate
-(10000 for zero sets and pair scans), checks that the theta product
-equals every series route for every sc_t row with t = 2..101 at N = 10000,
-and that every row pinned in tests/data/row_digests.json keeps its digest
-as a prefix of the N = 10000 row; the default finishes in seconds.
+(10000 for zero sets and pair scans), audits growth on [19, 200] instead of
+[19, 150], checks that the theta product equals every series route for
+every sc_t row with t = 2..101 at N = 10000, and that every row pinned in
+tests/data/row_digests.json keeps its digest as a prefix of the N = 10000
+row; the default finishes in seconds.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def run() -> None:
     jobs.append(("identities", ["scan", "identity", "--preset", "--nmax", big]))
     jobs.append(("inequalities", ["scan", "inequality", "--preset", "--nmax", big]))
     jobs.append(("distribution", ["scan", "distribution", "--range", "3..400"]))
-    jobs.append(("growth", ["scan", "growth", "--range", "19..150"]))
+    jobs.append(("growth", ["scan", "growth", "--range", "19..200" if args.deep else "19..150"]))
     for s, t in ((2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)):
         jobs.append((f"simultaneous_{s}_{t}", ["scan", "simultaneous", "--s", str(s), "--t", str(t)]))
     jobs.append(("cross_validate", ["scan", "cross-validate", "--tmax", "20", "--nmax", "100"]))

@@ -27,16 +27,16 @@ component are partitions (`ValueError`) and that the core is a t-core
 The kernels produce their beads sorted and read them back with the trusted
 `_parts`, which checks nothing.
 
-The self-conjugate reduction checks self-conjugacy once, on its input, and
-then walks one beta-set whose length m is the input's number of parts, so m
-stays >= the first part of every partition on the chain.  Such a set B is
-self-conjugate exactly when b -> 2m - 1 - b maps B onto its complement in
-[0, 2m), so the mirror of the move b -> b - t is the move
-2m + t - 1 - b -> 2m - 1 - b.  A t-hook on the diagonal is its own mirror:
-it is the bead m + (t - 1) / 2.  Every other t-hook of a self-conjugate
-partition has a mirror, and the upper one of the two (row i < column j) has
-the larger bead; the only self-conjugate result of removing it and one more
-t-hook is the mirror's removal.
+The self-conjugate reduction walks one beta-set whose length m is the
+input's number of parts, so m stays >= the first part of every partition on
+the chain.  Such a set B is self-conjugate exactly when b -> 2m - 1 - b maps
+B onto its complement in [0, 2m); that is the one self-conjugacy check the
+reduction makes, on its input's beads (`_sc_beads`).  So the mirror of the
+move b -> b - t is the move 2m + t - 1 - b -> 2m - 1 - b.  A t-hook on the
+diagonal is its own mirror: it is the bead m + (t - 1) / 2.  Every other
+t-hook of a self-conjugate partition has a mirror, and the upper one of the
+two (row i < column j) has the larger bead; the only self-conjugate result
+of removing it and one more t-hook is the mirror's removal.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .partitions import (
     check_partition,
     conjugate,
     hook_length,
-    is_self_conjugate,
 )
 
 BetaSet = tuple[int, ...]
@@ -208,12 +207,16 @@ def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
 
 
 def _sc_beads(p: Partition, t: int) -> list[int]:
-    """The beads that the reduction walks, after checking t and self-conjugacy."""
+    """The beads that the reduction walks, after checking t, that p is a
+    partition (`beta_set`), and then self-conjugacy on the beads themselves:
+    every bead lies below 2m and no bead's mirror 2m - 1 - b is a bead."""
     if t < 1:
         raise ValueError("t must be positive")
-    if not is_self_conjugate(p):
+    beads = list(beta_set(p, len(p)))
+    top = 2 * len(p) - 1
+    if (beads and beads[0] > top) or not set(beads).isdisjoint([top - b for b in beads]):
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    return list(beta_set(p, len(p)))
+    return beads
 
 
 def sc_reduction_step(p: Partition, t: int) -> tuple[Partition, dict]:

@@ -106,7 +106,7 @@ def cmd_count(args) -> int:
             raise SCCoreError(f"family {args.family} has no method {args.method}; it has {', '.join(has)}")
         methods = has if args.method == "all" else (args.method,)
         limits = Limits(oracle_cap=args.oracle_cap)
-        tables = formulas.RecursionTables(n_cap) if set(methods) - {"series", "oracle"} else None
+        tables = formulas.RecursionTables(n_cap)
     series = None
     if "series" in methods:
         from . import cache

@@ -29,12 +29,13 @@ then sum_w c[w] sc(n - w step).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .abacus import enumerate_t_cores
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MissingTable, OutOfRange, ResourceLimit
-from .partitions import enumerate_self_conjugate, enumerate_self_conjugate_t_core, partitions_of
+from .partitions import Partition, enumerate_self_conjugate, is_t_core, partitions_of
 from .reports import ScanReport, timed
 from .series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -44,14 +45,20 @@ METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), 
 
 
 class RecursionTables:
-    """Shared lookup state: the sc row, and memoized kernels and rows per core size."""
+    """Shared lookup state: the sc row, memoized kernels and rows per core
+    size, and the oracle's self-conjugate partitions per n, each walked once."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
-        self._sc = sc_coeffs(n_max)
         self._kernels: dict[int, Sequence[int]] = {}
         self._rows: dict[int, list[int]] = {}
         self._closed: dict[int, list[int]] = {}
+        self._self_conjugate: dict[int, list[Partition]] = {}
+
+    @cached_property
+    def _sc(self) -> Sequence[int]:
+        """The sc row to n_max, built on first use: the oracles never read it."""
+        return sc_coeffs(self.n_max)
 
     def sc(self, n: int) -> int:
         if n < 0:
@@ -59,6 +66,13 @@ class RecursionTables:
         if n > self.n_max:
             raise MissingTable(f"sc table covers n <= {self.n_max}, asked {n}")
         return self._sc[n]
+
+    def self_conjugate(self, n: int, limits: Limits) -> list[Partition]:
+        """The self-conjugate partitions of n, enumerated on the first call for n."""
+        found = self._self_conjugate.get(n)
+        if found is None:
+            found = self._self_conjugate[n] = enumerate_self_conjugate(n, limits)
+        return found
 
     def kernel(self, t_full: int) -> Sequence[int]:
         """K[0..n_max // step] for core size t_full, t = t_full // 2: phat_t(w)
@@ -230,9 +244,10 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
 
 
 def method_value(method: str, family: str, t: int | None, n: int,
-                 tables: RecursionTables | None, limits: Limits = DEFAULT_LIMITS) -> int:
+                 tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
     """The count of family at (t, n) by one of METHODS[family]; OutOfRange or
-    ResourceLimit where the method does not reach.  tables serve the sc_t formulas."""
+    ResourceLimit where the method does not reach.  tables serve the sc_t
+    formulas and keep the sc and sc_t oracles' walk of each n."""
     if method == "recursive":
         return sc_t_value(t, n, tables)
     if method == "closed":
@@ -244,9 +259,9 @@ def method_value(method: str, family: str, t: int | None, n: int,
     if family in ("sc_t", "c_t") and t < 1:
         raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
     if family == "sc":
-        return len(enumerate_self_conjugate(n, limits))
+        return len(tables.self_conjugate(n, limits))
     if family == "sc_t":
-        return len(enumerate_self_conjugate_t_core(n, t, limits))
+        return sum(1 for p in tables.self_conjugate(n, limits) if is_t_core(p, t))
     if family == "c_t":
         return sum(1 for _ in enumerate_t_cores(n, t))
     return len(partitions_of(n))

@@ -6,16 +6,23 @@ n*sc(n) > (n+2)*sc(n-2).
 The public maps take diagonal-hook sequences (strictly decreasing positive
 odds), check them, and run one kernel each on the hook set: one int with bit
 a set for each hook 2a + 1.  Sets order by value as their sequences order
-lexicographically, so the audit sorts and breaks ties on ints.  The audit
-walks every self-conjugate partition of n and n - 2 as hook sets and runs the
-g kernel over a whole row at once.  Partition-level wrappers are provided for
-the public surface and are tested against direct box moves.
+lexicographically, so the audit sorts and breaks ties on ints.
+
+The audit walks every self-conjugate partition of n and n - 2 as hook sets
+and audits one n with one kernel pass per side (`_growth_counts`): the class
+rule over the sets of n gives the class sizes and the B set, and one g
+kernel call over the sets of n - 2 gives every image, whose fibers one
+Counter counts.  The B test then runs only on the images outside the B set.
+That cannot change a witness: an image in the B set is in B(n) by
+construction, and the class-total check ties the walk of n to sc(n).
+Partition-level wrappers are provided for the public surface and are tested
+against direct box moves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MapGUndefined, NotInB, NotSelfConjugate, OutOfDomain
 from .partitions import (
@@ -89,9 +96,11 @@ def map_f(p: Partition) -> Partition:
     return from_diagonal_hooks(map_f_hooks(diagonal_hooks(p)))
 
 
-def _g_of_sets(sets: Iterable[int], n: int) -> Iterator[tuple[int | None, str]]:
-    """g on each hook set of a self-conjugate partition of n - 2, in order:
-    (image, branch), or (None, "undefined") for the square input.
+def _g_of_sets(sets: Iterable[int], n: int) -> tuple[list[int | None], dict[int, str]]:
+    """g on each hook set of a self-conjugate partition of n - 2, in one pass:
+    the image of every input, in order (None for the square input), and
+    {input index: branch} for each input that did not take "insert" (the
+    square input's branch is "undefined").
 
     Trusted: each set must be diagonal hooks summing to n - 2, with n >= 27;
     `map_g_hooks` checks that.  The branches are those of `map_g_hooks`.
@@ -102,15 +111,20 @@ def _g_of_sets(sets: Iterable[int], n: int) -> Iterator[tuple[int | None, str]]:
     is then a multiple of 4, so s >= delta_2 + 2; and s - 1 > delta_3 when s
     is even, because s >= delta_2 + 1.  An averaged hook that broke this would
     share a bit with the tail, so the image would have the wrong hook sum and
-    fail the B test that `verify_growth` makes on every image.
+    fail the B test that `verify_growth` makes on every image outside the B
+    set of n.
     """
     single = _set_of(((n + 1) // 2, (n - 3) // 2, 1) if n % 4 == 1 else ((n - 1) // 2, (n - 5) // 2, 3))
     two_hook = _set_of(((n - 4) // 2, (n - 8) // 2, 5, 1))
+    images: list[int | None] = []
+    rare: dict[int, str] = {}
+    append = images.append
     for bits in sets:
         first = bits.bit_length()
         rest = bits ^ 1 << (first - 1)
         if not rest:
-            yield single, "single-hook"
+            rare[len(images)] = "single-hook"
+            append(single)
             continue
         second = rest.bit_length()
         rest ^= 1 << (second - 1)
@@ -119,20 +133,24 @@ def _g_of_sets(sets: Iterable[int], n: int) -> Iterator[tuple[int | None, str]]:
         pair = avg >> 1
         if avg & 1:
             # s + 2, s - 2, and the insert at index 0 grows s - 2 to s
-            yield rest | 3 << pair, "insert"
+            append(rest | 3 << pair)
             continue
         # s + 1, s - 1: the first tail bit whose next bit up is free moves up
         image = rest | 3 << (pair - 1)
         free = rest & ~(image >> 1)
         if free:
-            yield image + (1 << (free.bit_length() - 1)), "insert"
+            append(image + (1 << (free.bit_length() - 1)))
         elif not rest:
-            yield two_hook, "two-hook-fallback"
+            rare[len(images)] = "two-hook-fallback"
+            append(two_hook)
         elif rest & 1:
-            yield None, "undefined"
+            rare[len(images)] = "undefined"
+            append(None)
         else:
             # the averaged pair grows by 2 and the last hook shrinks by 2
-            yield (rest - ((rest & -rest) >> 1)) | 3 << pair, "run-fallback"
+            rare[len(images)] = "run-fallback"
+            append((rest - ((rest & -rest) >> 1)) | 3 << pair)
+    return images, rare
 
 
 def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
@@ -159,10 +177,10 @@ def map_g_hooks(delta: HookSeq, n: int) -> tuple[HookSeq, str]:
         raise OutOfDomain(f"map g is defined for n >= 27, got {n}")
     if sum(delta) != n - 2:
         raise ValueError(f"hooks sum to {sum(delta)}, expected n-2={n - 2}")
-    [(image, branch)] = _g_of_sets([_set_of(delta)], n)
+    [image], rare = _g_of_sets([_set_of(delta)], n)
     if image is None:
         raise MapGUndefined(f"square input {delta} has no image (n={n})")
-    return _hooks_of(image), branch
+    return _hooks_of(image), rare.get(0, "insert")
 
 
 def map_g(p: Partition, n: int) -> Partition:
@@ -219,14 +237,30 @@ def beta_star_hooks(n: int) -> HookSeq:
     }[n % 4]
 
 
+def _growth_counts(n: int, here: list[int], below: list[int] | None
+                   ) -> tuple[Counter, set[int], list[int | None], Counter, Counter]:
+    """The tallies of one n, from one kernel pass per side.
+
+    Over the hook sets of n (here): the size of each class and the B set.
+    From n = 27 on, over the hook sets of n - 2 (below): the image of g on
+    each input, the fiber of each image (the square input's None is left
+    out), and how many inputs took each branch other than "insert".
+    """
+    classes = list(map(_class_of_set, here))
+    b_set = {s for s, cls in zip(here, classes) if cls == CLASS_B}
+    images, rare = _g_of_sets(below, n) if n >= 27 else ([], {})
+    fibers = Counter(images)
+    del fibers[None]
+    return Counter(classes), b_set, images, fibers, Counter(rare.values())
+
+
 def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: list[int] | None,
                       data: dict[str, list[int]]) -> list[tuple]:
     """Exhaustive audit at a single n over the hook sets of n (here) and, from
     n = 27 on, of n - 2 (below); returns the violations, and appends n to
     each list of the report's data that names it."""
     violations: list[tuple] = []
-    classes = list(map(_class_of_set, here))
-    sizes = Counter(classes)
+    sizes, b_set, images, fibers, branches = _growth_counts(n, here, below)
     count_a, count_b, count_c = sizes[CLASS_A], sizes[CLASS_B], sizes[CLASS_C]
     if count_a + count_b + count_c != sc_n:
         violations.append(("class-total", n, count_a + count_b + count_c, sc_n))
@@ -238,28 +272,21 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: li
         violations.append(("growth-inequality", n, sc_nm2 * (n + 2), sc_n * n))
 
     if n >= 27:
-        fibers: dict[int, int] = {}
-        branches: dict[str, int] = {}
-        for (image, branch), count in Counter(_g_of_sets(below, n)).items():
-            branches[branch] = branches.get(branch, 0) + count
-            fibers[image] = fibers.get(image, 0) + count
-        undefined = branches.pop("undefined", 0)
-        fibers.pop(None, None)
-        # the B test, hook sum included, runs once per image; the inputs are
-        # walked again only to name each one whose image fails it
-        outside = {image for image in fibers if not _in_b_set(image, n)}
+        # an image in b_set is in B(n) by construction, so the B test, hook
+        # sum included, runs only on the others; the inputs are walked again
+        # only to name each one whose image fails it
+        outside = {image for image in fibers.keys() - b_set if not _in_b_set(image, n)}
         if outside:
-            for delta, (image, _) in zip(below, _g_of_sets(below, n)):
+            for delta, image in zip(below, images):
                 if image in outside:
                     violations.append(("g-image-not-in-B", n, _hooks_of(delta), _hooks_of(image)))
             for image in outside:
                 del fibers[image]
-        b_set = {s for s, cls in zip(here, classes) if cls == CLASS_B}
         if fibers.keys() != b_set:
             missing = [_hooks_of(s) for s in sorted(b_set - fibers.keys())[:3]]
             violations.append(("g-not-onto-B", n, len(fibers), len(b_set), missing))
         in_b = sorted(b_set)
-        for beta, (image, _) in zip(in_b, _g_of_sets(map(_h_of_set, in_b), n)):
+        for beta, image in zip(in_b, _g_of_sets(map(_h_of_set, in_b), n)[0]):
             if image != beta:
                 back = image if image is None else _hooks_of(image)
                 violations.append(("g-h-not-identity", n, _hooks_of(beta), back))
@@ -269,9 +296,9 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: li
             violations.append(("fiber-bound", n, max_fiber, n))
         if argmax != _set_of(beta_star_hooks(n)):
             data["beta_star_argmax_mismatches"].append(n)
-        if undefined:
+        if branches["undefined"]:
             data["g_undefined_at"].append(n)
-        if branches.get("two-hook-fallback"):
+        if branches["two-hook-fallback"]:
             data["two_hook_fallback_at"].append(n)
     return violations
 
@@ -280,7 +307,12 @@ def _growth_check_one(n: int, sc_nm2: int, sc_n: int, here: list[int], below: li
 def verify_growth(n_lo: int, n_hi: int, workers: int = 1) -> ScanReport:
     """Run the growth audit for every n in [n_lo, n_hi], in-process; `workers` is ignored.
 
-    OutOfDomain when n_lo < 19 or the range is empty.
+    Each n is audited with one kernel pass per side: the class rule over the
+    hook sets of n, and one g kernel call over those of n - 2.  The B test
+    runs only on the images outside the B set of n, which cannot change a
+    witness: a set in it is in B(n) by construction, and the class-total
+    check ties the walk of n to sc(n).  OutOfDomain when n_lo < 19 or the
+    range is empty.
     """
     if n_lo < 19:
         raise OutOfDomain("growth audit starts at n = 19")

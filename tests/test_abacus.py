@@ -204,6 +204,21 @@ class TestSCReduction:
             with pytest.raises(NotSelfConjugate):
                 ab.sc_reduce_to_core(p, t)
 
+    def test_the_bead_test_is_self_conjugacy(self):
+        # the reduction reads self-conjugacy off its input's beads
+        for n in range(21):
+            for p in pt.partitions_of(n):
+                try:
+                    ab._sc_beads(p, 2)
+                except NotSelfConjugate:
+                    assert not pt.is_self_conjugate(p), p
+                else:
+                    assert pt.is_self_conjugate(p), p
+        # a non-partition is refused as such before the bead test
+        for bad in ((1, 2), (2, 0), (0,), (2, -1), (3, 2, 2, 3)):
+            with pytest.raises(ValueError):
+                ab.sc_reduce_to_core(bad, 2)
+
     def test_chain_reaches_core_through_sc_partitions(self):
         for n in range(2, 36):
             for p in pt.enumerate_self_conjugate(n):

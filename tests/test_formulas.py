@@ -190,6 +190,19 @@ class TestClosedFormsByWeight:
         assert fm.cross_validate(12, 48).verdict == "holds"
         assert expanded == Counter(range(2, 13))
 
+    def test_cross_validate_walks_each_oracle_n_once(self, monkeypatch):
+        # the request's tables keep each n's self-conjugate partitions, so the
+        # oracle of every core size reads one walk of n
+        walked, enumerate_self_conjugate = Counter(), fm.enumerate_self_conjugate
+
+        def counted(n, limits):
+            walked[n] += 1
+            return enumerate_self_conjugate(n, limits)
+
+        monkeypatch.setattr(fm, "enumerate_self_conjugate", counted)
+        assert fm.cross_validate(12, 48).verdict == "holds"
+        assert walked == Counter(range(31))
+
 
 class TestLargeT:
     def test_examples(self, tables):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from sccore import growth as gr
@@ -43,13 +45,19 @@ def _reference_map_g(delta, n):
     return tuple(prime), "run-fallback"
 
 
+def _g_pairs(sets, n):
+    """(image, branch) of the g kernel on each set, in order."""
+    images, rare = gr._g_of_sets(sets, n)
+    return [(image, rare.get(k, "insert")) for k, image in enumerate(images)]
+
+
 def _reference_images_outside_b(n_lo, n_hi):
     """The audit's g-image-not-in-B witnesses, made input by input with the
     B test written on the hook tuple."""
     out = []
     for n in range(max(n_lo, 27), n_hi + 1):
         for delta in pt.descending_odd_sequences(n - 2):
-            [(image, _)] = gr._g_of_sets([pt._set_of(delta)], n)
+            [image], _ = gr._g_of_sets([pt._set_of(delta)], n)
             if image is None:
                 continue
             hooks = pt._hooks_of(image)
@@ -221,7 +229,7 @@ class TestMapGH:
         # "undefined" is the reference's MapGUndefined
         for n in range(27, 131):
             deltas = list(pt.descending_odd_sequences(n - 2))
-            for delta, (image, branch) in zip(deltas, gr._g_of_sets(map(pt._set_of, deltas), n), strict=True):
+            for delta, (image, branch) in zip(deltas, _g_pairs(map(pt._set_of, deltas), n), strict=True):
                 want = _outcome(_reference_map_g, delta, n)
                 if image is None:
                     assert (want[0], branch) == (MapGUndefined, "undefined"), (n, delta)
@@ -321,14 +329,51 @@ class TestVerifyGrowth:
         kernel = gr._g_of_sets
 
         def skewed(sets, n):
-            for image, branch in kernel(sets, n):
-                yield (image & (image - 1) if branch == "two-hook-fallback" else image), branch
+            images, rare = kernel(sets, n)
+            return [image & (image - 1) if rare.get(k) == "two-hook-fallback" else image
+                    for k, image in enumerate(images)], rare
 
         monkeypatch.setattr(gr, "_g_of_sets", skewed)
         rep = gr.verify_growth(19, 60)
         want = _reference_images_outside_b(19, 60)
         assert len(want) == 84
         assert [w for w in rep.witnesses if w[0] == "g-image-not-in-B"] == sorted(want, key=_witness_key)
+
+    def test_the_counts_equal_a_per_set_recount(self):
+        # the audit tallies each side in one kernel pass; a recount set by
+        # set, with the B test on every set and g from the reference, must
+        # give the same classes, B set, images, fibers and rare branches
+        for n in range(27, 151):
+            here, below = list(pt._hook_sets(n)), list(pt._hook_sets(n - 2))
+            images, fibers, branches = [], Counter(), Counter()
+            for delta in map(pt._hooks_of, below):
+                outcome = _outcome(_reference_map_g, delta, n)
+                if outcome[0] is MapGUndefined:
+                    images.append(None)
+                    branches["undefined"] += 1
+                    continue
+                image, branch = pt._set_of(outcome[0]), outcome[1]
+                images.append(image)
+                fibers[image] += 1
+                if branch != "insert":
+                    branches[branch] += 1
+            sizes = Counter(map(gr._class_of_set, here))
+            b_set = {s for s in here if gr._in_b_set(s, n)}
+            assert gr._growth_counts(n, here, below) == (sizes, b_set, images, fibers, branches), n
+            assert fibers.keys() == b_set, n
+
+    def test_an_image_in_b_that_the_walk_missed_is_not_named_outside_b(self):
+        # the B test runs only on the images outside the walk's B set; one
+        # in B(n) that an incomplete walk of n left out shows as the class
+        # total and the onto check failing, not as images outside B
+        n = 40
+        here, below, sc = list(pt._hook_sets(n)), list(pt._hook_sets(n - 2)), sc_coeffs(n)
+        beta = pt._set_of(gr.beta_star_hooks(n))
+        data = {key: [] for key in ("beta_star_argmax_mismatches", "g_undefined_at", "two_hook_fallback_at")}
+        walk = [s for s in here if s != beta]
+        violations = gr._growth_check_one(n, sc[n - 2], sc[n], walk, below, data)
+        b_size = sum(map(gr._in_b_set, walk, [n] * len(walk)))
+        assert violations == [("class-total", n, sc[n] - 1, sc[n]), ("g-not-onto-B", n, b_size + 1, b_size, [])]
 
     def test_requires_n_at_least_19(self):
         with pytest.raises(OutOfDomain):
@@ -378,7 +423,7 @@ def _g_walk(n: int):
     """(input, image, branch) of g at n, input and image as hook sets, for
     every self-conjugate partition of n - 2."""
     below = list(pt._hook_sets(n - 2))
-    for s, (image, branch) in zip(below, gr._g_of_sets(below, n)):
+    for s, (image, branch) in zip(below, _g_pairs(below, n)):
         yield s, image, branch
 
 
