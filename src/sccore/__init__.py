@@ -16,8 +16,8 @@ from importlib import import_module
 _EXPORTS = {
     **dict.fromkeys((
         "Partition", "character_degree", "check_hooks", "conjugate", "diagonal_hooks",
-        "enumerate_self_conjugate", "enumerate_self_conjugate_t_core", "from_diagonal_hooks",
-        "hook_grid", "hook_length", "is_self_conjugate", "is_t_core",
+        "enumerate_self_conjugate", "from_diagonal_hooks", "hook_grid", "hook_length",
+        "is_self_conjugate", "is_t_core",
     ), "partitions"),
     **dict.fromkeys((
         "assemble", "beta_set", "enumerate_t_cores", "partition_of", "quotient_is_self_symmetric",

@@ -3,7 +3,10 @@
 A beta-set of length m is the strictly decreasing sequence of first-column hook
 lengths of the partition padded to m rows.  Removing a t-hook is the abacus
 move "slide one bead down its runner": replace a bead b by b - t when b - t is
-free.
+free.  `sccore.partitions` owns the beta-set of length #parts and the hook
+tests read off it: whether a partition is a t-core (`is_t_core`) and whether
+it is self-conjugate (`is_self_conjugate`).  This module pads those beads
+(`beta_set`), walks them (the reduction below) and places them on runners.
 
 One runner form.  `t_core`, `t_quotient` and `assemble` read the beta-set
 whose length is the unique multiple of t in [#parts, #parts + t) (t beads
@@ -11,11 +14,11 @@ for the empty partition), placed straight into t runners (`_split`): runner r
 holds the beads b = r (mod t) at levels b // t, top first.  Component r of
 the t-quotient is the partition read off runner r's levels.  The runner
 counts alone give the t-core, every bead slid to the bottom of its runner
-(`_flush_core`), and tell whether a partition is a t-core: its bead sum is
-then the least those counts allow.  The lattice of t-cores (`t_cores_up_to`)
-walks the same counts.  The t-cores met are few next to the partitions that
-share them, so the core of a count vector and the counts of a core are each
-kept in a bounded LRU cache (`_core`, `_core_counts`).  This convention
+(`_flush_core`); `assemble` takes a core's counts once `is_t_core` has
+accepted it.  The lattice of t-cores (`t_cores_up_to`) walks the same
+counts.  The t-cores met are few next to the partitions that share them, so
+the core of a count vector and the counts of a core are each kept in a
+bounded LRU cache (`_core`, `_core_counts`).  This convention
 reproduces the worked 5-core/5-quotient of the partition with diagonal hooks
 (29, 15) in runner order, and is frozen by tests.
 
@@ -27,11 +30,11 @@ component are partitions (`ValueError`) and that the core is a t-core
 The kernels produce their beads sorted and read them back with the trusted
 `_parts`, which checks nothing.
 
-The self-conjugate reduction walks one beta-set whose length m is the
-input's number of parts, so m stays >= the first part of every partition on
-the chain.  Such a set B is self-conjugate exactly when b -> 2m - 1 - b maps
-B onto its complement in [0, 2m); that is the one self-conjugacy check the
-reduction makes, on its input's beads (`_sc_beads`).  So the mirror of the
+The self-conjugate reduction walks the beta-set of its input, of length m =
+#parts, so m stays >= the first part of every partition on the chain.  Such a
+set B is self-conjugate exactly when b -> 2m - 1 - b maps B onto its
+complement in [0, 2m); `partitions` makes that test once, on the input's
+beads, and hands the beads over (`_sc_beads`).  So the mirror of the
 move b -> b - t is the move 2m + t - 1 - b -> 2m - 1 - b.  A t-hook on the
 diagonal is its own mirror: it is the bead m + (t - 1) / 2.  Every other
 t-hook of a self-conjugate partition has a mirror, and the upper one of the
@@ -49,9 +52,12 @@ from typing import Iterator, Sequence
 from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
 from .partitions import (
     Partition,
+    _beads,
+    _self_conjugate_beads,
     check_partition,
     conjugate,
     hook_length,
+    is_t_core,
 )
 
 BetaSet = tuple[int, ...]
@@ -61,11 +67,10 @@ Quotient = tuple[Partition, ...]
 def beta_set(p: Partition, m: int) -> BetaSet:
     """First-column hook lengths of p, padded to length m."""
     check_partition(p)
-    if m < len(p):
+    pad = m - len(p)
+    if pad < 0:
         raise LengthTooSmall(f"m={m} < {len(p)} parts")
-    beads = [p[k] + (m - k) - 1 for k in range(len(p))]
-    beads.extend(range(m - len(p) - 1, -1, -1))
-    return tuple(beads)
+    return tuple([b + pad for b in _beads(p)] + list(range(pad - 1, -1, -1)))
 
 
 def _parts(beads: Sequence[int]) -> Partition:
@@ -142,14 +147,10 @@ def t_quotient(p: Partition, t: int) -> Quotient:
 
 @lru_cache(maxsize=256)
 def _core_counts(core: Partition, t: int) -> tuple[int, ...]:
-    """The runner counts of a t-core; NotACore unless every runner is flush."""
-    check_partition(core)
-    counts = tuple(map(len, _split(core, t)))
-    # flush runners give the least bead sum that their counts allow
-    m = sum(counts)
-    if sum(core) + m * (m - 1) // 2 != sum(r * c + t * c * (c - 1) // 2 for r, c in enumerate(counts)):
+    """The runner counts of a t-core; NotACore unless `is_t_core` accepts it."""
+    if not is_t_core(check_partition(core), t):
         raise NotACore(f"{core!r} still has a {t}-hook")
-    return counts
+    return tuple(map(len, _split(core, t)))
 
 
 def assemble(core: Partition, q: Quotient, t: int) -> Partition:
@@ -179,12 +180,6 @@ def quotient_is_self_symmetric(q: Quotient) -> bool:
     return all(q[k] == conjugate(q[t - 1 - k]) for k in range(t))
 
 
-def _hook_rows(beads: Sequence[int], t: int) -> list[int]:
-    """Indices of the beads b >= t with b - t empty: one t-hook per such row."""
-    occupied = set(beads)
-    return [k for k, b in enumerate(beads) if b >= t and b - t not in occupied]
-
-
 def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
     """One minimal self-conjugacy-preserving removal of t-hooks on the beads of
     a self-conjugate partition (length m >= its first part), or None at the t-core.
@@ -192,7 +187,9 @@ def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
     Odd t takes the diagonal t-hook when there is one; otherwise the topmost
     t-hook, which lies above the diagonal, goes with its mirror.
     """
-    rows = _hook_rows(beads, t)
+    # the t-hook rows of `is_t_core`: beads b >= t with b - t empty
+    occupied = set(beads)
+    rows = [k for k, b in enumerate(beads) if b >= t and b - t not in occupied]
     if not rows:
         return None
     m = len(beads)
@@ -208,13 +205,11 @@ def _sc_step(beads: list[int], t: int) -> tuple[list[int], dict] | None:
 
 def _sc_beads(p: Partition, t: int) -> list[int]:
     """The beads that the reduction walks, after checking t, that p is a
-    partition (`beta_set`), and then self-conjugacy on the beads themselves:
-    every bead lies below 2m and no bead's mirror 2m - 1 - b is a bead."""
+    partition and that it is self-conjugate (`_self_conjugate_beads`)."""
     if t < 1:
         raise ValueError("t must be positive")
-    beads = list(beta_set(p, len(p)))
-    top = 2 * len(p) - 1
-    if (beads and beads[0] > top) or not set(beads).isdisjoint([top - b for b in beads]):
+    beads = _self_conjugate_beads(p)
+    if beads is None:
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     return beads
 

@@ -242,7 +242,7 @@ def compare_pair(t: int, n_max: int, family: str = "sc") -> ScanReport:
     the equality set and the strictly-less set over [0, n_max].
     """
     if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise OutOfDomain(f"unknown family {family!r}")
     rows, step = _FAMILIES[family]
     pair = (t, t + step)
     low, high = rows(t, n_max), rows(t + step, n_max)
@@ -458,7 +458,7 @@ def inequality_check(spec: InequalitySpec, n_max: int) -> ScanReport:
     Cross-multiplied: den*lhs > num*rhs, so the verdict never touches floats.
     """
     if spec.family not in _FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}")
+        raise OutOfDomain(f"unknown family {spec.family!r}")
     cap = _index_cap(spec.n_lo, n_max, (spec.a, spec.b), (1, 0))
     row = _FAMILIES[spec.family][0](spec.t, cap)
     num, den = spec.alpha.numerator, spec.alpha.denominator

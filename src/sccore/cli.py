@@ -105,8 +105,7 @@ def cmd_count(args) -> int:
         if args.method not in ("all", *has):
             raise SCCoreError(f"family {args.family} has no method {args.method}; it has {', '.join(has)}")
         methods = has if args.method == "all" else (args.method,)
-        limits = Limits(oracle_cap=args.oracle_cap)
-        tables = formulas.RecursionTables(n_cap)
+        tables = formulas.RecursionTables(n_cap, Limits(oracle_cap=args.oracle_cap))
     series = None
     if "series" in methods:
         from . import cache
@@ -127,7 +126,7 @@ def cmd_count(args) -> int:
             try:
                 values[method] = (
                     series[n] if method == "series"
-                    else formulas.method_value(method, family, args.t, n, tables, limits)
+                    else formulas.method_value(method, family, args.t, n, tables)
                 )
             except (OutOfRange, ResourceLimit):
                 if args.method != "all":

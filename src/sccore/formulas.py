@@ -45,11 +45,13 @@ METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), 
 
 
 class RecursionTables:
-    """Shared lookup state: the sc row, memoized kernels and rows per core
-    size, and the oracle's self-conjugate partitions per n, each walked once."""
+    """Shared lookup state of one request: its bounds, the sc row, memoized
+    kernels, rows and closed-form weights per core size, and the oracle's
+    self-conjugate partitions per n, each walked once."""
 
-    def __init__(self, n_max: int):
+    def __init__(self, n_max: int, limits: Limits = DEFAULT_LIMITS):
         self.n_max = n_max
+        self.limits = limits
         self._kernels: dict[int, Sequence[int]] = {}
         self._rows: dict[int, list[int]] = {}
         self._closed: dict[int, list[int]] = {}
@@ -67,11 +69,11 @@ class RecursionTables:
             raise MissingTable(f"sc table covers n <= {self.n_max}, asked {n}")
         return self._sc[n]
 
-    def self_conjugate(self, n: int, limits: Limits) -> list[Partition]:
+    def self_conjugate(self, n: int) -> list[Partition]:
         """The self-conjugate partitions of n, enumerated on the first call for n."""
         found = self._self_conjugate.get(n)
         if found is None:
-            found = self._self_conjugate[n] = enumerate_self_conjugate(n, limits)
+            found = self._self_conjugate[n] = enumerate_self_conjugate(n, self.limits)
         return found
 
     def kernel(self, t_full: int) -> Sequence[int]:
@@ -100,17 +102,17 @@ class RecursionTables:
             self._rows[t_full] = row
         return row
 
-    def closed_weights(self, t_full: int, budget: int) -> list[int]:
-        """c[0..cap] for core size t_full, cap = min(budget, n_max // step).
+    def closed_weights(self, t_full: int) -> list[int]:
+        """c[0..cap] for core size t_full, cap = min(composition_budget, n_max // step).
 
         c[w] sums (-1)^len prod K[w_k] over the weight sequences of total
         weight w, from one stack walk that visits each sequence once
-        (`_expand_closed`).  Expanded again only for a larger cap.
+        (`_expand_closed`), made on the first call for t_full.
         """
         _check_core_size(t_full)
-        cap = min(budget, self.n_max // _step(t_full))
         c = self._closed.get(t_full)
-        if c is None or len(c) <= cap:
+        if c is None:
+            cap = min(self.limits.composition_budget, self.n_max // _step(t_full))
             c = self._closed[t_full] = _expand_closed(self.kernel(t_full), cap)
         return c
 
@@ -177,17 +179,18 @@ def sc_t_value(t_full: int, n: int, tables: RecursionTables) -> int:
     return tables.row(t_full)[n]
 
 
-def sc_t_closed(t_full: int, n: int, tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
-    """sc_t(n) as the literal closed form: sum_{w <= n // step} c[w] sc(n - w step)."""
+def sc_t_closed(t_full: int, n: int, tables: RecursionTables) -> int:
+    """sc_t(n) as the literal closed form: sum_{w <= n // step} c[w] sc(n - w step),
+    within the composition budget of the tables' limits."""
     _check_core_size(t_full)
-    step = _step(t_full)
+    step, budget = _step(t_full), tables.limits.composition_budget
     cap = n // step
-    if cap > limits.composition_budget:
+    if cap > budget:
         unit = "4t" if t_full % 2 == 0 else "(2t+1)"
-        raise ResourceLimit(f"floor(n/{unit})={cap} exceeds budget {limits.composition_budget}")
+        raise ResourceLimit(f"floor(n/{unit})={cap} exceeds budget {budget}")
     if n > tables.n_max:
         raise MissingTable(f"sc table covers n <= {tables.n_max}, asked {n}")
-    c = tables.closed_weights(t_full, limits.composition_budget)
+    c = tables.closed_weights(t_full)
     return sum(tables.sc(n - step * w) * c[w] for w in range(cap + 1))
 
 
@@ -243,25 +246,25 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
     return LargeValue(values.pop(), tuple(tag for tag, _ in candidates))
 
 
-def method_value(method: str, family: str, t: int | None, n: int,
-                 tables: RecursionTables, limits: Limits = DEFAULT_LIMITS) -> int:
+def method_value(method: str, family: str, t: int | None, n: int, tables: RecursionTables) -> int:
     """The count of family at (t, n) by one of METHODS[family]; OutOfRange or
-    ResourceLimit where the method does not reach.  tables serve the sc_t
-    formulas and keep the sc and sc_t oracles' walk of each n."""
+    ResourceLimit where the method does not reach within the tables' limits.
+    tables serve the sc_t formulas and keep the sc and sc_t oracles' walk of
+    each n."""
     if method == "recursive":
         return sc_t_value(t, n, tables)
     if method == "closed":
-        return sc_t_closed(t, n, tables, limits)
+        return sc_t_closed(t, n, tables)
     if method == "large":
         return sc_large(t, n, tables).value
-    if n > limits.oracle_cap:
-        raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
+    if n > tables.limits.oracle_cap:
+        raise ResourceLimit(f"n={n} exceeds oracle cap {tables.limits.oracle_cap}")
     if family in ("sc_t", "c_t") and t < 1:
         raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
     if family == "sc":
-        return len(tables.self_conjugate(n, limits))
+        return len(tables.self_conjugate(n))
     if family == "sc_t":
-        return sum(1 for p in tables.self_conjugate(n, limits) if is_t_core(p, t))
+        return sum(1 for p in tables.self_conjugate(n) if is_t_core(p, t))
     if family == "c_t":
         return sum(1 for _ in enumerate_t_cores(n, t))
     return len(partitions_of(n))
@@ -278,19 +281,19 @@ def cross_validate(t_max: int, n_max: int) -> ScanReport:
     witnesses, tagged by the pair of paths that differ.
     """
     oracle_n_max = min(n_max, 30)
-    tables, limits = RecursionTables(n_max), Limits(oracle_cap=oracle_n_max)
+    tables = RecursionTables(n_max, Limits(oracle_cap=oracle_n_max))
     reference_method, *checked = METHODS["sc_t"]
     witnesses: list[tuple] = []
     for t in range(2, t_max + 1):
         series_row = sc_t_coeffs(t, n_max)
         for n in range(n_max + 1):
-            reference = method_value(reference_method, "sc_t", t, n, tables, limits)
+            reference = method_value(reference_method, "sc_t", t, n, tables)
             if series_row[n] != reference:
                 witnesses.append((t, n, series_row[n], reference, "series-vs-recursion"))
                 continue
             for method in checked:
                 try:
-                    value = method_value(method, "sc_t", t, n, tables, limits)
+                    value = method_value(method, "sc_t", t, n, tables)
                 except (OutOfRange, ResourceLimit):
                     continue
                 if value != reference:

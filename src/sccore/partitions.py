@@ -4,6 +4,15 @@ A partition is a plain tuple of weakly decreasing positive integers; the empty
 tuple is the partition of 0.  Row/column indices in the public functions are
 1-based, matching the usual matrix labelling of Young-diagram cells.
 
+This module owns the beta-set of length m = #parts (`_beads`: bead
+p_k + m - k for row k, top first) and the hook questions read off it.  A
+t-hook is a bead b >= t with b - t empty, so p is a t-core when no bead is
+one (`is_t_core`).  p is self-conjugate when b -> 2m - 1 - b maps its beads
+onto their complement in [0, 2m) (`_self_conjugate_beads`, `is_self_conjugate`),
+and then the beads b >= m are its diagonal, with hook 2(b - m) + 1
+(`diagonal_hooks`).  `sccore.abacus` pads these beads (`beta_set`) and walks
+them (the self-conjugate reduction).
+
 A self-conjugate partition is its diagonal hooks, a strictly decreasing
 sequence of odd parts.  Internally the walk over these sequences yields each
 as a hook set: one int with bit a set for each hook 2a + 1.
@@ -14,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from math import factorial
+from operator import add
 from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
@@ -46,8 +56,25 @@ def conjugate(p: Partition) -> Partition:
     return tuple(out)
 
 
+def _beads(p: Partition) -> list[int]:
+    """The beta-set of length m = #parts, bead p_k + m - k for row k, top
+    first; p is not checked."""
+    return list(map(add, p, range(len(p) - 1, -1, -1)))
+
+
+def _self_conjugate_beads(p: Partition) -> list[int] | None:
+    """The beads of p when p is self-conjugate, else None; ValueError unless p
+    is a partition.  Every bead lies below 2m and no mirror 2m - 1 - b is a bead."""
+    beads = _beads(check_partition(p))
+    top = 2 * len(p) - 1
+    if beads and (beads[0] > top or not set(beads).isdisjoint([top - b for b in beads])):
+        return None
+    return beads
+
+
 def is_self_conjugate(p: Partition) -> bool:
-    return p == conjugate(p)
+    """Equal to its conjugate, read off the beads; ValueError unless p is a partition."""
+    return _self_conjugate_beads(p) is not None
 
 
 def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,18 +88,15 @@ def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
     return hooks
 
 
-def diagonal_length(p: Partition) -> int:
-    """Number of diagonal cells (i, i) of the Young diagram."""
-    return sum(1 for i, part in enumerate(p, start=1) if part >= i)
-
-
 def diagonal_hooks(p: Partition) -> tuple[int, ...]:
     """Diagonal hook lengths of a self-conjugate partition (its canonical form)."""
-    if not is_self_conjugate(p):
+    beads = _self_conjugate_beads(p)
+    if beads is None:
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    d = diagonal_length(p)
-    # self-conjugate: arm and leg of a diagonal cell agree, h_ii = 2(p_i - i) + 1
-    return tuple(2 * (p[i - 1] - i) + 1 for i in range(1, d + 1))
+    m = len(p)
+    # row i is on the diagonal when p_i >= i, i.e. its bead b >= m, and its arm
+    # and leg agree, so h_ii = 2(p_i - i) + 1 = 2(b - m) + 1
+    return tuple(2 * (b - m) + 1 for b in beads if b >= m)
 
 
 def from_diagonal_hooks(hooks: tuple[int, ...]) -> Partition:
@@ -109,11 +133,10 @@ def hook_grid(p: Partition) -> tuple[tuple[int, ...], ...]:
 
 def is_t_core(p: Partition, t: int) -> bool:
     """True iff no cell of p has hook length exactly t, i.e. no bead b >= t of
-    the beta-set {p_k + m - k} (m = #parts) has b - t empty."""
+    `_beads(p)` has b - t empty."""
     if t < 1:
         raise ValueError("t must be positive")
-    m = len(p)
-    beads = {part + m - k for k, part in enumerate(p, start=1)}
+    beads = set(_beads(p))
     return all(b < t or b - t in beads for b in beads)
 
 
@@ -221,11 +244,6 @@ def enumerate_self_conjugate(n: int, limits: Limits = DEFAULT_LIMITS) -> list[Pa
         raise ResourceLimit(f"n={n} exceeds oracle cap {limits.oracle_cap}")
     found = [from_diagonal_hooks(seq) for seq in descending_odd_sequences(n)]
     return sorted(found)
-
-
-def enumerate_self_conjugate_t_core(n: int, t: int, limits: Limits = DEFAULT_LIMITS) -> list[Partition]:
-    """Self-conjugate t-core partitions of n."""
-    return [p for p in enumerate_self_conjugate(n, limits) if is_t_core(p, t)]
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:

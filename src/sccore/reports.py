@@ -80,6 +80,4 @@ def _jsonable(x: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
     return x

@@ -5,12 +5,22 @@ through a validated beta-set and back, `t_core`, `t_quotient` and `assemble`
 each split the beads into runners again, and the self-conjugate reduction
 searches the second removal of a pair by recomputing conjugates.  They share
 no code with sccore.abacus, so a test can compare the two on every input.
+Self-conjugacy is p == conjugate(p) and a t-core has no hook of length t in
+its hook grid, so neither rests on the bead tests of sccore.partitions.
 """
 
 from __future__ import annotations
 
 from sccore.errors import AlreadyCore, NotACore, NotSelfConjugate
-from sccore.partitions import hook_length, is_self_conjugate, is_t_core, size
+from sccore.partitions import conjugate, hook_grid, hook_length, size
+
+
+def is_self_conjugate(p):
+    return p == conjugate(p)
+
+
+def is_t_core(p, t):
+    return all(t not in row for row in hook_grid(p))
 
 
 def beta_set(p, m):

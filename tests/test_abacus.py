@@ -205,15 +205,18 @@ class TestSCReduction:
                 ab.sc_reduce_to_core(p, t)
 
     def test_the_bead_test_is_self_conjugacy(self):
-        # the reduction reads self-conjugacy off its input's beads
+        # is_self_conjugate reads self-conjugacy off the beads, and the
+        # reduction takes its input's beads from the same test
         for n in range(21):
             for p in pt.partitions_of(n):
+                mirrored = p == pt.conjugate(p)
+                assert pt.is_self_conjugate(p) == mirrored, p
                 try:
                     ab._sc_beads(p, 2)
                 except NotSelfConjugate:
-                    assert not pt.is_self_conjugate(p), p
+                    assert not mirrored, p
                 else:
-                    assert pt.is_self_conjugate(p), p
+                    assert mirrored, p
         # a non-partition is refused as such before the bead test
         for bad in ((1, 2), (2, 0), (0,), (2, -1), (3, 2, 2, 3)):
             with pytest.raises(ValueError):
@@ -289,6 +292,20 @@ class TestTCoreEnumeration:
     def test_t1(self):
         assert list(ab.enumerate_t_cores(0, 1)) == [()]
         assert list(ab.enumerate_t_cores(3, 1)) == []
+
+
+@pytest.mark.parametrize("t", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda t: ab.t_core((3, 1), t),
+    lambda t: ab.t_quotient((3, 1), t),
+    lambda t: ab.sc_reduction_step((2, 1), t),
+    lambda t: ab.sc_reduce_to_core((2, 1), t),
+    lambda t: list(ab.enumerate_t_cores(4, t)),
+    lambda t: pt.is_t_core((3, 1), t),
+], ids=["t_core", "t_quotient", "sc_reduction_step", "sc_reduce_to_core", "enumerate_t_cores", "is_t_core"])
+def test_t_below_one_is_refused(call, t):
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        call(t)
 
 
 def coprime_pairs(t_max):

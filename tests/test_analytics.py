@@ -193,6 +193,11 @@ class TestPairComparisons:
                          "class_members_not_less": 29, "class_size": 78}
         assert rep.verdict == "holds"
 
+    def test_unknown_family_is_out_of_domain(self):
+        # the same error as the monotonicity and unimodality scans
+        with pytest.raises(OutOfDomain, match=r"^unknown family 'sc_t'$"):
+            an.compare_pair(7, 50, family="sc_t")
+
 
 class TestMonotonicity:
     def test_even_conjecture_counterexample(self):
@@ -522,6 +527,11 @@ class TestInequalities:
         spec = an.InequalitySpec("sc", 9, 4, 0, Fraction(3), 1)
         rep = an.inequality_check(spec, 100)
         assert rep.verdict == "fails"
+
+    def test_unknown_family_is_out_of_domain(self):
+        spec = an.InequalitySpec("sc_t", 9, 4, 0, Fraction(3), 1)
+        with pytest.raises(OutOfDomain, match=r"^unknown family 'sc_t'$"):
+            an.inequality_check(spec, 100)
 
 
 class TestSimultaneous:

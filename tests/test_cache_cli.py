@@ -47,7 +47,8 @@ def _header_width(path: Path) -> int:
 
 
 # checksum-valid headers that the reader must refuse, each with its reason; the
-# last is well formed but does not fit a payload of one-byte coefficients 0..5
+# last two are well formed, but one names another version and the other does
+# not fit a payload of one-byte coefficients 0..5
 MALFORMED_HEADERS = [
     (b"not json", "header is not a JSON object"),
     (b"[5]", "header is not a JSON object"),
@@ -55,9 +56,11 @@ MALFORMED_HEADERS = [
     (b'{"family": "zzz", "n": 5, "t": 3, "version": 1, "width": 8}', "malformed header"),
     (b'{"family": "sc_t", "n": 5, "t": null, "version": 1, "width": 8}', "malformed header"),
     (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 0}', "malformed header"),
+    (b'{"family": "sc", "n": 5, "t": null, "version": 2, "width": 1}', "version 2 != 1"),
     (b'{"family": "sc", "n": 5, "t": null, "version": 1, "width": 2}', "payload length mismatch"),
 ]
-MALFORMED_IDS = ["not-json", "not-an-object", "no-width", "unknown-family", "no-t", "width-0", "width-2"]
+MALFORMED_IDS = ["not-json", "not-an-object", "no-width", "unknown-family", "no-t", "width-0", "version-2",
+                 "width-2"]
 
 
 class TestCacheFile:

@@ -99,19 +99,19 @@ class TestClosedForms:
         assert fm.sc_t_closed(5, 4, tables) == sc[4]
 
     def test_budget(self, tables):
+        assert tables.limits.composition_budget == 12
         with pytest.raises(ResourceLimit):
-            fm.sc_t_closed(2, 100, tables, Limits(composition_budget=12))
-        # raising the budget makes it feasible again
-        assert fm.sc_t_closed(2, 56, tables, Limits(composition_budget=14)) == \
+            fm.sc_t_closed(2, 100, tables)
+        # tables built with a larger budget make it feasible again
+        assert fm.sc_t_closed(2, 56, fm.RecursionTables(56, Limits(composition_budget=14))) == \
             fm.sc_t_value(2, 56, tables)
 
     def test_closed_equals_recursion_in_budget(self, tables):
-        limits = Limits()
         for t_full in range(2, 13):
             for n in range(90):
-                if n // fm._step(t_full) > limits.composition_budget:
+                if n // fm._step(t_full) > tables.limits.composition_budget:
                     continue
-                closed = fm.sc_t_closed(t_full, n, tables, limits)
+                closed = fm.sc_t_closed(t_full, n, tables)
                 assert closed == fm.sc_t_value(t_full, n, tables), (t_full, n)
 
 
@@ -119,20 +119,19 @@ class TestClosedFormsByWeight:
     """The closed forms are expanded once per core size and summed by weight."""
 
     def test_equal_to_term_by_term_in_budget(self):
-        tables, limits = fm.RecursionTables(199), Limits()
+        tables = fm.RecursionTables(199)
         for t_full in range(2, 16):
             for n in range(200):
-                if n // fm._step(t_full) <= limits.composition_budget:
-                    assert fm.sc_t_closed(t_full, n, tables, limits) == \
+                if n // fm._step(t_full) <= tables.limits.composition_budget:
+                    assert fm.sc_t_closed(t_full, n, tables) == \
                         _closed_term_by_term(t_full, n), (t_full, n)
 
-    def test_larger_budget_expands_again(self):
-        tables, small, large = fm.RecursionTables(199), Limits(), Limits(composition_budget=14)
+    def test_tables_with_a_larger_budget_reach_further(self):
+        tables = fm.RecursionTables(199, Limits(composition_budget=14))
         for t_full in range(2, 16):
-            fm.sc_t_closed(t_full, 0, tables, small)
             for n in range(200):
-                if n // fm._step(t_full) <= large.composition_budget:
-                    assert fm.sc_t_closed(t_full, n, tables, large) == \
+                if n // fm._step(t_full) <= tables.limits.composition_budget:
+                    assert fm.sc_t_closed(t_full, n, tables) == \
                         fm.sc_t_value(t_full, n, tables), (t_full, n)
         # term by term where only the larger budget admits the cell: every even
         # cell, and the first odd cell at each new cap (an odd cap-14 cell has
@@ -141,7 +140,7 @@ class TestClosedFormsByWeight:
                  if 12 < n // fm._step(t_full) <= 14]
         cells += [(15, 195), (13, 182)]
         for t_full, n in cells:
-            assert fm.sc_t_closed(t_full, n, tables, large) == \
+            assert fm.sc_t_closed(t_full, n, tables) == \
                 _closed_term_by_term(t_full, n), (t_full, n)
 
     def test_out_of_table_and_small_core_sizes(self):
@@ -162,7 +161,7 @@ class TestClosedFormsByWeight:
         tables = fm.RecursionTables(960)
         for t_full in range(2, 41):
             phat = phat_coeffs(t_full // 2, 960 // fm._step(t_full))
-            assert tables.closed_weights(t_full, 12) == \
+            assert tables.closed_weights(t_full) == \
                 _weights_term_by_term(t_full, 12, phat, tables._sc), t_full
 
     def test_walk_pops_each_sequence_once(self):
@@ -271,6 +270,29 @@ class TestCrossValidate:
     def test_trivial_range(self):
         rep = fm.cross_validate(2, 3)
         assert rep.verdict == "holds"
+
+    def test_a_skewed_series_cell_is_tagged_and_skips_the_other_methods(self, monkeypatch):
+        # the series is checked against the recursion first; where they
+        # differ, no other method is asked at that cell
+        series_row, value, asked = fm.sc_t_coeffs, fm.method_value, Counter()
+
+        def skewed(t, n):
+            row = series_row(t, n)
+            return row[:20] + (row[20] + 1,) + row[21:] if t == 5 else row
+
+        def counted(method, family, t, n, tables):
+            asked[t, n, method] += 1
+            return value(method, family, t, n, tables)
+
+        monkeypatch.setattr(fm, "sc_t_coeffs", skewed)
+        monkeypatch.setattr(fm, "method_value", counted)
+        rep = fm.cross_validate(12, 48)
+        true = series_row(5, 20)[20]
+        assert rep.verdict == "fails"
+        assert [tuple(w) for w in rep.witnesses] == [(5, 20, true + 1, true, "series-vs-recursion")]
+        assert [m for t, n, m in asked if (t, n) == (5, 20)] == ["recursive"]
+        assert {m for t, n, m in asked if (t, n) == (5, 21)} == {"recursive", "closed", "large", "oracle"}
+        assert all(k == 1 for k in asked.values())
 
     @pytest.mark.parametrize("method", ["closed", "large", "oracle"])
     def test_a_broken_method_is_tagged_on_every_cell_it_reaches(self, method, monkeypatch):

@@ -178,7 +178,7 @@ class TestEnumeration:
     def test_examples(self):
         assert pt.enumerate_self_conjugate(8) == [(3, 3, 2), (4, 2, 1, 1)]
         assert pt.enumerate_self_conjugate(2) == []
-        assert pt.enumerate_self_conjugate_t_core(13, 6) == []
+        assert [p for p in pt.enumerate_self_conjugate(13) if pt.is_t_core(p, 6)] == []
 
     def test_counts_match_series(self):
         sc = sc_coeffs(80)
@@ -195,7 +195,7 @@ class TestEnumeration:
     def test_all_outputs_are_sc_t_cores(self):
         for n in range(31):
             for t in (2, 5, 8):
-                for p in pt.enumerate_self_conjugate_t_core(n, t):
+                for p in [q for q in pt.enumerate_self_conjugate(n) if pt.is_t_core(q, t)]:
                     assert pt.is_self_conjugate(p)
                     assert pt.is_t_core(p, t)
 

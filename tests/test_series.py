@@ -120,12 +120,17 @@ class TestNamedFamilies:
                 assert row[n] == c[n] - s[n] >= 0
 
 
+def _sc_t_cores(n: int, t: int) -> list:
+    """The self-conjugate t-cores of n, filtered from every self-conjugate partition."""
+    return [p for p in pt.enumerate_self_conjugate(n) if pt.is_t_core(p, t)]
+
+
 class TestAgainstOracles:
     def test_sc_t_matches_enumeration(self):
         for t in range(2, 13):
             row = se.sc_t_coeffs(t, 30)
             for n in range(31):
-                assert row[n] == len(pt.enumerate_self_conjugate_t_core(n, t)), (t, n)
+                assert row[n] == len(_sc_t_cores(n, t)), (t, n)
 
     def test_c_t_matches_brute_force_filter(self):
         for t in range(2, 9):
@@ -137,7 +142,7 @@ class TestAgainstOracles:
     @given(st.integers(2, 20), st.integers(0, 25))
     @settings(max_examples=60)
     def test_sc_t_vs_oracle_random(self, t, n):
-        assert se.sc_t_coeffs(t, n)[n] == len(pt.enumerate_self_conjugate_t_core(n, t))
+        assert se.sc_t_coeffs(t, n)[n] == len(_sc_t_cores(n, t))
 
 
 class TestStructuralIdentities:
@@ -317,6 +322,20 @@ class TestRowKernel:
             call()
         assert str(info.value) == message
         assert se._store == {}
+
+    @pytest.mark.parametrize("call", [
+        lambda: se.p_coeffs(-1),
+        lambda: se.sc_coeffs(-1),
+        lambda: se.phat_coeffs(2, -1),
+        lambda: se.c_t_coeffs(3, -1),
+        lambda: se.sc_t_coeffs(2, -1),
+        lambda: se.sc_t_coeffs(7, -5),
+        lambda: se.nsc_t_coeffs(4, -1),
+        lambda: se.eta_product(-1, [(1, 1)]),
+    ], ids=["p", "sc", "phat", "c_t", "sc_t-even", "sc_t-odd", "nsc_t", "eta_product"])
+    def test_a_negative_n_is_refused(self, call):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            call()
 
 
 def _row_factors(family: str, t: int) -> list[tuple[int, int]]:
