@@ -16,9 +16,11 @@ the t-quotient is the partition read off runner r's levels.  The runner
 counts alone give the t-core, every bead slid to the bottom of its runner
 (`_flush_core`); `assemble` takes a core's counts once `is_t_core` has
 accepted it.  The lattice of t-cores (`t_cores_up_to`) walks the same
-counts.  The t-cores met are few next to the partitions that share them, so
-the core of a count vector and the counts of a core are each kept in a
-bounded LRU cache (`_core`, `_core_counts`).  This convention
+counts, pruned by the exact least size that the runners still open can add
+(`_least_twice_size`), so its work is proportional to the cores it lists,
+at most t nodes each.  The t-cores met are few next to the partitions that
+share them, so the core of a count vector and the counts of a core are each
+kept in a bounded LRU cache (`_core`, `_core_counts`).  This convention
 reproduces the worked 5-core/5-quotient of the partition with diagonal hooks
 (29, 15) in runner order, and is frozen by tests.
 
@@ -148,7 +150,7 @@ def t_quotient(p: Partition, t: int) -> Quotient:
 @lru_cache(maxsize=256)
 def _core_counts(core: Partition, t: int) -> tuple[int, ...]:
     """The runner counts of a t-core; NotACore unless `is_t_core` accepts it."""
-    if not is_t_core(check_partition(core), t):
+    if not is_t_core(core, t):
         raise NotACore(f"{core!r} still has a {t}-hook")
     return tuple(map(len, _split(core, t)))
 
@@ -242,47 +244,61 @@ def sc_reduce_to_core(p: Partition, t: int) -> list[Partition]:
     return chain
 
 
-def t_cores_up_to(limit: int, t: int) -> Iterator[tuple[int, Partition]]:
-    """(size, partition) for every t-core of size <= limit, one DFS pass.
+def _least_twice_size(t: int, r: int, k: int) -> int:
+    """The least doubled size sum (t d^2 + 2 r' d) over the runners r' = r..t-1
+    of deviations d that sum to k, for 0 <= r < t (see `t_cores_up_to`)."""
+    m = t - r
+    q, p = divmod(abs(k), m)
+    low = r if k > 0 else t - p  # the p runners that take a move on level q
+    linear = q * m * (r + t - 1) + p * (2 * low + p - 1)
+    return t * (m * q * q + p * (2 * q + 1)) + (linear if k > 0 else -linear)
 
-    A t-core corresponds to a flush bead configuration; writing c_r = K + d_r
-    for the runner counts (relative to the empty partition), sum d_r = 0 and
-    the size is (t/2)*sum(d_r^2) + sum(r*d_r), independent of K, and
-    `_flush_core` reads the core off d alone.  Depth-first search over
-    deviation vectors with a quadratic pruning bound; size is tracked doubled
-    so it stays integral mid-search.
+
+def t_cores_up_to(limit: int, t: int) -> Iterator[tuple[int, Partition]]:
+    """(size, partition) for every t-core of size <= limit, in increasing
+    lexicographic order of its runner deviations d_0, ..., d_(t-1).
+
+    A t-core is a flush bead configuration.  Writing c_r = K + d_r for its
+    runner counts (relative to the empty partition), sum d_r = 0 and twice
+    the size is sum (t d_r^2 + 2 r d_r), whatever K (Garvan, Kim and Stanton,
+    *Cranks and t-cores*); `_flush_core` reads the core off d alone.  The walk
+    fixes d_0, d_1, ... in turn on one explicit stack; the last is forced.
+
+    The one prune is exact: a node is kept when its doubled size plus the
+    least that the open runners r' >= r can add, their deviations summing to
+    k = -(sum of d so far), is at most 2 * limit (`_least_twice_size`).
+    Moving runner r' one step up from d costs t (2d + 1) + 2r', one step down
+    t (2|d| + 1) - 2r'.  So the moves of each sign come in levels |d| = 0, 1,
+    ... of t - r moves, every move of a level cheaper than every move of the
+    next, and one move of each sign together cost at least 2t - 2(t - 1) > 0.
+    A least completion therefore never mixes signs, and as each runner's cost
+    is convex it is the |k| cheapest moves of k's sign, whole levels first:
+    the greedy completion.  Every kept node extends to a yielded core, so the
+    walk keeps at most t nodes per core.  The kept d_r of a node form an
+    interval (the least completion is convex in k) that holds the greedy
+    completion's d_r = ceil(k / (t - r)); the walk scans out from it both ways.
     """
     if t < 1:
         raise ValueError("t must be positive")
-    if t == 1:
-        yield 0, ()
-        return
+    bound = 2 * limit
+    # (runner r to fix next, sum of d so far, doubled size so far, d so far)
+    stack = [(0, 0, 0, ())] if limit >= 0 else []
+    while stack:
+        r, s, twice, ds = stack.pop()
+        if r == t - 1:  # the last deviation is forced by sum d_r = 0
+            yield (twice + t * s * s - 2 * r * s) // 2, _flush_core(ds + (-s,), t)
+            continue
 
-    from math import isqrt
+        def fits(d: int) -> bool:
+            return twice + t * d * d + 2 * r * d + _least_twice_size(t, r + 1, -s - d) <= bound
 
-    def dfs(r: int, sum_d: int, twice_size: int, ds: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        if r == t:
-            if sum_d == 0 and twice_size <= 2 * limit:
-                yield twice_size // 2, ds
-            return
-        remaining = t - r
-        # each later runner contributes at least -r^2/t > -t (doubled)
-        budget = 2 * limit + remaining * t - twice_size
-        if budget < 0:
-            return
-        # viable d at this level: t*d^2 - 2(t-1)|d| <= budget
-        lim = ((t - 1) + isqrt((t - 1) * (t - 1) + t * budget)) // t
-        if abs(sum_d) > remaining * lim:
-            return
-        if r == t - 1:
-            d = -sum_d  # the last runner is forced by sum d_r = 0
-            yield from dfs(t, 0, twice_size + t * d * d + 2 * r * d, ds + (d,))
-            return
-        for d in range(-lim, lim + 1):
-            yield from dfs(r + 1, sum_d + d, twice_size + t * d * d + 2 * r * d, ds + (d,))
-
-    for size_, ds in dfs(0, 0, 0, ()):
-        yield size_, _flush_core(ds, t)
+        lo = hi = -(s // (t - r))
+        while fits(hi + 1):
+            hi += 1
+        while fits(lo - 1):
+            lo -= 1
+        for d in range(hi, lo - 1, -1):
+            stack.append((r + 1, s + d, twice + t * d * d + 2 * r * d, ds + (d,)))
 
 
 def simultaneous_cores(s: int, t: int) -> Iterator[Partition]:

@@ -157,14 +157,8 @@ def characterization_sets(t: int, n_max: int) -> dict[str, set[int]]:
     if t == 2:
         triangular = {k * (k + 1) // 2 for k in range(isqrt(2 * n_max) + 2)}
         return {"predicate": {n for n in ns if n not in triangular}}
-    if t == 3:
-        hits = set()
-        d = 0
-        while 3 * d * d - 2 * d <= n_max:
-            hits.add(3 * d * d - 2 * d)
-            if 3 * d * d + 2 * d <= n_max:
-                hits.add(3 * d * d + 2 * d)
-            d += 1
+    if t == 3:  # n is a zero iff 3n + 1 is not a square; k^2 is 1 mod 3 iff 3 does not divide k
+        hits = {(k * k - 1) // 3 for k in range(1, isqrt(3 * n_max + 1) + 1) if k % 3}
         return {"predicate": {n for n in ns if n not in hits}}
     if t == 4:
         flags = _odd_power_prime_3_mod_4(8 * n_max + 5)
@@ -177,17 +171,10 @@ def characterization_sets(t: int, n_max: int) -> dict[str, set[int]]:
         }
     if t == 6:
         return {"predicate": {n for n in (2, 12, 13, 73) if n <= n_max}}
-    if t == 7:
-        hits = set()
-        power = 1  # n is a zero iff n + 2 = (8m + 1) * 4^k
-        while power - 2 <= n_max:
-            m = 0
-            while (8 * m + 1) * power - 2 <= n_max:
-                if (8 * m + 1) * power - 2 >= 0:
-                    hits.add((8 * m + 1) * power - 2)
-                m += 1
-            power *= 4
-        return {"predicate": hits}
+    if t == 7:  # n is a zero iff n + 2 = 4^k (8m + 1); k = m = 0 gives n = -1
+        hits = {4**k * (8 * m + 1) - 2 for k in range((n_max + 2).bit_length())
+                for m in range(((n_max + 2) // 4**k + 7) // 8)}
+        return {"predicate": hits - {-1}}
     if t == 9:
         return {"predicate": {n for n in ns if _is_power_of_four(3 * n + 10)}}
     if t >= 8:

@@ -133,10 +133,10 @@ def hook_grid(p: Partition) -> tuple[tuple[int, ...], ...]:
 
 def is_t_core(p: Partition, t: int) -> bool:
     """True iff no cell of p has hook length exactly t, i.e. no bead b >= t of
-    `_beads(p)` has b - t empty."""
+    `_beads(p)` has b - t empty; ValueError for t < 1, then unless p is a partition."""
     if t < 1:
         raise ValueError("t must be positive")
-    beads = set(_beads(p))
+    beads = set(_beads(check_partition(p)))
     return all(b < t or b - t in beads for b in beads)
 
 

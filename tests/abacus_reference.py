@@ -7,9 +7,13 @@ searches the second removal of a pair by recomputing conjugates.  They share
 no code with sccore.abacus, so a test can compare the two on every input.
 Self-conjugacy is p == conjugate(p) and a t-core has no hook of length t in
 its hook grid, so neither rests on the bead tests of sccore.partitions.
+The t-core lattice walk is the nested recursive generator that
+sccore.abacus.t_cores_up_to was before its exact bound.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from sccore.errors import AlreadyCore, NotACore, NotSelfConjugate
 from sccore.partitions import conjugate, hook_grid, hook_length, size
@@ -122,3 +126,42 @@ def sc_reduce_to_core(p, t):
     while not is_t_core(chain[-1], t):
         chain.append(sc_reduction_step(chain[-1], t)[0])
     return chain
+
+
+def t_cores_up_to(limit, t):
+    """(size, core) for every t-core of size <= limit, by runner deviations d_r
+    (sum 0, doubled size sum t d_r^2 + 2 r d_r) in increasing lexicographic
+    order.  Each runner is charged a budget that lets every later runner
+    give back t, and |sum d| is bounded by the runners left times the widest
+    deviation the budget admits.  The core, with d_r - min(d) beads at the
+    bottom of runner r, is read back through partition_of."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    if t == 1:
+        yield 0, ()
+        return
+
+    def dfs(r, sum_d, twice_size, ds):
+        if r == t:
+            if sum_d == 0 and twice_size <= 2 * limit:
+                yield twice_size // 2, ds
+            return
+        remaining = t - r
+        # each later runner contributes at least -r^2/t > -t (doubled)
+        budget = 2 * limit + remaining * t - twice_size
+        if budget < 0:
+            return
+        # viable d at this level: t*d^2 - 2(t-1)|d| <= budget
+        lim = ((t - 1) + isqrt((t - 1) * (t - 1) + t * budget)) // t
+        if abs(sum_d) > remaining * lim:
+            return
+        if r == t - 1:
+            d = -sum_d  # the last runner is forced by sum d_r = 0
+            yield from dfs(t, 0, twice_size + t * d * d + 2 * r * d, ds + (d,))
+            return
+        for d in range(-lim, lim + 1):
+            yield from dfs(r + 1, sum_d + d, twice_size + t * d * d + 2 * r * d, ds + (d,))
+
+    for size_, ds in dfs(0, 0, 0, ()):
+        low = min(ds)
+        yield size_, partition_of([r + t * j for r, d in enumerate(ds) for j in range(d - low)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import abacus_reference as ref
 from sccore import abacus as ab
+from sccore import cli
 from sccore import partitions as pt
 from sccore.errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
 from sccore.series import c_t_coeffs
@@ -274,13 +276,13 @@ class TestAgainstReference:
 
 class TestTCoreEnumeration:
     def test_counts_match_series(self):
-        for t in range(2, 13):
-            row = c_t_coeffs(t, 30)
-            by_size: dict[int, list] = {n: [] for n in range(31)}
-            for size_, p in ab.t_cores_up_to(30, t):
+        for t, n_max in [(t, 30) for t in range(2, 13)] + [(t, 20) for t in (13, 16, 20, 25, 40)]:
+            row = c_t_coeffs(t, n_max)
+            by_size: dict[int, list] = {n: [] for n in range(n_max + 1)}
+            for size_, p in ab.t_cores_up_to(n_max, t):
                 assert sum(p) == size_ and pt.is_t_core(p, t)
                 by_size[size_].append(p)
-            for n in range(31):
+            for n in range(n_max + 1):
                 assert len(by_size[n]) == row[n], (t, n)
                 assert len(set(by_size[n])) == len(by_size[n])
 
@@ -292,6 +294,63 @@ class TestTCoreEnumeration:
     def test_t1(self):
         assert list(ab.enumerate_t_cores(0, 1)) == [()]
         assert list(ab.enumerate_t_cores(3, 1)) == []
+
+
+class TestLatticeWalk:
+    """The stack walk of `t_cores_up_to` against the recursive walk it
+    replaced (tests/abacus_reference.py), and its exact bound."""
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_yields_the_reference_sequence(self, t):
+        for limit in (0, 1, 30, 100) if t <= 8 else (0, 1, 30):
+            assert list(ab.t_cores_up_to(limit, t)) == list(ref.t_cores_up_to(limit, t)), limit
+
+    def test_least_twice_size_is_the_exhaustive_minimum(self):
+        # Brute force over the deviations in the box |d| <= box that sum to
+        # k.  The least of them lies strictly inside the box, so every
+        # exchange (d_i + 1, d_j - 1) from it stays in the box and lowers
+        # nothing, and for a separable convex cost that makes it the least
+        # over all of Z^m.
+        for t in range(1, 7):
+            for r in range(t):
+                m = t - r
+                for k in range(-4, 5):
+                    box = -(-abs(k) // m) + 1
+                    least, widest = min(
+                        (sum(t * d * d + 2 * (r + i) * d for i, d in enumerate(ds)), max(map(abs, ds)))
+                        for ds in product(range(-box, box + 1), repeat=m) if sum(ds) == k)
+                    assert widest < box, (t, r, k)
+                    assert ab._least_twice_size(t, r, k) == least, (t, r, k)
+
+    def test_work_follows_the_cores_listed(self, monkeypatch):
+        # Every node on the stack extends to a yielded core, so the nodes at
+        # each depth 0..t-1 are at most the cores: at most (t - 1) cores
+        # internal nodes and (t - 1) cores kept children.  A node with c kept
+        # children asks the bound c + 1 times (the scan up ends on one refusal
+        # and the scan down on another, and the start fits), so the calls are
+        # at most 2 (t - 1) cores.
+        calls = [0]
+        least = ab._least_twice_size
+
+        def counted(t, r, k):
+            calls[0] += 1
+            return least(t, r, k)
+
+        monkeypatch.setattr(ab, "_least_twice_size", counted)
+        limit, t = 12, 40
+        cores = sum(1 for _ in ab.t_cores_up_to(limit, t))
+        assert cores == sum(len(pt.partitions_of(n)) for n in range(limit + 1))  # every size < t
+        assert 0 < calls[0] <= 2 * (t - 1) * cores
+
+    def test_count_method_all_agrees_at_t_40(self, capsys):
+        assert cli.main(["count", "c_t", "--t", "40", "--n", "0..12", "--method", "all"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [f"40 {n} {len(pt.partitions_of(n))}" for n in range(13)]
+        assert err == "# methods agree: series, oracle\n"
+
+    def test_a_negative_limit_lists_nothing(self):
+        for t in range(1, 5):
+            assert list(ab.t_cores_up_to(-1, t)) == []
 
 
 @pytest.mark.parametrize("t", [0, -1])

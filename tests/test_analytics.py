@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -96,6 +97,57 @@ class TestZeroSets:
     def test_no_characterization_below_two(self):
         with pytest.raises(NoKnownCharacterization):
             an.characterization_sets(1, 100)
+
+
+def _theta_exponent_zeros(n_max: int) -> set[int]:
+    """The t = 3 zeros as the n off the exponents d(3d - 2) and d(3d + 2)."""
+    hits = set()
+    d = 0
+    while 3 * d * d - 2 * d <= n_max:
+        hits.add(3 * d * d - 2 * d)
+        if 3 * d * d + 2 * d <= n_max:
+            hits.add(3 * d * d + 2 * d)
+        d += 1
+    return {n for n in range(n_max + 1) if n not in hits}
+
+
+def _four_power_zeros(n_max: int) -> set[int]:
+    """The t = 7 zeros as (8m + 1) 4^k - 2, walked over k and then m."""
+    hits = set()
+    power = 1
+    while power - 2 <= n_max:
+        m = 0
+        while (8 * m + 1) * power - 2 <= n_max:
+            if (8 * m + 1) * power - 2 >= 0:
+                hits.add((8 * m + 1) * power - 2)
+            m += 1
+        power *= 4
+    return hits
+
+
+def _without_factors_of_four(m: int) -> int:
+    while m % 4 == 0:
+        m //= 4
+    return m
+
+
+class TestStatedCharacterizations:
+    """The t = 3 and t = 7 zero sets against each statement read n by n, and
+    against the loops that listed them before, at every n_max <= 50 and at 3000."""
+
+    N_MAXES = [*range(51), 3000]
+
+    def test_t3_is_3n_plus_1_not_a_square(self):
+        for n_max in self.N_MAXES:
+            stated = {n for n in range(n_max + 1) if isqrt(3 * n + 1) ** 2 != 3 * n + 1}
+            assert an.characterization_sets(3, n_max) == {"predicate": stated}, n_max
+            assert stated == _theta_exponent_zeros(n_max), n_max
+
+    def test_t7_is_n_plus_2_a_power_of_4_times_1_mod_8(self):
+        for n_max in self.N_MAXES:
+            stated = {n for n in range(n_max + 1) if _without_factors_of_four(n + 2) % 8 == 1}
+            assert an.characterization_sets(7, n_max) == {"predicate": stated}, n_max
+            assert stated == _four_power_zeros(n_max), n_max
 
 
 def _has_odd_power_prime_3_mod_4(m: int) -> bool:

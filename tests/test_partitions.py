@@ -173,6 +173,15 @@ class TestTCore:
                 for t in range(1, 15):
                     assert pt.is_t_core(p, t) == (t not in hooks)
 
+    @pytest.mark.parametrize("bad, t", [((0,), 1), ((1, 2), 2), ((3, 0), 2), ((2, -1), 3)])
+    def test_refuses_a_non_partition(self, bad, t):
+        # (0,) once passed as a 1-core and (1, 2) as no 2-core
+        with pytest.raises(ValueError, match="^parts must be"):
+            pt.is_t_core(bad, t)
+        # the t check comes first
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            pt.is_t_core(bad, 0)
+
 
 class TestEnumeration:
     def test_examples(self):
