@@ -24,13 +24,13 @@ kept in a bounded LRU cache (`_core`, `_core_counts`).  This convention
 reproduces the worked 5-core/5-quotient of the partition with diagonal hooks
 (29, 15) in runner order, and is frozen by tests.
 
-Validation.  `beta_set` checks that its input is a partition (`ValueError`)
-and its length, `partition_of` checks that its beads are distinct and
-non-negative, and `assemble` checks that its core and every quotient
-component are partitions (`ValueError`) and that the core is a t-core
-(`NotACore`).  The other functions trust their partition arguments.
-The kernels produce their beads sorted and read them back with the trusted
-`_parts`, which checks nothing.
+Validation.  Every partition check is `check_partition` (`ValueError`):
+`beta_set` runs it and checks its length, `assemble` runs it on its core and
+every quotient component and checks that the core is a t-core (`NotACore`),
+and the self-conjugate reduction on its input (`_sc_beads`).  `partition_of`
+checks that its beads are distinct and non-negative.  The other functions
+trust their partition arguments; the kernels read their sorted beads back
+with the trusted `_parts`, which checks nothing.
 
 The self-conjugate reduction walks the beta-set of its input, of length m =
 #parts, so m stays >= the first part of every partition on the chain.  Such a
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import ge, sub
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import AlreadyCore, LengthTooSmall, NotACore, NotSelfConjugate
@@ -160,8 +160,7 @@ def assemble(core: Partition, q: Quotient, t: int) -> Partition:
     if len(q) != t:
         raise ValueError(f"quotient must have exactly {t} components")
     for comp in q:
-        if comp and (comp[-1] < 1 or not all(map(ge, comp, comp[1:]))):
-            raise ValueError(f"quotient components must be partitions, got {comp!r}")
+        check_partition(comp)
     counts = _core_counts(tuple(core), t)
     # lengthen every runner equally so each has room for its component's parts,
     # and drop the full bottom levels, which leave the partition as it is
@@ -210,7 +209,7 @@ def _sc_beads(p: Partition, t: int) -> list[int]:
     partition and that it is self-conjugate (`_self_conjugate_beads`)."""
     if t < 1:
         raise ValueError("t must be positive")
-    beads = _self_conjugate_beads(p)
+    beads = _self_conjugate_beads(check_partition(p))
     if beads is None:
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     return beads

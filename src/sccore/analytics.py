@@ -20,7 +20,7 @@ from .abacus import simultaneous_cores
 from .errors import (
     MissingTable, NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN, UnsupportedT,
 )
-from .partitions import is_self_conjugate, is_t_core, size
+from .partitions import _is_t_core, _self_conjugate_beads, size
 from .reports import ScanReport, timed
 from .series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -285,9 +285,9 @@ def monotonicity_scan(family: str, n_max: int, window: str = "conjecture") -> Sc
 # distributions, telescoping, unimodality
 # ---------------------------------------------------------------------------
 
-def _numerators(n_lo: int, n_hi: int, n_cap: int | None):
+def _numerators(n_lo: int, n_hi: int):
     """(family, n, den, ts, nums) for each family of `distribution_table` and
-    each n_lo <= n <= n_hi, on rows to n_cap (default n_hi): ts is the
+    each n_lo <= n <= n_hi, on rows to n_hi: ts is the
     family's support window, nums[i] the numerator at t = ts[i] and den the
     denominator, the limit of the rows as t grows, c_t(n) = p(n) and
     sc_t(n) = sc(n) for t > n.
@@ -295,39 +295,35 @@ def _numerators(n_lo: int, n_hi: int, n_cap: int | None):
     The rows are fetched once per family, when the first value is read; an n
     with sc(n) = 0 is refused here, before any.
     """
-    cap = n_hi if n_cap is None else n_cap
-    if cap < n_hi:
-        raise ValueError("n_cap must be >= n")
     ns = range(n_lo, n_hi + 1)
-    dens = {"c": p_coeffs(cap), "sc": sc_coeffs(cap)}
+    dens = {"c": p_coeffs(n_hi), "sc": sc_coeffs(n_hi)}
     for n in ns:
         if dens["sc"][n] == 0:
             raise UndefinedAtN(f"sc({n}) = 0; sigma families undefined")
     supports = [(family, *_windows(family, window, ns)) for family, window in _WINDOWS if window == "support"]
     return ((family, n, dens[rows][n], ts, [hi - lo for lo, hi in zip(col, col[1:])])
             for family, rows, windows in supports
-            for n, ts, col in _columns(rows, cap, windows))
+            for n, ts, col in _columns(rows, n_hi, windows))
 
 
-def distribution_table(n: int, n_cap: int | None = None) -> dict[str, dict[int, Fraction]]:
+def distribution_table(n: int) -> dict[str, dict[int, Fraction]]:
     """pi_t(n) and both sigma parity families as exact rationals, {family: {t: value}}.
 
     pi_t = (c_{t+1} - c_t)/p(n) for t >= 1; sigma_t = (sc_{t+2} - sc_t)/sc(n)
-    for t >= 0, split by parity of t.  n_cap (>= n) controls the series
-    truncation so repeated calls share cached rows.
+    for t >= 0, split by parity of t.
     """
     return {family: {t: Fraction(num, den) for t, num in zip(ts, nums)}
-            for family, _, den, ts, nums in _numerators(n, n, n_cap)}
+            for family, _, den, ts, nums in _numerators(n, n)}
 
 
-def telescoping_check(n: int, n_cap: int | None = None) -> tuple[bool, bool, bool]:
+def telescoping_check(n: int) -> tuple[bool, bool, bool]:
     """Do the three distribution families each sum to exactly 1 at this n?
 
     The denominators are positive, so each family sums to 1 exactly when its
     numerators sum to its denominator: sum (c_{t+1}(n) - c_t(n)) = p(n), and
     sum (sc_{t+2}(n) - sc_t(n)) = sc(n) for each parity.
     """
-    pi, even, odd = (sum(nums) == den for _, _, den, _, nums in _numerators(n, n, n_cap))
+    pi, even, odd = (sum(nums) == den for _, _, den, _, nums in _numerators(n, n))
     return pi, even, odd
 
 
@@ -343,7 +339,7 @@ def distribution_scan(n_lo: int, n_hi: int) -> ScanReport:
     """
     if not 0 <= n_lo <= n_hi:
         raise ValueError(f"need 0 <= n_lo <= n_hi, got {n_lo}..{n_hi}")
-    numerators = _numerators(n_lo, n_hi, None)
+    numerators = _numerators(n_lo, n_hi)
     if n_lo == 0:
         raise UndefinedAtN("at n = 0 every telescoping sum is 0; the distribution is undefined")
     witnesses = [(0, n, family, "sum != 1") for family, n, den, _, nums in numerators if sum(nums) != den]
@@ -506,8 +502,8 @@ def simultaneous_counts(s: int, t: int) -> SimultaneousCores:
     count = comb(s + t, t) // (s + t)
     sc_count = comb(s // 2 + t // 2, t // 2)
     max_size = (s * s - 1) * (t * t - 1) // 24
-    found = [p for p in simultaneous_cores(s, t) if is_t_core(p, s) and is_t_core(p, t)]
-    enumerated_sc = sum(1 for p in found if is_self_conjugate(p))
+    found = [p for p in simultaneous_cores(s, t) if _is_t_core(p, s) and _is_t_core(p, t)]
+    enumerated_sc = sum(1 for p in found if _self_conjugate_beads(p) is not None)
     enumerated_max = max((size(p) for p in found), default=0)
     return SimultaneousCores(
         s, t, count, sc_count, max_size, len(found), enumerated_sc, enumerated_max

@@ -4,7 +4,8 @@ terms of sc(m) for m <= n.  The series rows are the production path; these
 formulas and the brute-force oracles validate them.  `METHODS` declares the
 methods of each count family once, and `method_value` gives a method's value
 or raises `OutOfRange` / `ResourceLimit` where it does not reach; both
-`count --method` and `cross_validate` read them.
+`count --method` and `cross_validate` read them.  `RecursionTables` memoizes
+a request's tables, each oracle walk included (`self_conjugate`, `t_core_sizes`).
 
 Recursion (one DP row per core size T, `RecursionTables.row`):
 
@@ -28,14 +29,15 @@ then sum_w c[w] sc(n - w step).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .abacus import enumerate_t_cores
+from .abacus import t_cores_up_to
 from .config import DEFAULT_LIMITS, Limits
 from .errors import MissingTable, OutOfRange, ResourceLimit
-from .partitions import Partition, enumerate_self_conjugate, is_t_core, partitions_of
+from .partitions import Partition, _is_t_core, enumerate_self_conjugate, partitions_of
 from .reports import ScanReport, timed
 from .series import phat_coeffs, sc_coeffs, sc_t_coeffs
 
@@ -45,17 +47,16 @@ METHODS = {"sc": ("oracle",), "c_t": ("oracle",), "p": ("oracle",), "phat": (), 
 
 
 class RecursionTables:
-    """Shared lookup state of one request: its bounds, the sc row, memoized
-    kernels, rows and closed-form weights per core size, and the oracle's
-    self-conjugate partitions per n, each walked once."""
+    """Shared lookup state of one request: its bounds, the sc row, and, built
+    on first use and memoized per instance by `functools.cache`, each core
+    size's kernel, row and closed-form weights, each n's self-conjugate
+    partitions and each t's t-core sizes."""
 
     def __init__(self, n_max: int, limits: Limits = DEFAULT_LIMITS):
         self.n_max = n_max
         self.limits = limits
-        self._kernels: dict[int, Sequence[int]] = {}
-        self._rows: dict[int, list[int]] = {}
-        self._closed: dict[int, list[int]] = {}
-        self._self_conjugate: dict[int, list[Partition]] = {}
+        for name in ("self_conjugate", "t_core_sizes", "kernel", "row", "closed_weights"):
+            setattr(self, name, cache(getattr(self, name)))
 
     @cached_property
     def _sc(self) -> Sequence[int]:
@@ -70,36 +71,31 @@ class RecursionTables:
         return self._sc[n]
 
     def self_conjugate(self, n: int) -> list[Partition]:
-        """The self-conjugate partitions of n, enumerated on the first call for n."""
-        found = self._self_conjugate.get(n)
-        if found is None:
-            found = self._self_conjugate[n] = enumerate_self_conjugate(n, self.limits)
-        return found
+        """The self-conjugate partitions of n."""
+        return enumerate_self_conjugate(n, self.limits)
+
+    def t_core_sizes(self, t: int) -> Counter[int]:
+        """The t-cores counted by size to min(n_max, oracle_cap), from one lattice walk."""
+        return Counter(n for n, _ in t_cores_up_to(min(self.n_max, self.limits.oracle_cap), t))
 
     def kernel(self, t_full: int) -> Sequence[int]:
         """K[0..n_max // step] for core size t_full, t = t_full // 2: phat_t(w)
         for even t_full, sum_{2i+j=w} phat_t(i) sc(j) for odd."""
-        kernel = self._kernels.get(t_full)
-        if kernel is None:
-            phat, sc = phat_coeffs(t_full // 2, self.n_max // _step(t_full)), self._sc
-            kernel = self._kernels[t_full] = phat if t_full % 2 == 0 else [
-                sum(phat[i] * sc[w - 2 * i] for i in range(w // 2 + 1)) for w in range(len(phat))
-            ]
-        return kernel
+        phat, sc = phat_coeffs(t_full // 2, self.n_max // _step(t_full)), self._sc
+        return phat if t_full % 2 == 0 else [
+            sum(phat[i] * sc[w - 2 * i] for i in range(w // 2 + 1)) for w in range(len(phat))
+        ]
 
     def row(self, t_full: int) -> list[int]:
         """sc_{t_full}(0..n_max) by the recursion with its kernel."""
         _check_core_size(t_full)
-        row = self._rows.get(t_full)
-        if row is None:
-            step, kernel, sc = _step(t_full), self.kernel(t_full), self._sc
-            row = []
-            for n in range(self.n_max + 1):
-                acc = sc[n]
-                for w in range(1, n // step + 1):
-                    acc -= kernel[w] * row[n - step * w]
-                row.append(acc)
-            self._rows[t_full] = row
+        step, kernel, sc = _step(t_full), self.kernel(t_full), self._sc
+        row: list[int] = []
+        for n in range(self.n_max + 1):
+            acc = sc[n]
+            for w in range(1, n // step + 1):
+                acc -= kernel[w] * row[n - step * w]
+            row.append(acc)
         return row
 
     def closed_weights(self, t_full: int) -> list[int]:
@@ -107,14 +103,11 @@ class RecursionTables:
 
         c[w] sums (-1)^len prod K[w_k] over the weight sequences of total
         weight w, from one stack walk that visits each sequence once
-        (`_expand_closed`), made on the first call for t_full.
+        (`_expand_closed`).
         """
         _check_core_size(t_full)
-        c = self._closed.get(t_full)
-        if c is None:
-            cap = min(self.limits.composition_budget, self.n_max // _step(t_full))
-            c = self._closed[t_full] = _expand_closed(self.kernel(t_full), cap)
-        return c
+        cap = min(self.limits.composition_budget, self.n_max // _step(t_full))
+        return _expand_closed(self.kernel(t_full), cap)
 
 
 def _expand_closed(kernel: Sequence[int], cap: int) -> list[int]:
@@ -248,9 +241,9 @@ def sc_large(t_full: int, n: int, tables: RecursionTables) -> LargeValue:
 
 def method_value(method: str, family: str, t: int | None, n: int, tables: RecursionTables) -> int:
     """The count of family at (t, n) by one of METHODS[family]; OutOfRange or
-    ResourceLimit where the method does not reach within the tables' limits.
-    tables serve the sc_t formulas and keep the sc and sc_t oracles' walk of
-    each n."""
+    ResourceLimit where the method does not reach within the tables' limits,
+    MissingTable past tables.n_max.  tables serve the sc_t formulas and keep
+    each oracle walk."""
     if method == "recursive":
         return sc_t_value(t, n, tables)
     if method == "closed":
@@ -259,14 +252,16 @@ def method_value(method: str, family: str, t: int | None, n: int, tables: Recurs
         return sc_large(t, n, tables).value
     if n > tables.limits.oracle_cap:
         raise ResourceLimit(f"n={n} exceeds oracle cap {tables.limits.oracle_cap}")
+    if n > tables.n_max:
+        raise MissingTable(f"tables cover n <= {tables.n_max}")
     if family in ("sc_t", "c_t") and t < 1:
         raise OutOfRange(f"t-cores are defined for t >= 1, got {t}")
     if family == "sc":
         return len(tables.self_conjugate(n))
     if family == "sc_t":
-        return sum(1 for p in tables.self_conjugate(n) if is_t_core(p, t))
+        return sum(1 for p in tables.self_conjugate(n) if _is_t_core(p, t))
     if family == "c_t":
-        return sum(1 for _ in enumerate_t_cores(n, t))
+        return tables.t_core_sizes(t)[n]
     return len(partitions_of(n))
 
 

@@ -7,11 +7,11 @@ tuple is the partition of 0.  Row/column indices in the public functions are
 This module owns the beta-set of length m = #parts (`_beads`: bead
 p_k + m - k for row k, top first) and the hook questions read off it.  A
 t-hook is a bead b >= t with b - t empty, so p is a t-core when no bead is
-one (`is_t_core`).  p is self-conjugate when b -> 2m - 1 - b maps its beads
-onto their complement in [0, 2m) (`_self_conjugate_beads`, `is_self_conjugate`),
-and then the beads b >= m are its diagonal, with hook 2(b - m) + 1
-(`diagonal_hooks`).  `sccore.abacus` pads these beads (`beta_set`) and walks
-them (the self-conjugate reduction).
+one (`_is_t_core`).  p is self-conjugate when b -> 2m - 1 - b maps its beads
+onto their complement in [0, 2m) (`_self_conjugate_beads`), and then the beads
+b >= m are its diagonal, with hook 2(b - m) + 1 (`diagonal_hooks`).  These two
+check nothing, for partitions the package built; the public entries run
+`check_partition` first.  `sccore.abacus` pads the beads and walks them.
 
 A self-conjugate partition is its diagonal hooks, a strictly decreasing
 sequence of odd parts.  Internally the walk over these sequences yields each
@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from math import factorial
-from operator import add
+from operator import add, ge
 from typing import Iterator
 
 from .config import DEFAULT_LIMITS, Limits
@@ -33,12 +33,14 @@ Partition = tuple[int, ...]
 
 
 def check_partition(parts: Partition) -> Partition:
-    """Validate weakly decreasing positive parts; returns the tuple unchanged."""
-    for k in range(len(parts)):
-        if parts[k] < 1:
-            raise ValueError(f"parts must be positive, got {parts!r}")
-        if k + 1 < len(parts) and parts[k] < parts[k + 1]:
-            raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
+    """Validate weakly decreasing positive parts; returns the tuple unchanged.
+    A refusal names the rule that the first offending part breaks."""
+    if parts and (parts[-1] < 1 or not all(map(ge, parts, parts[1:]))):
+        for k in range(len(parts)):
+            if parts[k] < 1:
+                raise ValueError(f"parts must be positive, got {parts!r}")
+            if k + 1 < len(parts) and parts[k] < parts[k + 1]:
+                raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
     return parts
 
 
@@ -63,9 +65,9 @@ def _beads(p: Partition) -> list[int]:
 
 
 def _self_conjugate_beads(p: Partition) -> list[int] | None:
-    """The beads of p when p is self-conjugate, else None; ValueError unless p
-    is a partition.  Every bead lies below 2m and no mirror 2m - 1 - b is a bead."""
-    beads = _beads(check_partition(p))
+    """The beads of p when p is self-conjugate, else None; p is not checked.
+    Every bead lies below 2m and no mirror 2m - 1 - b is a bead."""
+    beads = _beads(p)
     top = 2 * len(p) - 1
     if beads and (beads[0] > top or not set(beads).isdisjoint([top - b for b in beads])):
         return None
@@ -74,7 +76,7 @@ def _self_conjugate_beads(p: Partition) -> list[int] | None:
 
 def is_self_conjugate(p: Partition) -> bool:
     """Equal to its conjugate, read off the beads; ValueError unless p is a partition."""
-    return _self_conjugate_beads(p) is not None
+    return _self_conjugate_beads(check_partition(p)) is not None
 
 
 def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,7 +92,7 @@ def check_hooks(hooks: tuple[int, ...]) -> tuple[int, ...]:
 
 def diagonal_hooks(p: Partition) -> tuple[int, ...]:
     """Diagonal hook lengths of a self-conjugate partition (its canonical form)."""
-    beads = _self_conjugate_beads(p)
+    beads = _self_conjugate_beads(check_partition(p))
     if beads is None:
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     m = len(p)
@@ -136,7 +138,12 @@ def is_t_core(p: Partition, t: int) -> bool:
     `_beads(p)` has b - t empty; ValueError for t < 1, then unless p is a partition."""
     if t < 1:
         raise ValueError("t must be positive")
-    beads = set(_beads(check_partition(p)))
+    return _is_t_core(check_partition(p), t)
+
+
+def _is_t_core(p: Partition, t: int) -> bool:
+    """`is_t_core` unchecked, for partitions the package built."""
+    beads = set(_beads(p))
     return all(b < t or b - t in beads for b in beads)
 
 

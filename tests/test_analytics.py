@@ -8,6 +8,7 @@ import pytest
 
 from sccore import analytics as an
 from sccore import cli, reports
+from sccore import partitions as pt
 from sccore.errors import NoKnownCharacterization, NotCoprime, OutOfDomain, UndefinedAtN
 from sccore.reports import FAILS, HOLDS, ScanReport, _witness_key
 from sccore.series import c_t_coeffs, nsc_t_coeffs, p_coeffs, sc_coeffs, sc_t_coeffs
@@ -399,20 +400,20 @@ class TestWindows:
 class TestDistributions:
     def test_telescoping(self):
         for n in (3, 20, 60):
-            assert an.telescoping_check(n, 60) == (True, True, True)
+            assert an.telescoping_check(n) == (True, True, True)
 
     def test_undefined_at_two(self):
         with pytest.raises(UndefinedAtN):
             an.distribution_table(2)
 
     def test_pi_vanishes_beyond_n(self):
-        rows = an.distribution_table(20, 40)
+        rows = an.distribution_table(20)
         pi = rows["pi"]
         assert all(pi[t] == 0 for t in pi if t > 20)
         assert sum(pi.values()) == 1
 
     def test_sigma_rows_are_exact(self):
-        rows = an.distribution_table(20, 40)
+        rows = an.distribution_table(20)
         assert sum(rows["sigma_even"].values()) == Fraction(1)
         assert sum(rows["sigma_odd"].values()) == Fraction(1)
         # spot value: sigma_0(20) = (sc_2(20) - sc_0(20))/sc(20) = 0
@@ -428,19 +429,19 @@ class TestDistributions:
             p, sc = p_coeffs(cap)[n], sc_coeffs(cap)[n]
             if sc == 0:
                 with pytest.raises(UndefinedAtN):
-                    an.telescoping_check(n, cap)
+                    an.telescoping_check(n)
                 continue
             pi = sum((Fraction(c_t_coeffs(t + 1, cap)[n] - c_t_coeffs(t, cap)[n], p)
                       for t in range(1, n + 1)), Fraction(0))
             even = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(0, n + 1, 2)), Fraction(0))
             odd = sum((Fraction(sc_at(t + 2, n) - sc_at(t, n), sc) for t in range(1, n + 2, 2)), Fraction(0))
-            assert an.telescoping_check(n, cap) == (pi == 1, even == 1, odd == 1), n
+            assert an.telescoping_check(n) == (pi == 1, even == 1, odd == 1), n
 
     def test_range_scan_equals_the_per_n_checks(self):
         rep = an.distribution_scan(3, 150)
         witnesses = [(0, n, family, "sum != 1")
                      for n in range(3, 151)
-                     for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 150))
+                     for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n))
                      if not ok]
         assert rep.witnesses == witnesses == []
         assert (rep.verdict, rep.params, rep.data) == (HOLDS, {"n_lo": 3, "n_hi": 150}, {})
@@ -450,8 +451,8 @@ class TestDistributions:
         # skewed: pi at n = 4 and sigma_odd at n = 5
         numerators = an._numerators
 
-        def skewed(n_lo, n_hi, n_cap):
-            for family, n, den, ts, nums in numerators(n_lo, n_hi, n_cap):
+        def skewed(n_lo, n_hi):
+            for family, n, den, ts, nums in numerators(n_lo, n_hi):
                 if (family, n) in (("pi", 4), ("sigma_odd", 5)):
                     nums = [nums[0] + 1, *nums[1:]]
                 yield family, n, den, ts, nums
@@ -460,7 +461,7 @@ class TestDistributions:
         rep = an.distribution_scan(3, 6)
         per_n = [(0, n, family, "sum != 1")
                  for n in range(3, 7)
-                 for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n, 6))
+                 for family, ok in zip(("pi", "sigma_even", "sigma_odd"), an.telescoping_check(n))
                  if not ok]
         assert rep.witnesses == sorted(per_n, key=_witness_key) == [(0, 4, "pi", "sum != 1"),
                                                                     (0, 5, "sigma_odd", "sum != 1")]
@@ -469,7 +470,7 @@ class TestDistributions:
     def test_range_scan_refuses_n_0(self, n_hi):
         # at n = 0 pi has no term against p(0) = 1, and sc_2(0) - sc_0(0) = 0,
         # sc_3(0) - sc_1(0) = 0: each family sums to 0, so none is a distribution
-        assert an.telescoping_check(0, n_hi) == (False, False, False)
+        assert an.telescoping_check(0) == (False, False, False)
         with pytest.raises(UndefinedAtN, match=r"^at n = 0 every telescoping sum is 0; the distribution is undefined$"):
             an.distribution_scan(0, n_hi)
 
@@ -487,12 +488,6 @@ class TestDistributions:
     def test_range_scan_refuses_a_bad_range(self, n_lo, n_hi):
         with pytest.raises(ValueError, match="need 0 <= n_lo <= n_hi"):
             an.distribution_scan(n_lo, n_hi)
-
-    def test_cap_below_n_is_refused(self):
-        with pytest.raises(ValueError, match="n_cap must be >= n"):
-            an.telescoping_check(20, 10)
-        with pytest.raises(ValueError, match="n_cap must be >= n"):
-            an.distribution_table(20, 10)
 
 
 class TestUnimodality:
@@ -609,6 +604,20 @@ class TestSimultaneous:
         monkeypatch.setattr(an, "simultaneous_cores", lambda s, t: [*real(s, t), (2,), (1, 1, 1)])
         rec = an.simultaneous_counts(2, 3)
         assert (rec.enumerated, rec.enumerated_sc, rec.enumerated_max) == (2, 2, 1)
+
+    def test_checks_no_partition_it_built(self, monkeypatch):
+        # the enumerator builds every core, so both hook tests and the
+        # self-conjugacy test run unchecked
+        checked = []
+
+        def counted(parts):
+            checked.append(parts)
+            return parts
+
+        monkeypatch.setattr(pt, "check_partition", counted)
+        rec = an.simultaneous_counts(7, 8)
+        assert (rec.enumerated, rec.enumerated_sc) == (rec.count, rec.sc_count)
+        assert checked == []
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):

@@ -5,7 +5,10 @@ from collections import Counter
 
 import pytest
 
+from sccore import abacus as ab
 from sccore import formulas as fm
+from sccore import partitions as pt
+from sccore.cli import main
 from sccore.config import Limits
 from sccore.errors import MissingTable, OutOfRange, ResourceLimit
 from sccore.series import phat_coeffs, sc_coeffs, sc_t_coeffs
@@ -202,6 +205,20 @@ class TestClosedFormsByWeight:
         assert fm.cross_validate(12, 48).verdict == "holds"
         assert walked == Counter(range(31))
 
+    def test_cross_validate_checks_no_partition_it_built(self, monkeypatch):
+        # the sc_t oracle tests the partitions its tables enumerated, so the
+        # public boundary's check_partition is never reached
+        checked = []
+
+        def counted(parts):
+            checked.append(parts)
+            return parts
+
+        for module in (pt, ab):
+            monkeypatch.setattr(module, "check_partition", counted)
+        assert fm.cross_validate(12, 48).verdict == "holds"
+        assert checked == []
+
 
 class TestLargeT:
     def test_examples(self, tables):
@@ -325,3 +342,32 @@ class TestCrossValidate:
         assert len(witnesses) == len(expected)
         assert {(t_full, n) for t_full, n, *_ in witnesses} == expected
         assert {(got - reference, tag) for _, _, got, reference, tag in witnesses} == {(1, f"{method}-vs-recursion")}
+
+
+class TestOracles:
+    def test_count_walks_the_t_core_lattice_once(self, monkeypatch, tmp_path, capsys):
+        # the c_t oracle reads every n off one walk of the 8-cores to 30
+        walked, walk = Counter(), fm.t_cores_up_to
+
+        def counted(limit, t):
+            walked[limit, t] += 1
+            return walk(limit, t)
+
+        monkeypatch.setattr(fm, "t_cores_up_to", counted)
+        argv = ["count", "c_t", "--t", "8", "--n", "0..30", "--method", "all", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert walked == Counter({(30, 8): 1})
+
+    def test_negative_n_counts_zero(self):
+        tables = fm.RecursionTables(10)
+        for t in (1, 3, 8):
+            assert fm.method_value("oracle", "c_t", t, -1, tables) == 0
+            assert list(ab.enumerate_t_cores(-1, t)) == []
+
+    @pytest.mark.parametrize("family, t", [("c_t", 3), ("sc_t", 3), ("sc", None), ("p", None)])
+    def test_n_beyond_the_tables_is_missing(self, family, t):
+        # a walk that stopped at n_max would read 0 there
+        tables = fm.RecursionTables(10)
+        fm.method_value("oracle", family, t, 10, tables)
+        with pytest.raises(MissingTable, match=r"^tables cover n <= 10$"):
+            fm.method_value("oracle", family, t, 11, tables)

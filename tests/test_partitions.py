@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sccore import abacus as ab
 from sccore import partitions as pt
 from sccore.config import Limits
 from sccore.errors import InvalidHooks, NotSelfConjugate, OutOfDiagram, ResourceLimit
@@ -44,8 +45,10 @@ class TestConjugate:
     @pytest.mark.parametrize("bad", [(1, 2), (3, 0), (2, -1)])
     def test_refuses_a_non_partition(self, bad):
         # (1, 2) once transposed to (2,) and (3, 0) to (1, 1, 1), so
-        # is_self_conjugate((1, 2)) was a quiet False
-        for kernel in (pt.conjugate, pt.is_self_conjugate, pt.diagonal_hooks):
+        # is_self_conjugate((1, 2)) was a quiet False; the reduction checks
+        # its input before the unchecked bead test
+        for kernel in (pt.conjugate, pt.is_self_conjugate, pt.diagonal_hooks,
+                       lambda p: ab.sc_reduction_step(p, 2), lambda p: ab.sc_reduce_to_core(p, 2)):
             with pytest.raises(ValueError, match="^parts must be"):
                 kernel(bad)
 
